@@ -246,6 +246,13 @@ def _cmd_report(args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cotwist",
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_degree=True):
         if needs_degree:
-            p.add_argument("--degree", type=int, default=6,
+            p.add_argument("--degree", type=_nonnegative_int, default=6,
                            help="truncation degree (default 6)")
         p.add_argument("--conductor", type=int, default=None,
                        help="force a larger computation conductor")
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="invariant ring of the crossed "
                                           "product vs the twisted presentation")
     p.add_argument("--input", required=True)
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=_nonnegative_int, default=4)
     p.add_argument("--conductor", type=int, default=None)
     p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_invariants)

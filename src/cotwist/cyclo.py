@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import ConductorMismatch, CotwistError, ParseError
 
@@ -164,6 +164,28 @@ def _fpoly_invert_mod(b: list[Fraction], modulus: list[Fraction]) -> list[Fracti
     return [x / c for x in s1]
 
 
+_ZERO = Fraction(0)
+
+
+def _mul_quadratic(n: int, a: tuple, b: tuple) -> tuple:
+    # phi(n) = 2, i.e. n = 3, 4, 6: z^2 = -c0 - c1*z.  Zero coefficients are
+    # skipped because most products in practice are of rationals in Q(i).
+    c0, c1, _ = cyclotomic_poly(n)
+    a0, a1 = a
+    b0, b1 = b
+    lo = a0 * b0 if a0 and b0 else _ZERO
+    hi = a0 * b1 if a0 and b1 else _ZERO
+    if a1:
+        if b0:
+            hi += a1 * b0
+        if b1:
+            top = a1 * b1
+            lo -= c0 * top
+            if c1:
+                hi -= c1 * top
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class CycNum:
     """An element of Q(zeta_N) in reduced power-basis form."""
@@ -200,7 +222,7 @@ class CycNum:
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
@@ -243,6 +265,10 @@ class CycNum:
     def __mul__(self, other: "CycNum") -> "CycNum":
         self._check(other)
         n, deg = self.conductor, len(self.coeffs)
+        if deg == 1:
+            return CycNum(n, (self.coeffs[0] * other.coeffs[0],))
+        if deg == 2:
+            return CycNum(n, _mul_quadratic(n, self.coeffs, other.coeffs))
         prod = [Fraction(0)] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -341,10 +367,6 @@ def common_conductor(*values: CycNum) -> int:
     for v in values:
         n = lcm(n, v.conductor)
     return n
-
-
-def embed_all(values: Iterable[CycNum], conductor: int) -> list[CycNum]:
-    return [v.embed(conductor) for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -80,62 +80,83 @@ def _contains_subword(haystack: Word, needle: Word) -> bool:
     return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
 
 
+def _matches(word: Word, lead_map: dict, lead_lengths: Sequence[int]):
+    """(position, length) of every basis leading word inside `word`,
+    leftmost first, then shortest."""
+    for pos in range(len(word)):
+        for length in lead_lengths:
+            if pos + length > len(word):
+                break
+            if word[pos:pos + length] in lead_map:
+                yield pos, length
+
+
+def _rewrite(terms: dict, word: Word, coeff: CycNum, pos: int, length: int,
+             lead_map: dict) -> list:
+    """Replace coeff*word in `terms` (already popped) by coeff*left*tail*right,
+    where word = left*lead*right; return the words this adds to `terms`."""
+    lead = word[pos:pos + length]
+    left, right = word[:pos], word[pos + length:]
+    added = []
+    for tw, tc in lead_map[lead].terms.items():
+        if tw == lead:
+            continue
+        new_word = left + tw + right
+        delta = coeff * tc
+        if new_word in terms:
+            s = terms[new_word] - delta
+            if s.is_zero():
+                del terms[new_word]
+            else:
+                terms[new_word] = s
+        else:
+            terms[new_word] = -delta
+            added.append(new_word)
+    return added
+
+
 def _reduce(p: NcPoly, lead_map: dict, lead_lengths: Sequence[int],
             chooser: Optional[Callable] = None) -> NcPoly:
-    gens = p.gens
+    if chooser is not None:
+        return _reduce_chosen(p, lead_map, lead_lengths, chooser)
+    # Rewrite the deglex-largest reducible word at its first match until none
+    # is left.  A rewrite only adds words smaller than the one it replaces, so
+    # a max-heap visits words in that order and an irreducible word, once
+    # popped, is final.  With generator degrees >= 1, words of equal degree
+    # are never prefixes of each other, so negating the letters reverses lex.
+    degrees = [g.degree for g in p.gens]
+
+    def heap_key(w: Word) -> tuple:
+        return (-sum(degrees[i] for i in w), tuple(-i for i in w))
+
     terms = dict(p.terms)
+    heap = [(heap_key(w), w) for w in terms]
+    heapq.heapify(heap)
+    done = {}
+    while heap:
+        word = heapq.heappop(heap)[1]
+        coeff = terms.pop(word, None)
+        if coeff is None:            # cancelled, or a repeated heap entry
+            continue
+        match = next(_matches(word, lead_map, lead_lengths), None)
+        if match is None:
+            done[word] = coeff
+            continue
+        for w in _rewrite(terms, word, coeff, *match, lead_map):
+            heapq.heappush(heap, (heap_key(w), w))
+    return NcPoly(p.gens, p.conductor, done)
 
-    def matches(word: Word):
-        found = []
-        for pos in range(len(word)):
-            for length in lead_lengths:
-                if pos + length > len(word):
-                    break
-                sub = word[pos:pos + length]
-                if sub in lead_map:
-                    found.append((pos, length))
-                    if chooser is None:
-                        return found
-        return found
 
+def _reduce_chosen(p: NcPoly, lead_map: dict, lead_lengths: Sequence[int],
+                   chooser: Callable) -> NcPoly:
+    terms = dict(p.terms)
     while True:
-        target = None
-        if chooser is None:
-            for word in sorted(terms, key=lambda w: deglex_key(w, gens),
-                               reverse=True):
-                found = matches(word)
-                if found:
-                    target = (word, found[0])
-                    break
-        else:
-            candidates = []
-            for word in terms:
-                for pos, length in matches(word):
-                    candidates.append((word, (pos, length)))
-            if candidates:
-                candidates.sort()
-                target = chooser(candidates)
-        if target is None:
-            break
-        word, (pos, length) = target
-        coeff = terms.pop(word)
-        g = lead_map[word[pos:pos + length]]
-        left, right = word[:pos], word[pos + length:]
-        lead = word[pos:pos + length]
-        for tw, tc in g.terms.items():
-            if tw == lead:
-                continue
-            new_word = left + tw + right
-            delta = coeff * tc
-            if new_word in terms:
-                s = terms[new_word] - delta
-                if s.is_zero():
-                    del terms[new_word]
-                else:
-                    terms[new_word] = s
-            else:
-                terms[new_word] = -delta
-    return NcPoly(gens, p.conductor, terms)
+        candidates = sorted((word, match) for word in terms
+                            for match in _matches(word, lead_map, lead_lengths))
+        if not candidates:
+            return NcPoly(p.gens, p.conductor, terms)
+        word, (pos, length) = chooser(candidates)
+        _rewrite(terms, word, terms.pop(word), pos, length, lead_map)
 
 
 def normal_form(p: NcPoly, gb: TruncGB,

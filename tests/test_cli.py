@@ -153,6 +153,14 @@ def test_missing_file_is_input_error(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command", ["hilbert", "invariants"])
+def test_negative_degree_is_input_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", "preset:B(1)", "--degree", "-1"])
+    assert exc.value.code == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
 def test_bad_relation_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

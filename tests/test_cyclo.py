@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cotwist.cyclo import CycNum, euler_phi, parse_scalar
 from cotwist.errors import ConductorMismatch, ParseError
 
-CONDUCTORS = [1, 2, 4, 8, 12]
+CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
 
 
 def cycnums(conductor):
@@ -19,6 +19,9 @@ def cycnums(conductor):
 def test_defining_relation_of_gaussian_field():
     i = CycNum.i()
     assert i * i == CycNum.rational(-1, 4)
+    half = CycNum.rational(Fraction(-3, 2), 4)
+    assert half * parse_scalar("2 + 5*i") == parse_scalar("-3 - 15/2*i")
+    assert parse_scalar("2 + 5*i") * half == parse_scalar("-3 - 15/2*i")
 
 
 def test_inverse_pair_from_half_plus_half_i():
@@ -83,7 +86,8 @@ def test_field_axioms(conductor, data):
         assert (a * a.inverse()).is_one()
 
 
-@pytest.mark.parametrize("conductor,target", [(1, 4), (2, 8), (4, 12)])
+@pytest.mark.parametrize("conductor,target", [(1, 4), (2, 8), (4, 12), (1, 12),
+                                              (3, 12), (6, 12)])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_embed_is_injective_ring_map(conductor, target, data):

@@ -1,15 +1,21 @@
+import json
+import os
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
+from cotwist import gbasis
 from cotwist.cyclo import CycNum
 from cotwist.errors import DegreeBoundExceeded, ValidationError
-from cotwist.freealg import (GenMap, NcPoly, make_alphabet, make_presentation,
-                             parse_ncpoly)
+from cotwist.freealg import (GenMap, NcPoly, deglex_key, make_alphabet,
+                             make_presentation, parse_ncpoly, word_degree)
 from cotwist.gbasis import (clear_cache, hilbert_coeffs, ideal_contains,
                             is_normal_to_degree, is_regular_to_degree,
                             normal_form, truncated_gb, verify_iso)
-from cotwist.presets import a_family_xbasis, preset
+from cotwist.jsonio import spec_bundle_from_dict
+from cotwist.presets import PRESET_NAMES, a_family_xbasis, preset
 from cotwist.twist import twist_presentation
 from oracles import quotient_dims
 
@@ -230,3 +236,76 @@ def test_weighted_generators_supported():
     # words in x (weight 1) and y (weight 2): dims follow the Fibonacci-like
     # count of compositions of d into parts 1 and 2
     assert hilbert_coeffs(free, 6) == (1, 1, 2, 3, 5, 8, 13)
+
+
+# ---------------------------------------------------------------------------
+# the 4-dimensional Sklyanin algebra: a deglex basis that never becomes finite
+# ---------------------------------------------------------------------------
+
+SKLYANIN_SPEC = os.path.join(os.path.dirname(__file__), "golden",
+                             "sklyanin.json")
+
+
+@pytest.fixture(scope="module")
+def sklyanin():
+    """(algebra, twist): (alpha, beta, gamma) = (2, 3, -5/7), twisted by the
+    Klein sign action g1 = diag(1,1,-1,-1), g2 = diag(1,-1,1,-1) with the
+    Klein duality and cocycle."""
+    with open(SKLYANIN_SPEC, encoding="utf-8") as handle:
+        bundle = spec_bundle_from_dict(json.load(handle))
+    return bundle.presentation, twist_presentation(bundle.spec).presentation
+
+
+def test_sklyanin_hilbert_function_kept_by_twist(sklyanin):
+    # Smith-Stafford: dim A_d = binom(d+3, 3)
+    expected = tuple(comb(d + 3, 3) for d in range(7))
+    for pres in sklyanin:
+        assert hilbert_coeffs(pres, 6) == expected
+    assert len(truncated_gb(sklyanin[0], 6).elements) == 18
+
+
+def _old_default_strategy(gens):
+    """The deglex-largest reducible word, then its leftmost, shortest match."""
+    def choose(candidates):
+        top = max(deglex_key(word, gens) for word, _ in candidates)
+        return next(c for c in candidates if deglex_key(c[0], gens) == top)
+    return choose
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "sklyanin", "weighted"])
+def test_heap_reduction_repeats_old_rewrite_sequence(name, sklyanin,
+                                                      monkeypatch):
+    if name == "sklyanin":
+        pres = sklyanin[0]
+    elif name == "weighted":
+        gens = make_alphabet([("x", 1), ("y", 2)])
+        pres = make_presentation(1, gens, [parse_ncpoly(r, gens, 1) for r in
+                                           ("y*x - x*y", "y^2 - x^4")])
+    else:
+        pres = preset(name).presentation
+    gb = truncated_gb(pres, 6)
+    gens, n = pres.generators, pres.conductor
+    rewrites = []
+    real_rewrite = gbasis._rewrite
+
+    def logged(terms, word, coeff, pos, length, lead_map):
+        rewrites.append((word, pos, length))
+        return real_rewrite(terms, word, coeff, pos, length, lead_map)
+
+    monkeypatch.setattr(gbasis, "_rewrite", logged)
+    rng = random.Random(41)
+    for _ in range(15):
+        terms = {}
+        while len(terms) < 4:
+            word = tuple(rng.randrange(len(gens)) for _ in range(rng.randrange(7)))
+            if word_degree(word, gens) <= 6:
+                scalar = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                terms[word] = (CycNum.rational(scalar, n)
+                               * CycNum.zeta(n, rng.randrange(n)))
+        p = NcPoly(gens, n, terms)
+        heap_nf = normal_form(p, gb)
+        heap_rewrites = list(rewrites)
+        rewrites.clear()
+        assert normal_form(p, gb, chooser=_old_default_strategy(gens)) == heap_nf
+        assert rewrites == heap_rewrites
+        rewrites.clear()

@@ -1,0 +1,43 @@
+"""Byte-for-byte snapshots of CLI output.
+
+Output bytes are part of the contract (sorted-key JSON, deglex order, the
+normal-form strategy), so a rewrite of a hot path must leave these files
+unchanged.  Regenerate a snapshot only in a change that means to alter the
+output, from the repository root:
+
+    PYTHONPATH=src python -m cotwist.cli <argv> > tests/golden/<name>.json
+"""
+
+import os
+
+import pytest
+
+from cotwist.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SKLYANIN = os.path.join(GOLDEN, "sklyanin.json")
+
+TWIST_SOURCES = {"A": "A(1,-1)", "B": "B(1)", "E": "E(1,i)",
+                 "G": "G(1,(1+i)/2)"}
+
+CASES = {
+    "report": ["report", "--degree", "6"],
+    "theorem55": ["theorem55"],
+    "invariants-A": ["invariants", "--degree", "4",
+                     "--input", "preset:A(1,-1)"],
+    "sklyanin-twist": ["twist", "--input", SKLYANIN],
+    "sklyanin-gb": ["gb", "--degree", "6", "--input", SKLYANIN],
+}
+for _key, _name in TWIST_SOURCES.items():
+    CASES[f"gb-{_key}"] = ["gb", "--degree", "6", "--input", f"preset:{_name}"]
+    CASES[f"hilbert-{_key}"] = ["hilbert", "--degree", "6",
+                                "--input", f"preset:{_name}"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, name):
+    assert main(CASES[name]) == 0
+    out = capsys.readouterr().out
+    with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as handle:
+        expected = handle.read()
+    assert out.encode("utf-8") == expected
