@@ -10,11 +10,11 @@ from .freealg import (GeneratorInfo, GenMap, NcPoly, Presentation,
                       change_basis, embed_presentation, make_alphabet,
                       make_presentation, parse_ncpoly)
 from .groups import (AbGroup, Cocycle, Duality, GroupAut, all_automorphisms,
-                     coboundary, cocycle_from_formula, cocycle_inverse,
-                     cocycle_product, cocycle_pullback, cohomologous,
-                     is_coboundary, klein_duality, klein_mu, make_duality,
-                     make_group_aut, schur_order, standard_duality,
-                     trivial_cocycle, validate_cocycle)
+                     coboundary, cocycle_from_formula, cocycle_from_scalars,
+                     cocycle_inverse, cocycle_product, cocycle_pullback,
+                     cohomologous, is_coboundary, klein_duality, klein_mu,
+                     make_duality, make_group_aut, schur_order,
+                     standard_duality, trivial_cocycle, validate_cocycle)
 from .action import (GGrading, GradedAction, HomogBasis, diagonal_action,
                      grading_from_degrees, isotypic_basis,
                      regrade_presentation, validate_action)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cyclo import CycNum
+from .cyclo import CycNum, root_of_unity
 from .errors import ValidationError
 from .freealg import GenMap, NcPoly, Presentation, Word, make_alphabet, make_presentation
 from .gbasis import ideal_contains
@@ -119,7 +119,8 @@ def diagonal_action(presentation: Presentation, group: AbGroup,
         m = [[zero] * len(presentation.generators)
              for _ in presentation.generators]
         for idx, g in enumerate(g_degrees):
-            m[idx][idx] = duality.char_eval(group.inv(g), h).embed(conductor)
+            m[idx][idx] = root_of_unity(duality.char_eval(group.inv(g), h),
+                                        group.exponent(), conductor)
         matrices.append(m)
     return validate_action(presentation, group, matrices)
 
@@ -155,7 +156,8 @@ def isotypic_basis(action: GradedAction, duality: Duality) -> HomogBasis:
     found = []   # (g-position, first-nonzero, vector, n-degree)
     for g_pos, g in enumerate(group.elements()):
         g_inv = group.inv(g)
-        pattern = [duality.char_eval(g_inv, group.generator(j)).embed(conductor)
+        pattern = [root_of_unity(duality.char_eval(g_inv, group.generator(j)),
+                                 group.exponent(), conductor)
                    for j in range(group.rank)]
         for block_degree, cols in sorted(blocks.items()):
             stacked = []
@@ -216,9 +218,6 @@ class GGrading:
         if len(degrees) != 1:
             return None
         return degrees.pop()
-
-    def generator_degree(self, index: int) -> Element:
-        return self.g_degrees[index]
 
 
 def regrade_presentation(presentation: Presentation,

@@ -14,6 +14,7 @@ from typing import Optional
 
 from .crossed import (center_basis, is_full_matrix_algebra, trace_form_rank,
                       twisted_group_algebra, verify_invariant_ring)
+from .cyclo import lcm, root_of_unity
 from .errors import (CotwistError, DegreeBoundExceeded, FalsificationError,
                      ParseError, ValidationError)
 from .freealg import GenMap, Presentation, embed_presentation
@@ -110,15 +111,18 @@ def _cmd_validate(args) -> int:
 def _cmd_twist(args) -> int:
     bundle = _load_bundle(args.input, args.conductor)
     twisted = twist_presentation(bundle.spec)
+    conductor = twisted.presentation.conductor
+    exponent = bundle.group.exponent()
     out = {
         "presentation": presentation_to_dict(twisted.presentation),
         "grading": grading_to_dict(twisted),
         "provenance": {
             "input_sha256": _input_digest(args.input),
-            "cocycle": cocycle_to_dict(bundle.cocycle),
+            "cocycle": cocycle_to_dict(bundle.cocycle, conductor),
             "basis_matrix": (basis_to_dict(bundle.basis, bundle.group)["matrix"]
                              if bundle.basis is not None else None),
-            "duality": [[str(x) for x in row] for row in bundle.duality.table],
+            "duality": [[str(root_of_unity(k, exponent, conductor)) for k in row]
+                        for row in bundle.duality.table],
         },
     }
     text = dump_json(out)
@@ -152,7 +156,6 @@ def _cmd_iso_check(args) -> int:
     rhs = _load_presentation(args.rhs, args.conductor)
     conductor = max(lhs.conductor, rhs.conductor)
     if lhs.conductor != rhs.conductor:
-        from .cyclo import lcm
         conductor = lcm(lhs.conductor, rhs.conductor)
         lhs = embed_presentation(lhs, conductor)
         rhs = embed_presentation(rhs, conductor)
@@ -187,19 +190,16 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_kgmu(args) -> int:
-    group = AbGroup(tuple(int(n) for n in args.group.split(",")))
+    group = AbGroup(args.group)
     spec = args.cocycle
-    if spec == "klein":
-        data = {"group": list(group.factors), "cocycle": {"builtin": "klein"}}
-    elif spec == "trivial":
-        data = {"group": list(group.factors), "cocycle": {"builtin": "trivial"}}
+    if spec in ("klein", "trivial"):
+        data = {"cocycle": {"builtin": spec}}
     elif spec.endswith(".json"):
         data = load_json(spec)
-        data["group"] = list(group.factors)
     else:
-        data = {"group": list(group.factors), "cocycle": {"formula": spec}}
-    mu = cocycle_from_dict(data, group)
-    alg = twisted_group_algebra(group, mu)
+        data = {"cocycle": {"formula": spec}}
+    mu, conductor = cocycle_from_dict(data, group)
+    alg = twisted_group_algebra(group, mu, conductor)
     structure = {}
     for a, la in enumerate(alg.labels):
         for b, lb in enumerate(alg.labels):
@@ -221,14 +221,14 @@ def _cmd_kgmu(args) -> int:
         "center_dimension": len(center_basis(alg)),
         "trace_form_rank": trace_form_rank(alg),
         "is_full_matrix_algebra": is_full_matrix_algebra(alg),
-        "cocycle": cocycle_to_dict(mu),
+        "cocycle": cocycle_to_dict(mu, conductor),
     }
     _emit(out, args.human)
     return 0
 
 
 def _cmd_schur(args) -> int:
-    group = AbGroup(tuple(int(n) for n in args.group.split(",")))
+    group = AbGroup(args.group)
     out = {"group": list(group.factors), "schur_order": schur_order(group)}
     _emit(out, args.human)
     return 0
@@ -253,6 +253,17 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(int(n) for n in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cotwist",
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_degree:
             p.add_argument("--degree", type=_nonnegative_int, default=6,
                            help="truncation degree (default 6)")
-        p.add_argument("--conductor", type=int, default=None,
+        p.add_argument("--conductor", type=_positive_int, default=None,
                        help="force a larger computation conductor")
         p.add_argument("--human", action="store_true",
                        help="indented text output instead of JSON")
@@ -304,20 +315,22 @@ def build_parser() -> argparse.ArgumentParser:
                                           "product vs the twisted presentation")
     p.add_argument("--input", required=True)
     p.add_argument("--degree", type=_nonnegative_int, default=4)
-    p.add_argument("--conductor", type=int, default=None)
+    p.add_argument("--conductor", type=_positive_int, default=None)
     p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("kgmu", help="twisted group algebra structure "
                                     "constants and center")
-    p.add_argument("--group", required=True, help="cyclic factors, e.g. 2,2")
+    p.add_argument("--group", type=_int_list, required=True,
+                   help="cyclic factors, e.g. 2,2")
     p.add_argument("--cocycle", default="trivial",
                    help="'klein', 'trivial', a formula, or a JSON file")
     p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_kgmu)
 
     p = sub.add_parser("schur", help="order of the Schur multiplier")
-    p.add_argument("--group", required=True, help="cyclic factors, e.g. 3,3")
+    p.add_argument("--group", type=_int_list, required=True,
+                   help="cyclic factors, e.g. 3,3")
     p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_schur)
 

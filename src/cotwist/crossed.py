@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .cyclo import CycNum
+from .cyclo import CycNum, root_of_unity
 from .errors import DegreeBoundExceeded, ValidationError
 from .freealg import NcPoly, Word
 from .gbasis import TruncGB, normal_form, truncated_gb
@@ -92,10 +92,10 @@ def make_findim_algebra(labels: Sequence[str], conductor: int,
     return alg
 
 
-def twisted_group_algebra(group: AbGroup, mu: Cocycle) -> FinDimAlg:
-    """kG_mu: basis u_g with u_g u_h = mu(g,h) u_{gh}."""
+def twisted_group_algebra(group: AbGroup, mu: Cocycle,
+                          conductor: int) -> FinDimAlg:
+    """kG_mu over Q(zeta_conductor): basis u_g with u_g u_h = mu(g,h) u_{gh}."""
     elements = group.elements()
-    conductor = mu.conductor
     zero = CycNum.zero(conductor)
     n = len(elements)
     index = {g: i for i, g in enumerate(elements)}
@@ -104,7 +104,8 @@ def twisted_group_algebra(group: AbGroup, mu: Cocycle) -> FinDimAlg:
         plane = []
         for h in elements:
             row = [zero] * n
-            row[index[group.mul(g, h)]] = mu.value(g, h)
+            row[index[group.mul(g, h)]] = root_of_unity(
+                mu.value(g, h), mu.modulus, conductor)
             plane.append(tuple(row))
         table.append(tuple(plane))
     unit = [zero] * n
@@ -211,10 +212,6 @@ class CrossedElement:
         c = coeff if coeff is not None else CycNum.one(model.conductor)
         return CrossedElement(model, {(tuple(word), tuple(g)): c})
 
-    @staticmethod
-    def from_poly(model: CrossedModel, p: NcPoly, g: Element) -> "CrossedElement":
-        return CrossedElement(model, {(w, tuple(g)): c for w, c in p.terms.items()})
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -268,7 +265,8 @@ class CrossedElement:
                     raise DegreeBoundExceeded(
                         f"crossed product degree {deg} exceeds bound {model.bound}")
                 reduced = normal_form(prod, model.gb)
-                scalar = ca * cb * mu.value(ga, gb_el)
+                scalar = ca * cb * root_of_unity(mu.value(ga, gb_el),
+                                                 mu.modulus, conductor)
                 gh = group.mul(ga, gb_el)
                 for w, c in reduced.terms.items():
                     key = (w, gh)
@@ -281,15 +279,11 @@ class CrossedElement:
 
     def act(self, h: Element) -> "CrossedElement":
         model = self.model
-        duality = model.spec.duality
-        group = model.group
-        out = {}
-        for (w, g), c in self.terms.items():
-            a_deg = model.word_g_degree(w)
-            scalar = duality.char_eval(group.inv(a_deg), h) \
-                * duality.char_eval(g, h)
-            out[(w, g)] = c * scalar
-        return CrossedElement(self.model, out)
+        exponent = model.group.exponent()
+        return CrossedElement(model, {
+            (w, g): c * root_of_unity(_eigenvalue(model, w, g, h), exponent,
+                                      model.conductor)
+            for (w, g), c in self.terms.items()})
 
 
 def crossed_basis(model: CrossedModel, degree: int) -> list:
@@ -298,11 +292,11 @@ def crossed_basis(model: CrossedModel, degree: int) -> list:
             for g in model.group.elements()]
 
 
-def _eigenvalue(model: CrossedModel, w: Word, g: Element, h: Element) -> CycNum:
+def _eigenvalue(model: CrossedModel, w: Word, g: Element, h: Element) -> int:
     duality = model.spec.duality
     group = model.group
-    return duality.char_eval(group.inv(model.word_g_degree(w)), h) \
-        * duality.char_eval(g, h)
+    return (duality.char_eval(group.inv(model.word_g_degree(w)), h)
+            + duality.char_eval(g, h)) % group.exponent()
 
 
 def diagonal_invariants(model: CrossedModel, degree: int) -> list:
@@ -313,7 +307,7 @@ def diagonal_invariants(model: CrossedModel, degree: int) -> list:
     generators = [group.generator(j) for j in range(group.rank)]
     out = []
     for w, g in crossed_basis(model, degree):
-        if all(_eigenvalue(model, w, g, h).is_one() for h in generators):
+        if not any(_eigenvalue(model, w, g, h) for h in generators):
             out.append(CrossedElement.monomial(model, w, g))
     return out
 
@@ -441,11 +435,11 @@ class BimoduleReport:
                 and all(iso == alg for _, iso, alg in self.component_dims))
 
 
-def component_scaling(model: CrossedModel, g: Element, h: Element) -> CycNum:
-    """The scalar mu(h,g)/mu(g,h) by which conjugation-by-(1 (x) g) rescales
-    the degree-h part of the invariant ring."""
+def component_scaling(model: CrossedModel, g: Element, h: Element) -> int:
+    """The scalar mu(h,g)/mu(g,h), as an exponent, by which conjugation by
+    (1 (x) g) rescales the degree-h part of the invariant ring."""
     mu = model.spec.cocycle
-    return mu.value(h, g) * mu.value(g, h).inverse()
+    return (mu.value(h, g) - mu.value(g, h)) % mu.modulus
 
 
 def verify_bimodule_component(spec: TwistSpec, g: Element,
@@ -457,9 +451,11 @@ def verify_bimodule_component(spec: TwistSpec, g: Element,
     group = model.group
     identity_el = group.identity()
 
-    identity_on_e = all(
-        component_scaling(model, identity_el, h).is_one()
-        for h in group.elements())
+    identity_on_e = not any(component_scaling(model, identity_el, h)
+                            for h in group.elements())
+    scaling = {h: root_of_unity(component_scaling(model, g, h),
+                                spec.cocycle.modulus, model.conductor)
+               for h in group.elements()}
 
     scaling_multiplicative = True
     invariants = []
@@ -469,14 +465,14 @@ def verify_bimodule_component(spec: TwistSpec, g: Element,
         for d2 in range(0, bound - d1 + 1):
             for x in invariants[d1]:
                 (wx, hx), = x.terms.keys()
-                sx = component_scaling(model, g, hx)
+                sx = scaling[hx]
                 for y in invariants[d2]:
                     (wy, hy), = y.terms.keys()
-                    sy = component_scaling(model, g, hy)
+                    sy = scaling[hy]
                     prod = x * y
                     scaled = CrossedElement(
                         model,
-                        {(w, h): c * component_scaling(model, g, h)
+                        {(w, h): c * scaling[h]
                          for (w, h), c in prod.terms.items()})
                     if scaled != (x.scale(sx) * y.scale(sy)):
                         scaling_multiplicative = False

@@ -341,18 +341,6 @@ class CycNum:
                     out[j] += c * row[j]
         return CycNum(n, tuple(out))
 
-    def root_order(self) -> Optional[int]:
-        """Smallest m with self^m == 1, or None if not a root of unity.
-
-        Roots of unity in Q(zeta_N) have order dividing lcm(2, N)."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero is not a root of unity candidate")
-        bound = lcm(2, self.conductor)
-        for d in _divisors(bound):
-            if (self ** d).is_one():
-                return d
-        return None
-
     # -- display -------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -367,6 +355,37 @@ def common_conductor(*values: CycNum) -> int:
     for v in values:
         n = lcm(n, v.conductor)
     return n
+
+
+# ---------------------------------------------------------------------------
+# roots of unity as exponents: k mod m means zeta_m^k, and the roots of unity
+# in Q(zeta_N) are exactly those of order dividing lcm(2, N)
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1024)
+def root_of_unity(k: int, m: int, conductor: int) -> CycNum:
+    """zeta_m^k as an element of Q(zeta_conductor)."""
+    step = gcd(k, m)
+    order = m // step
+    field = lcm(2, conductor)
+    if field % order:
+        raise ConductorMismatch(
+            f"a root of unity of order {order} is not in Q(zeta({conductor}))")
+    e = (k // step) * (field // order) % field
+    if field == conductor or e % 2 == 0:
+        return CycNum.zeta(conductor, e * conductor // field)
+    # odd conductor N: zeta_2N^e = -zeta_2N^(e + N) = -zeta_N^((e + N) / 2)
+    return -CycNum.zeta(conductor, (e + conductor) // 2)
+
+
+def root_exponent(value: CycNum, modulus: int) -> Optional[int]:
+    """k in [0, modulus) with value == zeta_modulus^k, or None when value is
+    not a root of unity of order dividing modulus."""
+    order = gcd(modulus, lcm(2, value.conductor))
+    for k in range(order):
+        if root_of_unity(k, order, value.conductor) == value:
+            return k * (modulus // order)
+    return None
 
 
 # ---------------------------------------------------------------------------

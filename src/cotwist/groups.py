@@ -1,10 +1,12 @@
 """Finite abelian groups, fixed dualities G ~ G^, 2-cocycles and coboundaries.
 
 Group elements are residue vectors, enumerated in itertools.product order
-(last coordinate fastest).  Cocycle values are restricted to roots of unity:
+(last coordinate fastest).  Cocycle and character values are restricted to
+roots of unity and stored as integer exponents, k mod m meaning zeta_m^k:
 every cohomology class has such a representative over an algebraically
 closed field, and the restriction makes the coboundary decision exactly
-finite.
+finite.  A value becomes a `CycNum` only where it multiplies a field
+coefficient, at the caller's conductor (`cyclo.root_of_unity`).
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .cyclo import CycNum, common_conductor, lcm, parse_scalar
+from .cyclo import CycNum, common_conductor, lcm, parse_scalar, root_exponent
 from .errors import FalsificationError, ValidationError
 from .linalg import solve_mod
 
@@ -81,83 +83,66 @@ class AbGroup:
         return "*".join(parts) if parts else "e"
 
 
-def format_element(group: AbGroup, a: Element) -> str:
-    return group.describe(a)
-
-
 # ---------------------------------------------------------------------------
 # dualities
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Duality:
-    """A fixed isomorphism g -> chi_g given by the bicharacter values on
-    the chosen cyclic generators: table[j][k] = chi_{e_j}(e_k)."""
+    """A fixed isomorphism g -> chi_g given by the bicharacter on the chosen
+    cyclic generators: chi_{e_j}(e_k) = zeta_E^table[j][k], E = exp(G)."""
 
     group: AbGroup
-    conductor: int
     table: tuple
 
-    def char_eval(self, g: Element, h: Element) -> CycNum:
-        value = CycNum.one(self.conductor)
-        for j, gj in enumerate(g):
-            if not gj:
-                continue
-            for k, hk in enumerate(h):
-                if hk:
-                    value = value * (self.table[j][k] ** (gj * hk))
-        return value
-
-    def char_pattern(self, g: Element) -> tuple:
-        """Values of chi_g on the group generators."""
-        return tuple(self.char_eval(g, self.group.generator(k))
-                     for k in range(self.group.rank))
+    def char_eval(self, g: Element, h: Element) -> int:
+        """The exponent of chi_g(h) base zeta_E, in [0, E)."""
+        total = 0
+        for gj, row in zip(g, self.table):
+            if gj:
+                for hk, t in zip(h, row):
+                    total += gj * hk * t
+        return total % self.group.exponent()
 
 
 def make_duality(group: AbGroup, table: Sequence[Sequence[CycNum]]) -> Duality:
     r = group.rank
     if len(table) != r or any(len(row) != r for row in table):
         raise ValidationError("duality table must be rank x rank")
-    conductor = common_conductor(*(x for row in table for x in row))
-    embedded = tuple(tuple(x.embed(conductor) for x in row) for row in table)
-    d = Duality(group, conductor, embedded)
+    exponent = group.exponent()
+    rows = []
     for j in range(r):
+        row = []
         for k in range(r):
-            v = embedded[j][k]
-            if (v ** group.factors[j]) != CycNum.one(conductor) \
-                    or (v ** group.factors[k]) != CycNum.one(conductor):
+            order = gcd(group.factors[j], group.factors[k])
+            e = root_exponent(table[j][k], order)
+            if e is None:
                 raise ValidationError(
                     f"duality entry ({j + 1},{k + 1}) is not killed by the "
                     f"generator orders")
-    identity = group.identity()
-    for g in group.elements():
-        if g == identity:
-            continue
-        if all(d.char_eval(g, group.generator(k)).is_one() for k in range(r)):
+            row.append(e * (exponent // order))
+        rows.append(tuple(row))
+    d = Duality(group, tuple(rows))
+    generators = [group.generator(k) for k in range(r)]
+    for g in group.elements()[1:]:
+        if not any(d.char_eval(g, h) for h in generators):
             raise ValidationError(
                 f"duality is degenerate: chi trivial at {group.describe(g)}")
     return d
 
 
-def standard_duality(group: AbGroup, conductor: Optional[int] = None) -> Duality:
+def standard_duality(group: AbGroup) -> Duality:
     """The bilinear pairing chi_{e_j}(e_k) = zeta_{n_j} if j == k else 1."""
-    need = 1
-    for n in group.factors:
-        need = lcm(need, n)
-    conductor = lcm(conductor or 1, need)
-    table = [[CycNum.zeta(group.factors[j]).embed(conductor) if j == k
-              else CycNum.one(conductor)
-              for k in range(group.rank)] for j in range(group.rank)]
-    return make_duality(group, table)
+    exponent = group.exponent()
+    return Duality(group, tuple(
+        tuple(exponent // n if j == k else 0 for k in range(group.rank))
+        for j, n in enumerate(group.factors)))
 
 
-def klein_duality(conductor: int = 4) -> Duality:
+def klein_duality() -> Duality:
     """The Klein four-group pairing with chi_g(h) = 1 exactly when g = e or
     h lies in {e, g}; generator table [[1,-1],[-1,1]]."""
-    group = AbGroup((2, 2))
-    one = CycNum.one(conductor)
-    table = [[one, -one], [-one, one]]
-    return make_duality(group, table)
+    return Duality(AbGroup((2, 2)), ((0, 1), (1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,75 +152,69 @@ def klein_duality(conductor: int = 4) -> Duality:
 @dataclass(frozen=True)
 class Cocycle:
     """A normalized 2-cocycle with root-of-unity values, stored as a full
-    |G| x |G| table in element enumeration order."""
+    |G| x |G| exponent table in element enumeration order: values[a][b] = k
+    means mu(g_a, g_b) = zeta_modulus^k.  The table is in lowest terms, so
+    the modulus is the lcm of the value orders."""
 
     group: AbGroup
-    conductor: int
+    modulus: int
     values: tuple
 
-    def value(self, g: Element, h: Element) -> CycNum:
+    def value(self, g: Element, h: Element) -> int:
         return self.values[self.group.index(g)][self.group.index(h)]
 
 
-def validate_cocycle(group: AbGroup, table: Mapping) -> Cocycle:
-    """Accept a mapping (g, h) -> CycNum iff it satisfies the cocycle
-    identity and normalization; the error names the first violation."""
+def validate_cocycle(group: AbGroup, modulus: int, table: Mapping) -> Cocycle:
+    """Accept a mapping (g, h) -> k, meaning zeta_modulus^k, iff it satisfies
+    normalization and the cocycle identity; the error names the first
+    violation."""
     elements = group.elements()
-    conductor = common_conductor(*(table[(g, h)] for g in elements for h in elements))
-    vals = {(g, h): table[(g, h)].embed(conductor) for g in elements for h in elements}
-    one = CycNum.one(conductor)
+    n = len(elements)
+    v = [[table[(g, h)] % modulus for h in elements] for g in elements]
+    for a, g in enumerate(elements):
+        if v[0][a]:
+            raise ValidationError(f"normalization at (e,{group.describe(g)})")
+        if v[a][0]:
+            raise ValidationError(f"normalization at ({group.describe(g)},e)")
+    mul = [[group.index(group.mul(g, h)) for h in elements] for g in elements]
+    for a in range(n):
+        va, mul_a = v[a], mul[a]
+        for b in range(n):
+            vab, v_ab, mul_b, vb = va[b], v[mul_a[b]], mul[b], v[b]
+            for c in range(n):
+                if (vab + v_ab[c] - va[mul_b[c]] - vb[c]) % modulus:
+                    names = (group.describe(elements[x]) for x in (a, b, c))
+                    raise ValidationError(
+                        "cocycle identity fails at ({},{},{})".format(*names))
+    step = gcd(modulus, *(x for row in v for x in row))
+    return Cocycle(group, modulus // step,
+                   tuple(tuple(x // step for x in row) for row in v))
+
+
+def cocycle_from_scalars(group: AbGroup, table: Mapping) -> Cocycle:
+    """Read a mapping (g, h) -> CycNum as exponents and validate it."""
+    elements = group.elements()
+    modulus = lcm(2, common_conductor(*table.values()))
+    exponents = {}
     for g in elements:
         for h in elements:
-            v = vals[(g, h)]
-            if v.is_zero() or v.root_order() is None:
+            k = root_exponent(table[(g, h)], modulus)
+            if k is None:
                 raise ValidationError(
                     f"cocycle value at ({group.describe(g)},{group.describe(h)}) "
                     f"is not a root of unity; this implementation restricts "
                     f"cocycle values to roots of unity")
-    identity = group.identity()
-    for g in elements:
-        if vals[(identity, g)] != one:
-            raise ValidationError(
-                f"normalization at (e,{group.describe(g)})")
-        if vals[(g, identity)] != one:
-            raise ValidationError(
-                f"normalization at ({group.describe(g)},e)")
-    for g in elements:
-        for h in elements:
-            gh = group.mul(g, h)
-            for l in elements:
-                lhs = vals[(g, h)] * vals[(gh, l)]
-                rhs = vals[(g, group.mul(h, l))] * vals[(h, l)]
-                if lhs != rhs:
-                    raise ValidationError(
-                        "cocycle identity fails at "
-                        f"({group.describe(g)},{group.describe(h)},{group.describe(l)})")
-    rows = tuple(tuple(vals[(g, h)] for h in elements) for g in elements)
-    return Cocycle(group, conductor, rows)
+            exponents[(g, h)] = k
+    return validate_cocycle(group, modulus, exponents)
 
 
-def trivial_cocycle(group: AbGroup, conductor: int = 1) -> Cocycle:
-    one = CycNum.one(conductor)
+def trivial_cocycle(group: AbGroup) -> Cocycle:
     n = group.order
-    return Cocycle(group, conductor, tuple((one,) * n for _ in range(n)))
+    return Cocycle(group, 1, tuple((0,) * n for _ in range(n)))
 
 
-def embed_cocycle(mu: Cocycle, conductor: int) -> Cocycle:
-    if mu.conductor == conductor:
-        return mu
-    return Cocycle(mu.group, conductor, tuple(
-        tuple(v.embed(conductor) for v in row) for row in mu.values))
-
-
-def embed_duality(d: Duality, conductor: int) -> Duality:
-    if d.conductor == conductor:
-        return d
-    return Duality(d.group, conductor, tuple(
-        tuple(v.embed(conductor) for v in row) for row in d.table))
-
-
-def cocycle_from_formula(group: AbGroup, formula: str) -> Cocycle:
-    """Expand an exponent formula over generator coordinates to a table.
+def formula_table(group: AbGroup, formula: str) -> dict:
+    """Evaluate an exponent formula over generator coordinates at every pair.
 
     Coordinates of the first argument bind to a1..ar, of the second to
     b1..br; for rank <= 2 the aliases p,q (first) and r,s (second) are
@@ -244,60 +223,53 @@ def cocycle_from_formula(group: AbGroup, formula: str) -> Cocycle:
     table = {}
     for g in elements:
         for h in elements:
-            variables = {}
-            for j, x in enumerate(g):
-                variables[f"a{j + 1}"] = x
-            for j, x in enumerate(h):
-                variables[f"b{j + 1}"] = x
+            variables = {f"a{j + 1}": x for j, x in enumerate(g)}
+            variables.update((f"b{j + 1}", x) for j, x in enumerate(h))
             if group.rank <= 2:
-                alias = dict(zip(("p", "q"), g))
-                alias.update(zip(("r", "s"), h))
-                variables.update(alias)
+                variables.update(zip(("p", "q"), g))
+                variables.update(zip(("r", "s"), h))
             table[(g, h)] = parse_scalar(formula, variables)
-    conductor = common_conductor(*table.values())
-    table = {k: v.embed(conductor) for k, v in table.items()}
-    return validate_cocycle(group, table)
+    return table
 
 
-def klein_mu(conductor: int = 4) -> Cocycle:
+def cocycle_from_formula(group: AbGroup, formula: str) -> Cocycle:
+    return cocycle_from_scalars(group, formula_table(group, formula))
+
+
+def klein_mu() -> Cocycle:
     """The Klein cocycle mu(g1^p g2^q, g1^r g2^s) = (-1)^(p*s)."""
     group = AbGroup((2, 2))
-    one = CycNum.one(conductor)
-    table = {}
-    for g in group.elements():
-        for h in group.elements():
-            table[(g, h)] = -one if (g[0] * h[1]) % 2 else one
-    return validate_cocycle(group, table)
+    return validate_cocycle(group, 2, {(g, h): g[0] * h[1]
+                                       for g in group.elements()
+                                       for h in group.elements()})
 
 
 def cocycle_product(a: Cocycle, b: Cocycle) -> Cocycle:
     if a.group != b.group:
         raise ValidationError("cocycles over different groups")
-    n = lcm(a.conductor, b.conductor)
+    m = lcm(a.modulus, b.modulus)
+    sa, sb = m // a.modulus, m // b.modulus
     elements = a.group.elements()
-    table = {(g, h): a.value(g, h).embed(n) * b.value(g, h).embed(n)
+    table = {(g, h): a.value(g, h) * sa + b.value(g, h) * sb
              for g in elements for h in elements}
-    return validate_cocycle(a.group, table)
+    return validate_cocycle(a.group, m, table)
 
 
 def cocycle_inverse(a: Cocycle) -> Cocycle:
     elements = a.group.elements()
-    table = {(g, h): a.value(g, h).inverse() for g in elements for h in elements}
-    return validate_cocycle(a.group, table)
+    table = {(g, h): -a.value(g, h) for g in elements for h in elements}
+    return validate_cocycle(a.group, a.modulus, table)
 
 
-def coboundary(group: AbGroup, rho: Mapping) -> Cocycle:
-    """delta(rho)(g,h) = rho(g) rho(h) rho(gh)^(-1) for rho with rho(e) = 1."""
-    identity = group.identity()
-    if not rho[identity].is_one():
+def coboundary(group: AbGroup, modulus: int, rho: Mapping) -> Cocycle:
+    """delta(rho)(g,h) = rho(g) rho(h) rho(gh)^(-1) for rho: g -> k, meaning
+    zeta_modulus^k, with rho(e) = 1."""
+    if rho[group.identity()] % modulus:
         raise ValidationError("coboundary witness must send e to 1")
-    conductor = common_conductor(*rho.values())
-    rv = {g: rho[g].embed(conductor) for g in group.elements()}
-    table = {}
-    for g in group.elements():
-        for h in group.elements():
-            table[(g, h)] = rv[g] * rv[h] * rv[group.mul(g, h)].inverse()
-    return validate_cocycle(group, table)
+    elements = group.elements()
+    table = {(g, h): rho[g] + rho[h] - rho[group.mul(g, h)]
+             for g in elements for h in elements}
+    return validate_cocycle(group, modulus, table)
 
 
 def cocycle_pullback(mu: Cocycle, sigma: "GroupAut") -> Cocycle:
@@ -307,7 +279,7 @@ def cocycle_pullback(mu: Cocycle, sigma: "GroupAut") -> Cocycle:
     elements = mu.group.elements()
     table = {(g, h): mu.value(sigma.apply(g), sigma.apply(h))
              for g in elements for h in elements}
-    return validate_cocycle(mu.group, table)
+    return validate_cocycle(mu.group, mu.modulus, table)
 
 
 def is_coboundary(mu: Cocycle):
@@ -315,53 +287,41 @@ def is_coboundary(mu: Cocycle):
 
     A cocycle on a finite abelian group is a coboundary exactly when its
     alternating bicharacter beta(g,h) = mu(g,h)/mu(h,g) is trivial.  The
-    witness is recovered by solving the exponent system rho(g) + rho(h) -
-    rho(gh) = t(g,h) over residues: any witness of a mu_m-valued coboundary
-    takes values in mu_{m * exp(G)}, so the system is finite."""
+    witness rho, an exponent map g -> k meaning zeta_M^k with
+    M = mu.modulus * exp(G), is recovered by solving rho(g) + rho(h) -
+    rho(gh) = mu(g,h) over residues mod M: any witness of a mu_m-valued
+    coboundary takes values in mu_{m * exp(G)}, so the system is finite.
+    The equations with h a group generator suffice (the cocycle identity
+    propagates them to every h); the witness is checked on every pair, and
+    cocycles in lowest terms are equal exactly when their values are."""
     group = mu.group
+    rows = mu.values
+    if any(rows[a][b] != rows[b][a]
+           for a in range(len(rows)) for b in range(a)):
+        return False, None
+    scale = group.exponent()
+    modulus = mu.modulus * scale
     elements = group.elements()
-    for g in elements:
-        for h in elements:
-            if mu.value(g, h) != mu.value(h, g):
-                return False, None
-    m = 1
-    for g in elements:
-        for h in elements:
-            m = lcm(m, mu.value(g, h).root_order())
-    modulus = m * group.exponent()
-    conductor = lcm(mu.conductor, modulus)
-    zeta = CycNum.zeta(modulus).embed(conductor)
-    log = {}
-    power = CycNum.one(conductor)
-    for k in range(modulus):
-        log[power] = k
-        power = power * zeta
     identity = group.identity()
-    unknowns = [g for g in elements if g != identity]
+    unknowns = elements[1:]
     col = {g: j for j, g in enumerate(unknowns)}
-    rows, rhs = [], []
+    matrix, rhs = [], []
     for g in elements:
-        for h in elements:
+        for h in (group.generator(j) for j in range(group.rank)):
             row = [0] * len(unknowns)
             for el, sign in ((g, 1), (h, 1), (group.mul(g, h), -1)):
                 if el != identity:
                     row[col[el]] += sign
-            rows.append(row)
-            rhs.append(log[mu.value(g, h).embed(conductor)])
-    solution = solve_mod(rows, rhs, modulus)
+            matrix.append(row)
+            rhs.append(mu.value(g, h) * scale)
+    solution = solve_mod(matrix, rhs, modulus)
     if solution is None:
         raise FalsificationError(
             "symmetric cocycle admitted no exponent witness; this contradicts "
             "the coboundary criterion")
-    rho = {identity: CycNum.one(conductor)}
-    for g, e in zip(unknowns, solution):
-        rho[g] = zeta ** e
-    delta = coboundary(group, rho)
-    check = lcm(delta.conductor, conductor)
-    for g in elements:
-        for h in elements:
-            assert delta.value(g, h).embed(check) == mu.value(g, h).embed(check), \
-                "witness failed to reproduce the cocycle"
+    rho = {identity: 0, **dict(zip(unknowns, solution))}
+    if coboundary(group, modulus, rho) != mu:
+        raise FalsificationError("witness failed to reproduce the cocycle")
     return True, rho
 
 

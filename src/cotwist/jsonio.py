@@ -9,9 +9,10 @@ group generator) or `g_degrees` (declared generator degrees, meaning the
 diagonal action).
 
 The computation conductor is the lcm of every conductor appearing in the
-file (plus any --conductor override); all scalars are embedded into it once
-at load time.  All dumps render scalars canonically and sort keys, so output
-bytes are a function of input bytes.
+file (plus any --conductor override; the builtin standard duality counts as
+the group exponent); all scalars are embedded into it once at load time.
+All dumps render scalars canonically and sort keys, so output bytes are a
+function of input bytes.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ from typing import Optional
 from .action import (GGrading, GradedAction, HomogBasis, diagonal_action,
                      grading_from_degrees, isotypic_basis,
                      regrade_presentation, validate_action)
-from .cyclo import lcm, parse_scalar
+from .cyclo import common_conductor, lcm, parse_scalar, root_of_unity
 from .errors import ParseError, ValidationError
 from .freealg import (GenMap, NcPoly, Presentation, make_alphabet,
                       make_presentation, parse_ncpoly, scalar_conductor_needed)
 from .gbasis import IsoVerdict, TruncGB
-from .groups import (AbGroup, Cocycle, Duality, cocycle_from_formula,
-                     embed_cocycle, embed_duality, klein_duality, klein_mu,
-                     make_duality, standard_duality, trivial_cocycle,
-                     validate_cocycle)
+from .groups import (AbGroup, Cocycle, Duality, cocycle_from_scalars,
+                     formula_table, klein_duality, klein_mu, make_duality,
+                     standard_duality, trivial_cocycle)
 from .twist import TwistSpec
 
 
@@ -88,48 +88,66 @@ def group_from_dict(data: dict) -> AbGroup:
     return AbGroup(tuple(int(n) for n in factors))
 
 
-def _parse_scalar_table(rows) -> list:
+def _parse_scalar_table(rows, block: str) -> list:
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ParseError(f"{block} must be a list of rows of scalars")
     return [[parse_scalar(str(x)) for x in row] for row in rows]
 
 
-def duality_from_dict(data: dict, group: AbGroup) -> Duality:
+def duality_from_dict(data: dict, group: AbGroup) -> tuple:
+    """The duality and the conductor its input names."""
     block = data.get("duality", {"builtin": "standard"})
     if isinstance(block, dict):
         builtin = block.get("builtin")
         if builtin == "standard":
-            return standard_duality(group)
+            return standard_duality(group), group.exponent()
         if builtin == "klein":
             if group.factors != (2, 2):
                 raise ValidationError("the klein duality needs the group [2,2]")
-            return klein_duality(1)
+            return klein_duality(), 1
         raise ParseError(f"unknown builtin duality {builtin!r}")
-    return make_duality(group, _parse_scalar_table(block))
+    table = _parse_scalar_table(block, "duality table")
+    return (make_duality(group, table),
+            common_conductor(*(x for row in table for x in row)))
 
 
-def cocycle_from_dict(data: dict, group: AbGroup) -> Cocycle:
+def cocycle_from_dict(data: dict, group: AbGroup) -> tuple:
+    """The cocycle and the conductor its input names."""
     block = data.get("cocycle", {"builtin": "trivial"})
+    if not isinstance(block, dict):
+        raise ParseError("cocycle block must be an object with one of: "
+                         "builtin, formula, table")
     if "builtin" in block:
         name = block["builtin"]
         if name == "trivial":
-            return trivial_cocycle(group)
+            return trivial_cocycle(group), 1
         if name == "klein":
             if group.factors != (2, 2):
                 raise ValidationError("the klein cocycle needs the group [2,2]")
-            return klein_mu(1)
+            return klein_mu(), 1
         raise ParseError(f"unknown builtin cocycle {name!r}")
     if "formula" in block:
-        return cocycle_from_formula(group, str(block["formula"]))
-    if "table" in block:
+        table = formula_table(group, str(block["formula"]))
+    elif "table" in block:
         elements = group.elements()
-        rows = block["table"]
-        if len(rows) != len(elements) or any(len(r) != len(elements) for r in rows):
+        parsed = _parse_scalar_table(block["table"], "cocycle table")
+        if len(parsed) != len(elements) or any(len(r) != len(elements) for r in parsed):
             raise ParseError("cocycle table must be |G| x |G| in element "
                              "enumeration order")
-        parsed = _parse_scalar_table(rows)
         table = {(g, h): parsed[a][b]
                  for a, g in enumerate(elements) for b, h in enumerate(elements)}
-        return validate_cocycle(group, table)
-    raise ParseError("cocycle block needs one of: builtin, formula, table")
+    else:
+        raise ParseError("cocycle block needs one of: builtin, formula, table")
+    return cocycle_from_scalars(group, table), common_conductor(*table.values())
+
+
+def _group_element(vec, group: AbGroup, where: str) -> tuple:
+    if not isinstance(vec, list) or len(vec) != group.rank or not all(
+            type(x) is int and 0 <= x < n for x, n in zip(vec, group.factors)):
+        raise ParseError(
+            f"{where} is not an element of the group {list(group.factors)}: "
+            f"it needs {group.rank} integer coordinates with 0 <= x_j < n_j")
+    return tuple(vec)
 
 
 @dataclass
@@ -148,12 +166,11 @@ class SpecBundle:
 
 def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBundle:
     group = group_from_dict(data)
-    duality = duality_from_dict(data, group)
-    cocycle = cocycle_from_dict(data, group)
+    duality, duality_conductor = duality_from_dict(data, group)
+    cocycle, cocycle_conductor = cocycle_from_dict(data, group)
 
     need = lcm(presentation_conductor_needed(data), conductor or 1)
-    need = lcm(need, duality.conductor)
-    need = lcm(need, cocycle.conductor)
+    need = lcm(need, lcm(duality_conductor, cocycle_conductor))
     action_block = data.get("action")
     matrices = None
     if action_block is not None:
@@ -161,23 +178,25 @@ def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBu
         expected = [f"g{j + 1}" for j in range(group.rank)]
         if set(by_name) != set(expected):
             raise ParseError(f"action block must name exactly {expected}")
-        matrices = [_parse_scalar_table(by_name[name]) for name in expected]
+        matrices = [_parse_scalar_table(by_name[name], f"action matrix for {name}")
+                    for name in expected]
         for m in matrices:
             for row in m:
                 for x in row:
                     need = lcm(need, x.conductor)
 
     presentation = presentation_from_dict(data, need)
-    final = presentation.conductor
-    duality = embed_duality(duality, final)
-    cocycle = embed_cocycle(cocycle, final)
 
     if matrices is not None:
         action = validate_action(presentation, group, matrices)
         basis = isotypic_basis(action, duality)
         grading = regrade_presentation(presentation, basis, group)
     elif "g_degrees" in data:
-        degrees = [tuple(int(x) for x in vec) for vec in data["g_degrees"]]
+        raw = data["g_degrees"]
+        if not isinstance(raw, list):
+            raise ParseError("g_degrees must be a list of group elements")
+        degrees = [_group_element(vec, group, f"g_degrees[{i}]")
+                   for i, vec in enumerate(raw)]
         if len(degrees) != len(presentation.generators):
             raise ParseError("g_degrees must list one group element per generator")
         action = diagonal_action(presentation, group, duality, degrees)
@@ -228,14 +247,11 @@ def grading_to_dict(grading: GGrading) -> dict:
     }
 
 
-def duality_to_dict(d: Duality) -> dict:
-    return {"table": [[str(x) for x in row] for row in d.table]}
-
-
-def cocycle_to_dict(c: Cocycle) -> dict:
+def cocycle_to_dict(c: Cocycle, conductor: int) -> dict:
     return {
         "elements": [c.group.describe(g) for g in c.group.elements()],
-        "table": [[str(x) for x in row] for row in c.values],
+        "table": [[str(root_of_unity(k, c.modulus, conductor)) for k in row]
+                  for row in c.values],
     }
 
 

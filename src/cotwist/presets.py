@@ -81,7 +81,7 @@ _PRESET_CACHE: dict = {}
 def preset(name: str):
     """A named preset; `klein-mu` returns the built-in cocycle table."""
     if name == "klein-mu":
-        return klein_mu(CONDUCTOR)
+        return klein_mu()
     if name not in _CATALOG:
         raise CotwistError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)} "
@@ -92,8 +92,8 @@ def preset(name: str):
     display = tuple(parse_ncpoly(text, gens, CONDUCTOR) for text in _CATALOG[name])
     pres = make_presentation(CONDUCTOR, gens, display)
     group = AbGroup((2, 2))
-    duality = klein_duality(CONDUCTOR)
-    mu = klein_mu(CONDUCTOR)
+    duality = klein_duality()
+    mu = klein_mu()
     degrees = ((0, 0), (0, 1), (1, 0))
     act = diagonal_action(pres, group, duality, degrees)
     pair = TWIST_PAIRS.get(name)
@@ -193,13 +193,11 @@ def run_twist_suite(bound: int = 6) -> dict:
 # the full verification battery
 # ---------------------------------------------------------------------------
 
-def _fixed_rescalings() -> list:
-    one = CycNum.one(CONDUCTOR)
-    i = CycNum.i()
-    return [
-        {(0, 0): one, (1, 0): i, (0, 1): -one, (1, 1): i},
-        {(0, 0): one, (1, 0): one, (0, 1): i, (1, 1): -i},
-    ]
+# generator rescalings g -> i^k, as exponents mod 4
+_FIXED_RESCALINGS = (
+    {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 1},
+    {(0, 0): 0, (1, 0): 0, (0, 1): 1, (1, 1): 3},
+)
 
 
 def full_report(bound: int = 6, invariant_bound: int = 4,
@@ -252,8 +250,8 @@ def full_report(bound: int = 6, invariant_bound: int = 4,
     report["bimodule_components"] = bimodule
 
     group = spec_a.group
-    alg = twisted_group_algebra(group, klein_mu(CONDUCTOR))
-    plain = twisted_group_algebra(group, trivial_cocycle(group, CONDUCTOR))
+    alg = twisted_group_algebra(group, klein_mu(), CONDUCTOR)
+    plain = twisted_group_algebra(group, trivial_cocycle(group), CONDUCTOR)
     kgmu = {
         "twisted_center_dim": len(center_basis(alg)),
         "twisted_trace_rank": trace_form_rank(alg),
@@ -288,9 +286,8 @@ def full_report(bound: int = 6, invariant_bound: int = 4,
     report["regrade_compat"] = regrade
 
     tau = verify_duality_benign(preset("A(1,-1)").action,
-                                klein_duality(CONDUCTOR),
-                                standard_duality(group, CONDUCTOR),
-                                klein_mu(CONDUCTOR))
+                                klein_duality(), standard_duality(group),
+                                klein_mu())
     report["duality_compat"] = {
         "pass": True,
         "witness": [group.describe(img) for img in tau.images],
@@ -308,8 +305,8 @@ def full_report(bound: int = 6, invariant_bound: int = 4,
     rescale = {"pass": True, "checked": 0}
     for name in PRESET_NAMES:
         p = preset(name)
-        for rho in _fixed_rescalings():
-            ok = coboundary_rescale_matches(p.twist_spec(), rho)
+        for rho in _FIXED_RESCALINGS:
+            ok = coboundary_rescale_matches(p.twist_spec(), 4, rho)
             rescale["pass"] = rescale["pass"] and ok
             rescale["checked"] += 1
     report["coboundary_rescale"] = rescale

@@ -15,18 +15,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .action import GGrading, GradedAction, isotypic_basis, regrade_presentation
-from .cyclo import CycNum
+from .cyclo import lcm, root_of_unity
 from .errors import FalsificationError, ValidationError
 from .freealg import GenMap, NcPoly, Presentation, make_presentation
 from .groups import (AbGroup, Cocycle, Duality, Element, GroupAut,
                      all_automorphisms, cocycle_inverse, cocycle_pullback,
-                     coboundary, embed_cocycle)
+                     coboundary)
 
 
 @dataclass(frozen=True)
 class TwistSpec:
     """Everything a twist needs: a G-grading, the fixed duality that induced
-    it, and a 2-cocycle, all over one group and one conductor."""
+    it, and a 2-cocycle, all over one group and valued in one field."""
 
     grading: GGrading
     duality: Duality
@@ -35,11 +35,11 @@ class TwistSpec:
     def __post_init__(self):
         if not (self.grading.group == self.duality.group == self.cocycle.group):
             raise ValidationError("grading, duality and cocycle use different groups")
-        conductor = self.grading.presentation.conductor
-        if self.cocycle.conductor != conductor or self.duality.conductor != conductor:
+        field = lcm(2, self.grading.presentation.conductor)
+        if field % self.cocycle.modulus or field % self.group.exponent():
             raise ValidationError(
-                "grading, duality and cocycle must share one conductor; "
-                "embed the inputs first")
+                f"the cocycle modulus and the group exponent must divide "
+                f"lcm(2, conductor) = {field}")
 
     @property
     def group(self) -> AbGroup:
@@ -50,8 +50,9 @@ class TwistSpec:
         return self.grading.presentation
 
 
-def word_twist_scalar(degrees: Sequence[Element], cocycle: Cocycle) -> CycNum:
-    """prod_{j=1}^{k-1} mu(h_1...h_j, h_{j+1}) for letter degrees h_1..h_k.
+def word_twist_scalar(degrees: Sequence[Element], cocycle: Cocycle) -> int:
+    """prod_{j=1}^{k-1} mu(h_1...h_j, h_{j+1}) for letter degrees h_1..h_k,
+    as an exponent.
 
     Any bracketing of the star product yields the same scalar by the cocycle
     identity; this left association is the stored convention."""
@@ -59,11 +60,11 @@ def word_twist_scalar(degrees: Sequence[Element], cocycle: Cocycle) -> CycNum:
         raise ValidationError("a word twist scalar needs at least one letter")
     group = cocycle.group
     prefix = degrees[0]
-    scalar = CycNum.one(cocycle.conductor)
+    total = 0
     for h in degrees[1:]:
-        scalar = scalar * cocycle.value(prefix, h)
+        total += cocycle.value(prefix, h)
         prefix = group.mul(prefix, h)
-    return scalar
+    return total % cocycle.modulus
 
 
 def twist_poly(p: NcPoly, grading: GGrading, cocycle: Cocycle) -> NcPoly:
@@ -73,7 +74,8 @@ def twist_poly(p: NcPoly, grading: GGrading, cocycle: Cocycle) -> NcPoly:
         if not word:
             return coeff
         degrees = [grading.g_degrees[letter] for letter in word]
-        return coeff * word_twist_scalar(degrees, cocycle).inverse()
+        return coeff * root_of_unity(-word_twist_scalar(degrees, cocycle),
+                                     cocycle.modulus, p.conductor)
 
     return p.map_coeffs(convert)
 
@@ -91,8 +93,7 @@ def double_twist(spec: TwistSpec) -> GGrading:
     """Twist by mu, then by the pointwise inverse cocycle on the carried-over
     grading; the composite is the identity on presentations."""
     first = twist_presentation(spec)
-    inv = embed_cocycle(cocycle_inverse(spec.cocycle),
-                        first.presentation.conductor)
+    inv = cocycle_inverse(spec.cocycle)
     return twist_presentation(TwistSpec(first, spec.duality, inv))
 
 
@@ -110,8 +111,7 @@ def verify_regrade_compat(spec: TwistSpec, sigma: GroupAut) -> bool:
     twisting the original grading with the pullback mu^(sigma^-1):
     the two twisted presentations must coincide exactly."""
     lhs = twist_presentation(regraded_spec(spec, sigma))
-    pulled = embed_cocycle(cocycle_pullback(spec.cocycle, sigma.inverse()),
-                           spec.presentation.conductor)
+    pulled = cocycle_pullback(spec.cocycle, sigma.inverse())
     rhs = twist_presentation(TwistSpec(spec.grading, spec.duality, pulled))
     return lhs.presentation == rhs.presentation
 
@@ -124,12 +124,11 @@ def regrade_under_duality(action: GradedAction, base: Duality,
     Returns (grading under `base`, grading under `other`)."""
     basis = isotypic_basis(action, base)
     group = action.group
-    conductor = action.presentation.conductor
     base_grading = regrade_presentation(action.presentation, basis, group)
 
     def pattern(duality: Duality, g: Element) -> tuple:
         g_inv = group.inv(g)
-        return tuple(duality.char_eval(g_inv, group.generator(j)).embed(conductor)
+        return tuple(duality.char_eval(g_inv, group.generator(j))
                      for j in range(group.rank))
 
     lookup = {pattern(other, g): g for g in group.elements()}
@@ -150,15 +149,12 @@ def verify_duality_benign(action: GradedAction, phi: Duality, rho: Duality,
     twist under (rho, mu^(tau^-1)); existence is guaranteed, so an exhausted
     search is a falsification."""
     group = action.group
-    conductor = action.presentation.conductor
-    if mu.conductor != conductor:
-        raise ValidationError("cocycle conductor differs from the presentation")
     grading_phi, grading_rho = regrade_under_duality(action, phi, rho)
     target = twist_presentation(TwistSpec(grading_phi, phi, mu))
     candidates = sorted(all_automorphisms(group),
                         key=lambda aut: not aut.is_identity())
     for tau in candidates:
-        pulled = embed_cocycle(cocycle_pullback(mu, tau.inverse()), conductor)
+        pulled = cocycle_pullback(mu, tau.inverse())
         candidate = twist_presentation(TwistSpec(grading_rho, rho, pulled))
         if candidate.presentation == target.presentation:
             return tau
@@ -167,14 +163,15 @@ def verify_duality_benign(action: GradedAction, phi: Duality, rho: Duality,
         "choice failed to be benign on this input")
 
 
-def coboundary_rescale_matches(spec: TwistSpec, rho: dict) -> bool:
-    """Twisting by the coboundary of rho must agree with the diagonal
-    generator rescaling v -> rho(deg v) v, up to canonical relation scaling."""
-    group = spec.group
+def coboundary_rescale_matches(spec: TwistSpec, modulus: int,
+                               rho: dict) -> bool:
+    """Twisting by the coboundary of rho (exponents mod `modulus`) must agree
+    with the rescaling v -> rho(deg v) v, up to canonical relation scaling."""
     conductor = spec.presentation.conductor
-    delta = embed_cocycle(coboundary(group, rho), conductor)
+    delta = coboundary(spec.group, modulus, rho)
     twisted = twist_presentation(TwistSpec(spec.grading, spec.duality, delta))
-    scalars = [rho[g].embed(conductor) for g in spec.grading.g_degrees]
+    scalars = [root_of_unity(rho[g], modulus, conductor)
+               for g in spec.grading.g_degrees]
     rescale = GenMap.scaling(spec.presentation.generators, conductor, scalars)
     rescaled = [rescale.apply(r) for r in twisted.presentation.relations]
     back = make_presentation(conductor, spec.presentation.generators, rescaled)

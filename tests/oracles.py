@@ -232,18 +232,6 @@ def cocycle_class_count(factors, m: int) -> int:
     return count_cocycles(group, m) // count_mu_m_coboundaries(group, m)
 
 
-def exp_table_to_cycnum(group_factors, table, m: int):
-    """Convert an exponent table into the CycNum mapping validate_cocycle
-    expects."""
-    from cotwist.groups import AbGroup
-    group = AbGroup(tuple(group_factors))
-    elements = group.elements()
-    zeta = CycNum.zeta(m) if m > 1 else CycNum.one(1)
-    return group, {(g, h): zeta ** table[a][b]
-                   for a, g in enumerate(elements)
-                   for b, h in enumerate(elements)}
-
-
 # ---------------------------------------------------------------------------
 # dense degreewise quotient dimensions, independent of the Groebner engine
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from cotwist.twist import (coboundary_rescale_matches, double_twist,
                            twist_presentation, verify_duality_benign,
                            verify_regrade_compat)
 from oracles import (ExpGroup, brute_force_is_coboundary, cocycle_class_count,
-                     enumerate_cocycles, exp_table_to_cycnum, quotient_dims)
+                     enumerate_cocycles, quotient_dims)
 
 KLEIN = AbGroup((2, 2))
 
@@ -100,8 +100,8 @@ def test_criterion_4_bimodule_components():
 
 
 def test_criterion_5_two_by_two_matrix_recognition():
-    alg = twisted_group_algebra(KLEIN, klein_mu(4))
-    plain = twisted_group_algebra(KLEIN, trivial_cocycle(KLEIN, 4))
+    alg = twisted_group_algebra(KLEIN, klein_mu(), 4)
+    plain = twisted_group_algebra(KLEIN, trivial_cocycle(KLEIN), 4)
     ok = (alg.dim == 4
           and len(center_basis(alg)) == 1
           and trace_form_rank(alg) == 4
@@ -120,9 +120,11 @@ def test_criterion_6_cohomology_suite():
     checked = 0
     for factors in ((2, 2), (4,)):
         group = ExpGroup(factors)
+        ab_group = AbGroup(factors)
         for table in enumerate_cocycles(group, 4):
-            ab_group, cyc_table = exp_table_to_cycnum(factors, table, 4)
-            mu = validate_cocycle(ab_group, cyc_table)
+            mu = validate_cocycle(ab_group, 4, {
+                (g, h): table[a][b] for a, g in enumerate(group.elements)
+                for b, h in enumerate(group.elements)})
             expected = brute_force_is_coboundary(group, table, 4)
             ok = ok and is_coboundary(mu)[0] == expected
             checked += 1
@@ -147,16 +149,15 @@ def test_criterion_7_structural_property_suite():
         p = preset(name)
         ok = ok and double_twist(p.twist_spec()).presentation == p.presentation
 
-    one = CycNum.one(4)
-    i = CycNum.i()
+    # generator rescalings by powers of i, as exponents mod 4
     rhos = [
-        {(0, 0): one, (1, 0): i, (0, 1): -one, (1, 1): i},
-        {(0, 0): one, (1, 0): one, (0, 1): i, (1, 1): -i},
+        {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 1},
+        {(0, 0): 0, (1, 0): 0, (0, 1): 1, (1, 1): 3},
     ]
     for name in PRESET_NAMES:
         spec = preset(name).twist_spec()
         for rho in rhos:
-            ok = ok and coboundary_rescale_matches(spec, rho)
+            ok = ok and coboundary_rescale_matches(spec, 4, rho)
 
     spec_a = preset("A(1,-1)").twist_spec()
     autos = all_automorphisms(KLEIN)
@@ -164,8 +165,8 @@ def test_criterion_7_structural_property_suite():
     for sigma in autos:
         ok = ok and verify_regrade_compat(spec_a, sigma)
 
-    tau = verify_duality_benign(preset("A(1,-1)").action, klein_duality(4),
-                                standard_duality(KLEIN, 4), klein_mu(4))
+    tau = verify_duality_benign(preset("A(1,-1)").action, klein_duality(),
+                                standard_duality(KLEIN), klein_mu())
     ok = ok and tau is not None
 
     for name in PRESET_NAMES:

@@ -3,7 +3,7 @@ import pytest
 from cotwist.action import (diagonal_action, grading_from_degrees,
                             isotypic_basis, regrade_presentation,
                             validate_action)
-from cotwist.cyclo import CycNum
+from cotwist.cyclo import CycNum, root_of_unity
 from cotwist.errors import ValidationError
 from cotwist.freealg import change_basis, make_alphabet, make_presentation, parse_ncpoly
 from cotwist.groups import AbGroup, klein_duality
@@ -67,7 +67,7 @@ def test_noncommuting_matrices_reported():
 
 def test_isotypic_basis_matches_proof_basis():
     pres, action = klein_action_on_xbasis()
-    basis = isotypic_basis(action, klein_duality(4))
+    basis = isotypic_basis(action, klein_duality())
     assert basis.names == ("w1", "w2", "w3")
     assert basis.g_degrees == (E, G2, G1)
     cols = [[str(basis.matrix[i][k]) for i in range(3)] for k in range(3)]
@@ -82,7 +82,7 @@ def test_isotypic_basis_trivial_action():
     zero = CycNum.zero(4)
     eye = [[one if a == b else zero for b in range(3)] for a in range(3)]
     action = validate_action(pres, KLEIN, [eye, eye])
-    basis = isotypic_basis(action, klein_duality(4))
+    basis = isotypic_basis(action, klein_duality())
     assert basis.names == ("w1", "w2", "w3")
     assert basis.g_degrees == (E, E, E)
 
@@ -96,20 +96,20 @@ def test_isotypic_basis_diagonal_action_reads_off_degrees():
 
 def test_eigen_relation_for_every_group_element():
     pres, action = klein_action_on_xbasis()
-    duality = klein_duality(4)
+    duality = klein_duality()
     basis = isotypic_basis(action, duality)
     for h in KLEIN.elements():
         m = action.element_matrix(h)
         for k, g_deg in enumerate(basis.g_degrees):
             column = [basis.matrix[i][k] for i in range(3)]
             scaled = mat_vec(m, column)
-            chi = duality.char_eval(KLEIN.inv(g_deg), h).embed(4)
+            chi = root_of_unity(duality.char_eval(KLEIN.inv(g_deg), h), 2, 4)
             assert scaled == [chi * x for x in column]
 
 
 def test_regrade_recovers_w_basis_presentation():
     pres, action = klein_action_on_xbasis()
-    grading = regrade_presentation(pres, isotypic_basis(action, klein_duality(4)),
+    grading = regrade_presentation(pres, isotypic_basis(action, klein_duality()),
                                    KLEIN)
     target = preset("A(1,-1)")
     assert grading.presentation.relations == target.presentation.relations
@@ -118,7 +118,7 @@ def test_regrade_recovers_w_basis_presentation():
 
 def test_regrade_round_trip_to_original_relations():
     pres, action = klein_action_on_xbasis()
-    basis = isotypic_basis(action, klein_duality(4))
+    basis = isotypic_basis(action, klein_duality())
     grading = regrade_presentation(pres, basis, KLEIN)
     back = [change_basis(r, basis.matrix, new_names=[g.name for g in pres.generators])
             for r in grading.presentation.relations]
@@ -146,7 +146,7 @@ def test_g_degree_of_examples():
 
 def test_eigenvector_count_per_degree():
     pres, action = klein_action_on_xbasis()
-    basis = isotypic_basis(action, klein_duality(4))
+    basis = isotypic_basis(action, klein_duality())
     per_degree = {}
     for g in basis.g_degrees:
         per_degree[g] = per_degree.get(g, 0) + 1

@@ -161,6 +161,61 @@ def test_negative_degree_is_input_error(capsys, command):
     assert "must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gb", "--input", "preset:B(1)", "--conductor", "-3"],
+    ["gb", "--input", "preset:B(1)", "--conductor", "0"],
+    ["invariants", "--input", "preset:B(1)", "--conductor", "0"],
+    ["schur", "--group", "abc"],
+    ["kgmu", "--group", "2,x"],
+], ids=["conductor-negative", "conductor-zero", "invariants-conductor-zero",
+        "schur-group", "kgmu-group"])
+def test_bad_argument_is_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def klein_degree_spec(tmp_path, g_degrees, **blocks):
+    spec = {"generators": ["x", "y"], "relations": ["x*y + y*x"],
+            "group": [2, 2], "cocycle": {"builtin": "klein"},
+            "g_degrees": g_degrees}
+    spec.update(blocks)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("g_degrees", [
+    [[1], [0, 1]], [[5, 0], [0, 1]], [[1, 0, 1], [0, 1]], [[-1, 0], [0, 1]],
+], ids=["short", "out-of-range", "long", "negative"])
+def test_g_degrees_must_be_group_elements(capsys, tmp_path, g_degrees):
+    path = klein_degree_spec(tmp_path, g_degrees)
+    code, out, err = run(capsys, ["validate", "--input", path])
+    assert code == 2 and out == ""
+    assert "g_degrees[0] is not an element of the group [2, 2]" in err
+    good = klein_degree_spec(tmp_path, [[1, 0], [0, 1]])
+    code, out, _ = run(capsys, ["validate", "--input", good])
+    assert code == 0
+    assert json.loads(out)["grading"]["named_degrees"] == {"x": "g1", "y": "g2"}
+
+
+@pytest.mark.parametrize("blocks,message", [
+    ({"cocycle": {"table": 5}}, "cocycle table must be a list of rows"),
+    ({"cocycle": {"table": [1, 2]}}, "cocycle table must be a list of rows"),
+    ({"cocycle": 7}, "cocycle block must be an object"),
+    ({"cocycle": "table"}, "cocycle block must be an object"),
+    ({"duality": 7}, "duality table must be a list of rows"),
+    ({"duality": [[1, 1], 5]}, "duality table must be a list of rows"),
+], ids=["cocycle-table-number", "cocycle-table-flat", "cocycle-number",
+        "cocycle-string", "duality-number", "duality-row-number"])
+def test_malformed_group_block_is_input_error(capsys, tmp_path, blocks, message):
+    path = klein_degree_spec(tmp_path, [[1, 0], [0, 1]], **blocks)
+    code, _, err = run(capsys, ["validate", "--input", path])
+    assert code == 2
+    assert message in err
+
+
 def test_bad_relation_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

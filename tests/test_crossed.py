@@ -18,7 +18,7 @@ E, G2, G1, G12 = (0, 0), (0, 1), (1, 0), (1, 1)
 
 
 def test_twisted_group_algebra_anticommuting_pair():
-    alg = twisted_group_algebra(KLEIN, klein_mu(4))
+    alg = twisted_group_algebra(KLEIN, klein_mu(), 4)
     idx = {g: i for i, g in enumerate(KLEIN.elements())}
     u = alg.mul_coords(alg.basis_vector(idx[G1]), alg.basis_vector(idx[G2]))
     v = alg.mul_coords(alg.basis_vector(idx[G2]), alg.basis_vector(idx[G1]))
@@ -27,12 +27,12 @@ def test_twisted_group_algebra_anticommuting_pair():
 
 
 def test_trivial_cocycle_group_algebra_is_commutative():
-    alg = twisted_group_algebra(KLEIN, trivial_cocycle(KLEIN, 4))
+    alg = twisted_group_algebra(KLEIN, trivial_cocycle(KLEIN), 4)
     assert len(center_basis(alg)) == 4
 
 
 def test_basis_elements_invertible():
-    alg = twisted_group_algebra(KLEIN, klein_mu(4))
+    alg = twisted_group_algebra(KLEIN, klein_mu(), 4)
     idx = {g: i for i, g in enumerate(KLEIN.elements())}
     for g in KLEIN.elements():
         prod = alg.mul_coords(alg.basis_vector(idx[g]),
@@ -41,7 +41,7 @@ def test_basis_elements_invertible():
 
 
 def test_klein_twist_is_two_by_two_matrix_algebra():
-    alg = twisted_group_algebra(KLEIN, klein_mu(4))
+    alg = twisted_group_algebra(KLEIN, klein_mu(), 4)
     assert len(center_basis(alg)) == 1
     assert trace_form_rank(alg) == 4
     assert is_full_matrix_algebra(alg)
@@ -49,18 +49,18 @@ def test_klein_twist_is_two_by_two_matrix_algebra():
 
 def test_cyclic_group_algebra_not_matrix_algebra():
     c4 = AbGroup((4,))
-    alg = twisted_group_algebra(c4, trivial_cocycle(c4, 4))
+    alg = twisted_group_algebra(c4, trivial_cocycle(c4), 4)
     assert len(center_basis(alg)) == 4
     assert not is_full_matrix_algebra(alg)
 
 
 def test_corrupted_cocycle_rejected_upstream():
-    mu = klein_mu(4)
+    mu = klein_mu()
     table = {(g, h): mu.value(g, h)
              for g in KLEIN.elements() for h in KLEIN.elements()}
-    table[(G2, G1)] = -table[(G2, G1)]
+    table[(G2, G1)] += 1
     with pytest.raises(ValidationError):
-        validate_cocycle(KLEIN, table)
+        validate_cocycle(KLEIN, mu.modulus, table)
 
 
 def model_for(name, bound=4):
@@ -91,7 +91,7 @@ def test_invariants_dimension_matches_algebra():
 
 def test_invariant_ring_report_trivial_cocycle():
     p = preset("B(1)")
-    spec = TwistSpec(p.grading(), p.duality, trivial_cocycle(KLEIN, 4))
+    spec = TwistSpec(p.grading(), p.duality, trivial_cocycle(KLEIN))
     report = verify_invariant_ring(spec, 3)
     assert report.ok
 
@@ -105,8 +105,9 @@ def test_invariant_ring_report_klein():
 def test_bimodule_scaling_value():
     from cotwist.crossed import component_scaling
     model = model_for("A(1,-1)", 3)
-    assert component_scaling(model, G1, G2) == CycNum.rational(-1, 4)
-    assert component_scaling(model, E, G2).is_one()
+    # exponents base zeta_2 = -1
+    assert component_scaling(model, G1, G2) == 1
+    assert component_scaling(model, E, G2) == 0
 
 
 def test_bimodule_components_all_group_elements():

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotwist.cyclo import CycNum, euler_phi, parse_scalar
+from cotwist.cyclo import (CycNum, euler_phi, parse_scalar, root_exponent,
+                           root_of_unity)
 from cotwist.errors import ConductorMismatch, ParseError
 
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
@@ -47,12 +49,36 @@ def test_embed_requires_divisible_conductor():
         CycNum.zeta(4).embed(6)
 
 
-def test_root_orders():
-    assert CycNum.rational(-1).root_order() == 2
-    assert CycNum.zeta(4).root_order() == 4
-    assert CycNum.rational(Fraction(1, 2)).root_order() is None
-    assert CycNum.zeta(12, 5).root_order() == 12
-    assert (-CycNum.zeta(12)).root_order() == 12
+def test_root_exponent_round_trip():
+    # the roots of unity in Q(zeta_N) are those of order dividing lcm(2, N)
+    for conductor in range(1, 13):
+        modulus = 2 * conductor // gcd(2, conductor)
+        seen = set()
+        for k in range(modulus):
+            root = root_of_unity(k, modulus, conductor)
+            assert root.conductor == conductor
+            assert root ** modulus == CycNum.one(conductor)
+            assert root_exponent(root, modulus) == k
+            seen.add(root.coeffs)
+        assert len(seen) == modulus
+        assert root_of_unity(1, 2, conductor) == CycNum.rational(-1, conductor)
+
+
+def test_root_exponent_rejects_non_roots():
+    assert root_exponent(CycNum.rational(Fraction(1, 2)), 2) is None
+    assert root_exponent(parse_scalar("1 + i"), 4) is None
+    assert root_exponent(CycNum.rational(2), 2) is None
+    assert root_exponent(CycNum.zero(4), 4) is None
+    # a root whose order does not divide the modulus
+    assert root_exponent(CycNum.i(), 2) is None
+    assert root_exponent(CycNum.i(), 8) == 2
+
+
+def test_root_of_unity_needs_a_large_enough_field():
+    assert root_of_unity(1, 6, 3) == parse_scalar("1 + zeta(3)")
+    assert root_of_unity(-1, 4, 4) == -CycNum.i()
+    with pytest.raises(ConductorMismatch):
+        root_of_unity(1, 8, 4)
 
 
 def test_arithmetic_requires_matching_conductor():

@@ -16,6 +16,10 @@ from cotwist.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SKLYANIN = os.path.join(GOLDEN, "sklyanin.json")
+# conductor 2 from the standard duality on C2 x C2 (rational relations and
+# cocycle), and conductor 6 from a formula naming zeta(6) on C3 x C3
+KLEIN_STANDARD = os.path.join(GOLDEN, "klein-standard.json")
+C3C3 = os.path.join(GOLDEN, "c3c3.json")
 
 TWIST_SOURCES = {"A": "A(1,-1)", "B": "B(1)", "E": "E(1,i)",
                  "G": "G(1,(1+i)/2)"}
@@ -27,6 +31,9 @@ CASES = {
                      "--input", "preset:A(1,-1)"],
     "sklyanin-twist": ["twist", "--input", SKLYANIN],
     "sklyanin-gb": ["gb", "--degree", "6", "--input", SKLYANIN],
+    "twist-klein-standard": ["twist", "--input", KLEIN_STANDARD],
+    "twist-c3c3": ["twist", "--input", C3C3],
+    "kgmu-c3c3": ["kgmu", "--group", "3,3", "--cocycle", "zeta(6)^(2*a1*b2)"],
 }
 for _key, _name in TWIST_SOURCES.items():
     CASES[f"gb-{_key}"] = ["gb", "--degree", "6", "--input", f"preset:{_name}"]

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from cotwist.cyclo import CycNum
 from cotwist.errors import ValidationError
 from cotwist.groups import (AbGroup, all_automorphisms, coboundary,
-                            cocycle_from_formula, cocycle_inverse,
+                            cocycle_from_formula, cocycle_from_scalars,
+                            cocycle_inverse,
                             cocycle_product, cocycle_pullback, cohomologous,
                             identity_aut, is_coboundary, klein_duality,
                             klein_mu, make_duality, make_group_aut,
@@ -25,22 +28,36 @@ def test_element_enumeration_and_arithmetic():
 
 
 def test_klein_duality_values():
-    d = klein_duality(4)
-    one = CycNum.one(4)
-    assert d.char_eval(G1, G2) == -one
-    assert d.char_eval(G1, G1) == one
-    assert d.char_eval(G2, G2) == one
+    # exponents base zeta_2 = -1
+    d = klein_duality()
+    assert d.char_eval(G1, G2) == 1
+    assert d.char_eval(G1, G1) == 0
+    assert d.char_eval(G2, G2) == 0
     for h in KLEIN.elements():
-        assert d.char_eval(E, h) == one
+        assert d.char_eval(E, h) == 0
     # bimultiplicative extension
-    assert d.char_eval(G12, G1) == -one
-    assert d.char_eval(G12, G12) == one
+    assert d.char_eval(G12, G1) == 1
+    assert d.char_eval(G12, G12) == 0
 
 
 def test_standard_duality_is_nondegenerate():
-    d = standard_duality(AbGroup((2, 4)))
-    seen = {tuple(d.char_pattern(g)) for g in AbGroup((2, 4)).elements()}
+    group = AbGroup((2, 4))
+    d = standard_duality(group)
+    generators = [group.generator(k) for k in range(group.rank)]
+    seen = {tuple(d.char_eval(g, h) for h in generators)
+            for g in group.elements()}
     assert len(seen) == 8
+    # exponents base zeta_4: chi_{g1}(g1) = -1, chi_{g2}(g2) = i
+    assert d.table == ((2, 0), (0, 1))
+
+
+def test_duality_table_read_as_exponents():
+    i = CycNum.i()
+    one = CycNum.one(4)
+    d = make_duality(AbGroup((4, 4)), [[i, one], [one, -i]])
+    assert d.table == ((1, 0), (0, 3))
+    with pytest.raises(ValidationError, match=r"entry \(1,1\) is not killed"):
+        make_duality(KLEIN, [[i, one], [one, -one]])
 
 
 def test_degenerate_duality_rejected():
@@ -50,50 +67,78 @@ def test_degenerate_duality_rejected():
 
 
 def test_klein_mu_is_valid_and_matches_formula():
-    mu = klein_mu(4)
-    one = CycNum.one(4)
+    mu = klein_mu()
+    assert mu.modulus == 2
     for g in KLEIN.elements():
         for h in KLEIN.elements():
-            expected = -one if (g[0] * h[1]) % 2 else one
-            assert mu.value(g, h) == expected
-    via_formula = cocycle_from_formula(KLEIN, "(-1)^(p*s)")
-    for g in KLEIN.elements():
-        for h in KLEIN.elements():
-            assert via_formula.value(g, h).embed(4) == mu.value(g, h)
+            assert mu.value(g, h) == (g[0] * h[1]) % 2
+    assert cocycle_from_formula(KLEIN, "(-1)^(p*s)") == mu
+    assert cocycle_from_formula(KLEIN, "i^(2*p*s)") == mu
+
+
+def test_cocycle_stored_in_lowest_terms():
+    # zeta_6^(2*a1*b2) takes cube-root values: modulus 3, exponents halved
+    group = AbGroup((3, 3))
+    mu = cocycle_from_formula(group, "zeta(6)^(2*a1*b2)")
+    assert mu.modulus == 3
+    assert mu.value((1, 0), (0, 1)) == 1 and mu.value((2, 0), (0, 1)) == 2
+    doubled = {(g, h): 2 * mu.value(g, h)
+               for g in group.elements() for h in group.elements()}
+    assert validate_cocycle(group, 6, doubled) == mu
 
 
 def test_trivial_cocycle_valid():
-    mu = trivial_cocycle(KLEIN, 4)
-    assert all(v.is_one() for row in mu.values for v in row)
+    mu = trivial_cocycle(KLEIN)
+    assert mu.modulus == 1
+    assert all(v == 0 for row in mu.values for v in row)
 
 
 def test_normalization_violation_named():
-    one = CycNum.one(4)
-    table = {(g, h): one for g in KLEIN.elements() for h in KLEIN.elements()}
-    table[(E, G1)] = -one
+    table = {(g, h): 0 for g in KLEIN.elements() for h in KLEIN.elements()}
+    table[(E, G1)] = 1
     with pytest.raises(ValidationError, match=r"normalization at \(e,g1\)"):
-        validate_cocycle(KLEIN, table)
+        validate_cocycle(KLEIN, 2, table)
 
 
 def test_cocycle_identity_violation_named():
-    mu = klein_mu(4)
+    mu = klein_mu()
     table = {(g, h): mu.value(g, h)
              for g in KLEIN.elements() for h in KLEIN.elements()}
-    table[(G1, G1)] = -table[(G1, G1)]
-    with pytest.raises(ValidationError, match="cocycle identity fails"):
-        validate_cocycle(KLEIN, table)
+    table[(G1, G1)] += 1
+    with pytest.raises(ValidationError,
+                       match=r"cocycle identity fails at \(g2,g1,g1\)"):
+        validate_cocycle(KLEIN, 2, table)
+
+
+def test_first_identity_violation_in_enumeration_order():
+    group = AbGroup((2, 4))
+    elements = group.elements()
+    rng = random.Random(5)
+    for _ in range(20):
+        table = {(g, h): 0 for g in elements for h in elements}
+        for _ in range(2):
+            g, h = rng.choice(elements[1:]), rng.choice(elements[1:])
+            table[(g, h)] = rng.randrange(1, 8)
+        first = next(
+            (g, h, l) for g in elements for h in elements for l in elements
+            if (table[(g, h)] + table[(group.mul(g, h), l)]
+                - table[(g, group.mul(h, l))] - table[(h, l)]) % 8)
+        names = ",".join(group.describe(x) for x in first)
+        with pytest.raises(ValidationError) as exc:
+            validate_cocycle(group, 8, table)
+        assert str(exc.value) == f"cocycle identity fails at ({names})"
 
 
 def test_non_root_of_unity_value_rejected():
     one = CycNum.one(4)
     table = {(g, h): one for g in KLEIN.elements() for h in KLEIN.elements()}
     table[(G1, G2)] = CycNum.rational("1/2", 4)
-    with pytest.raises(ValidationError, match="root of unity"):
-        validate_cocycle(KLEIN, table)
+    with pytest.raises(ValidationError, match=r"at \(g1,g2\) is not a root"):
+        cocycle_from_scalars(KLEIN, table)
 
 
 def test_klein_mu_is_not_a_coboundary():
-    flag, witness = is_coboundary(klein_mu(4))
+    flag, witness = is_coboundary(klein_mu())
     assert flag is False and witness is None
     # cross-check with the exhaustive search oracle
     group = ExpGroup((2, 2))
@@ -103,38 +148,61 @@ def test_klein_mu_is_not_a_coboundary():
 
 
 def test_trivial_cocycle_is_a_coboundary_with_unit_witness():
-    flag, witness = is_coboundary(trivial_cocycle(KLEIN, 4))
+    flag, witness = is_coboundary(trivial_cocycle(KLEIN))
     assert flag
-    assert all(v.is_one() for v in witness.values())
+    assert all(v == 0 for v in witness.values())
 
 
 def test_constructed_coboundary_recognized_with_witness():
     group = AbGroup((2, 4))
-    z8 = CycNum.zeta(8)
-    rho = {el: z8 ** (3 * el[0] + 5 * el[1]) for el in group.elements()}
-    rho[group.identity()] = CycNum.one(8)
-    delta = coboundary(group, rho)
+    rho = {el: 3 * el[0] + 5 * el[1] for el in group.elements()}
+    delta = coboundary(group, 8, rho)
     flag, witness = is_coboundary(delta)
     assert flag
-    # the recovered witness reproduces the cocycle (checked internally) and
-    # sends the identity to 1
-    assert witness[group.identity()].is_one()
+    # the witness sends the identity to 1 and reproduces the cocycle
+    assert witness[group.identity()] == 0
+    assert coboundary(group, delta.modulus * group.exponent(), witness) == delta
+
+
+def exponent_form_cocycle(group, n, form):
+    """mu(g, h) = zeta_n^(sum_jk form[j][k] g_j h_k), bilinear hence a cocycle."""
+    return validate_cocycle(group, n, {
+        (g, h): sum(form[j][k] * g[j] * h[k] for j in range(2) for k in range(2))
+        for g in group.elements() for h in group.elements()})
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_exponent_form_cocycles_coboundary_iff_symmetric(n):
+    rng = random.Random(n)
+    group = AbGroup((n, n))
+    for symmetric in (True, False, True, False):
+        form = [[rng.randrange(n) for _ in range(2)] for _ in range(2)]
+        form[1][0] = form[0][1] if symmetric \
+            else (form[0][1] + rng.randrange(1, n)) % n
+        mu = exponent_form_cocycle(group, n, form)
+        flag, witness = is_coboundary(mu)
+        assert flag == symmetric
+        if flag:
+            assert witness[group.identity()] == 0
+            assert coboundary(group, mu.modulus * n, witness) == mu
+    terms = " + ".join(f"{form[j][k]}*a{j + 1}*b{k + 1}"
+                       for j in range(2) for k in range(2))
+    assert cocycle_from_formula(group, f"zeta({n})^({terms})") == mu
 
 
 def test_cohomologous_examples():
-    mu = klein_mu(4)
+    mu = klein_mu()
     assert cohomologous(mu, mu)
-    assert not cohomologous(mu, trivial_cocycle(KLEIN, 4))
-    i = CycNum.i()
-    one = CycNum.one(4)
-    rho = {E: one, G1: i, G2: -one, G12: i}
-    assert cohomologous(mu, cocycle_product(mu, coboundary(KLEIN, rho)))
+    assert not cohomologous(mu, trivial_cocycle(KLEIN))
+    # rho = (1, i, -1, i) as exponents base zeta_4
+    rho = {E: 0, G1: 1, G2: 2, G12: 1}
+    assert cohomologous(mu, cocycle_product(mu, coboundary(KLEIN, 4, rho)))
 
 
 def test_cocycle_group_structure():
-    mu = klein_mu(4)
+    mu = klein_mu()
     product = cocycle_product(mu, mu)
-    assert all(v.is_one() for row in product.values for v in row)
+    assert product == trivial_cocycle(KLEIN)
     inv = cocycle_inverse(mu)
     assert all(inv.value(g, h) == mu.value(g, h)
                for g in KLEIN.elements() for h in KLEIN.elements())
@@ -178,7 +246,7 @@ def test_group_aut_validation():
 
 
 def test_pullback_identity_and_inverse():
-    mu = klein_mu(4)
+    mu = klein_mu()
     assert cocycle_pullback(mu, identity_aut(KLEIN)).values == mu.values
     swap = make_group_aut(KLEIN, [G2, G1])
     back = cocycle_pullback(cocycle_pullback(mu, swap), swap.inverse())
@@ -186,21 +254,17 @@ def test_pullback_identity_and_inverse():
 
 
 def test_pullback_by_swap_gives_transposed_exponent():
-    mu = klein_mu(4)
+    mu = klein_mu()
     swap = make_group_aut(KLEIN, [G2, G1])
     pulled = cocycle_pullback(mu, swap)
-    one = CycNum.one(4)
     for g in KLEIN.elements():
         for h in KLEIN.elements():
-            expected = -one if (g[1] * h[0]) % 2 else one
-            assert pulled.value(g, h) == expected
+            assert pulled.value(g, h) == (g[1] * h[0]) % 2
 
 
 def test_pullback_preserves_coboundaries():
-    mu = klein_mu(4)
-    i = CycNum.i()
-    one = CycNum.one(4)
-    nu = cocycle_product(mu, coboundary(KLEIN, {E: one, G1: i, G2: i, G12: -one}))
+    mu = klein_mu()
+    nu = cocycle_product(mu, coboundary(KLEIN, 4, {E: 0, G1: 1, G2: 1, G12: 2}))
     assert cohomologous(mu, nu)
     for sigma in all_automorphisms(KLEIN):
         assert cohomologous(cocycle_pullback(mu, sigma),
@@ -208,14 +272,13 @@ def test_pullback_preserves_coboundaries():
 
 
 def test_coboundary_is_a_cocycle():
-    one = CycNum.one(4)
-    i = CycNum.i()
-    rho = {E: one, G1: i, G2: -i, G12: -one}
-    delta = coboundary(KLEIN, rho)   # validate_cocycle runs inside
-    assert delta.value(E, G1).is_one()
+    rho = {E: 0, G1: 1, G2: 3, G12: 2}
+    delta = coboundary(KLEIN, 4, rho)   # validate_cocycle runs inside
+    assert delta.value(E, G1) == 0
+    # delta(g1, g2) = i * (-i) / (-1) = -1
+    assert delta.modulus == 2 and delta.value(G1, G2) == 1
 
 
 def test_coboundary_requires_normalized_witness():
-    i = CycNum.i()
     with pytest.raises(ValidationError, match="send e to 1"):
-        coboundary(KLEIN, {E: i, G1: i, G2: i, G12: i})
+        coboundary(KLEIN, 4, {E: 1, G1: 1, G2: 1, G12: 1})

@@ -1,11 +1,11 @@
 import pytest
 
-from cotwist.cyclo import CycNum
+from cotwist.cyclo import root_of_unity
 from cotwist.errors import CotwistError
 from cotwist.freealg import GenMap, make_presentation
 from cotwist.gbasis import hilbert_coeffs, verify_iso
 from cotwist.groups import (AbGroup, Cocycle, coboundary, cocycle_product,
-                            embed_cocycle, trivial_cocycle)
+                            trivial_cocycle)
 from cotwist.presets import (PRESET_NAMES, TWIST_PAIRS, a_family_xbasis,
                              preset, run_twist_suite)
 from cotwist.twist import TwistSpec, twist_presentation
@@ -33,9 +33,9 @@ def test_presets_connected_with_three_dimensional_degree_one():
 def test_klein_mu_preset_entry():
     mu = preset("klein-mu")
     assert isinstance(mu, Cocycle)
-    minus = CycNum.rational(-1, 4)
-    assert mu.value((1, 0), (0, 1)) == minus
-    assert mu.value((0, 1), (1, 0)).is_one()
+    assert mu.modulus == 2
+    assert mu.value((1, 0), (0, 1)) == 1
+    assert mu.value((0, 1), (1, 0)) == 0
 
 
 def test_unknown_preset_rejected():
@@ -66,7 +66,7 @@ def test_twist_suite_passes_with_expected_scalars():
 
 def test_trivial_cocycle_negative_control():
     p = preset("A(1,-1)")
-    spec = TwistSpec(p.grading(), p.duality, trivial_cocycle(KLEIN, 4))
+    spec = TwistSpec(p.grading(), p.duality, trivial_cocycle(KLEIN))
     twisted = twist_presentation(spec)
     assert twisted.presentation == p.presentation
     target = preset("D(1,1)").presentation
@@ -78,13 +78,11 @@ def test_trivial_cocycle_negative_control():
 def test_coboundary_modified_cocycle_passes_after_rescaling():
     p = preset("A(1,-1)")
     target = preset("D(1,1)")
-    one = CycNum.one(4)
-    i = CycNum.i()
-    rho = {(0, 0): one, (1, 0): i, (0, 1): -one, (1, 1): -i}
-    modified = embed_cocycle(
-        cocycle_product(p.cocycle, coboundary(KLEIN, rho)), 4)
+    # rho = (1, i, -1, -i) as exponents base i
+    rho = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
+    modified = cocycle_product(p.cocycle, coboundary(KLEIN, 4, rho))
     twisted = twist_presentation(TwistSpec(p.grading(), p.duality, modified))
-    scalars = [rho[g] for g in p.g_degrees]
+    scalars = [root_of_unity(rho[g], 4, 4) for g in p.g_degrees]
     rescale = GenMap.scaling(p.presentation.generators, 4, scalars)
     rescaled = make_presentation(
         4, p.presentation.generators,

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from cotwist.cyclo import CycNum
 from cotwist.errors import ValidationError
 from cotwist.groups import (AbGroup, all_automorphisms, coboundary,
-                            cocycle_product, embed_cocycle, identity_aut,
-                            klein_duality, klein_mu, make_group_aut,
-                            standard_duality, trivial_cocycle)
+                            cocycle_product, identity_aut, klein_duality,
+                            klein_mu, make_group_aut, standard_duality,
+                            trivial_cocycle)
 from cotwist.presets import preset
 from cotwist.twist import (TwistSpec, coboundary_rescale_matches, double_twist,
                            regraded_spec, twist_poly, twist_presentation,
@@ -16,14 +15,14 @@ from cotwist.twist import (TwistSpec, coboundary_rescale_matches, double_twist,
 
 KLEIN = AbGroup((2, 2))
 E, G2, G1 = (0, 0), (0, 1), (1, 0)
-MU = klein_mu(4)
+MU = klein_mu()
 
 
 def test_word_twist_scalar_proof_displays():
-    minus_one = CycNum.rational(-1, 4)
-    assert word_twist_scalar([G1, E, G2], MU) == minus_one
-    assert word_twist_scalar([G1, G1, G2], MU).is_one()
-    assert word_twist_scalar([G2], MU).is_one()
+    # exponents base zeta_2 = -1
+    assert word_twist_scalar([G1, E, G2], MU) == 1
+    assert word_twist_scalar([G1, G1, G2], MU) == 0
+    assert word_twist_scalar([G2], MU) == 0
 
 
 def test_word_twist_scalar_needs_letters():
@@ -37,12 +36,12 @@ def test_bracketing_independence():
 
     def tree_scalar(degrees):
         if len(degrees) == 1:
-            return CycNum.one(4), degrees[0]
+            return 0, degrees[0]
         cut = rng.randrange(1, len(degrees))
         left_scalar, left_deg = tree_scalar(degrees[:cut])
         right_scalar, right_deg = tree_scalar(degrees[cut:])
-        total = left_scalar * right_scalar * MU.value(left_deg, right_deg)
-        return total, KLEIN.mul(left_deg, right_deg)
+        total = left_scalar + right_scalar + MU.value(left_deg, right_deg)
+        return total % MU.modulus, KLEIN.mul(left_deg, right_deg)
 
     for _ in range(1000):
         degrees = [elements[rng.randrange(4)] for _ in range(rng.randrange(1, 7))]
@@ -68,7 +67,7 @@ def test_twist_poly_leaves_shared_quadratic_alone():
 
 def test_twist_poly_trivial_cocycle_is_identity():
     p = preset("E(1,i)")
-    mu0 = trivial_cocycle(KLEIN, 4)
+    mu0 = trivial_cocycle(KLEIN)
     for rel in p.presentation.relations:
         assert twist_poly(rel, p.grading(), mu0) == rel
 
@@ -105,14 +104,12 @@ def test_regrade_compat_identity():
 
 def test_regrade_compat_all_automorphisms_and_cocycles():
     base = preset("A(1,-1)").twist_spec()
-    one = CycNum.one(4)
-    i = CycNum.i()
     variants = [MU,
-                trivial_cocycle(KLEIN, 4),
+                trivial_cocycle(KLEIN),
                 cocycle_product(MU, coboundary(
-                    KLEIN, {E: one, G1: i, G2: -one, (1, 1): -i}))]
+                    KLEIN, 4, {E: 0, G1: 1, G2: 2, (1, 1): 3}))]
     for mu in variants:
-        spec = TwistSpec(base.grading, base.duality, embed_cocycle(mu, 4))
+        spec = TwistSpec(base.grading, base.duality, mu)
         for sigma in all_automorphisms(KLEIN):
             assert verify_regrade_compat(spec, sigma)
 
@@ -132,8 +129,8 @@ def test_duality_benign_same_duality_gives_identity():
 
 def test_duality_benign_klein_vs_standard():
     p = preset("A(1,-1)")
-    tau = verify_duality_benign(p.action, klein_duality(4),
-                                standard_duality(KLEIN, 4), p.cocycle)
+    tau = verify_duality_benign(p.action, klein_duality(),
+                                standard_duality(KLEIN), p.cocycle)
     # a witness exists; the return value is the first automorphism (identity
     # before the rest) whose pulled-back cocycle reproduces the twist
     assert tau.group == KLEIN
@@ -141,46 +138,46 @@ def test_duality_benign_klein_vs_standard():
 
 def test_duality_benign_trivial_cocycle_identity_first():
     p = preset("B(1)")
-    tau = verify_duality_benign(p.action, klein_duality(4),
-                                standard_duality(KLEIN, 4),
-                                trivial_cocycle(KLEIN, 4))
+    tau = verify_duality_benign(p.action, klein_duality(),
+                                standard_duality(KLEIN),
+                                trivial_cocycle(KLEIN))
     assert tau.is_identity()
 
 
 def test_coboundary_rescale_on_all_presets():
-    one = CycNum.one(4)
-    i = CycNum.i()
+    # generator rescalings by powers of i, as exponents mod 4
     rhos = [
-        {E: one, G1: i, G2: -one, (1, 1): i},
-        {E: one, G1: one, G2: i, (1, 1): -i},
+        {E: 0, G1: 1, G2: 2, (1, 1): 1},
+        {E: 0, G1: 0, G2: 1, (1, 1): 3},
     ]
     from cotwist.presets import PRESET_NAMES
     for name in PRESET_NAMES:
         spec = preset(name).twist_spec()
         for rho in rhos:
-            assert coboundary_rescale_matches(spec, rho)
+            assert coboundary_rescale_matches(spec, 4, rho)
 
 
 def test_coboundary_rescale_random_witnesses():
     rng = random.Random(23)
-    i = CycNum.i()
-    one = CycNum.one(4)
     spec = preset("G(1,(1-i)/2)").twist_spec()
     for _ in range(10):
-        rho = {E: one}
+        rho = {E: 0}
         for el in (G1, G2, (1, 1)):
-            rho[el] = i ** rng.randrange(4)
-        assert coboundary_rescale_matches(spec, rho)
+            rho[el] = rng.randrange(4)
+        assert coboundary_rescale_matches(spec, 4, rho)
 
 
 def test_twist_spec_rejects_conductor_mismatch():
     p = preset("A(1,-1)")
+    # delta(g1, g2) = zeta_8: an order-8 value is not in Q(i)
+    mu8 = coboundary(KLEIN, 8, {E: 0, G1: 1, G2: 0, (1, 1): 0})
+    assert mu8.modulus == 8
     with pytest.raises(ValidationError, match="conductor"):
-        TwistSpec(p.grading(), p.duality, klein_mu(8))
+        TwistSpec(p.grading(), p.duality, mu8)
 
 
 def test_twist_spec_rejects_group_mismatch():
     p = preset("A(1,-1)")
-    other = trivial_cocycle(AbGroup((2,)), 4)
+    other = trivial_cocycle(AbGroup((2,)))
     with pytest.raises(ValidationError, match="group"):
         TwistSpec(p.grading(), p.duality, other)
