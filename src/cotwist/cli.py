@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from math import lcm
 from typing import Optional
 
 from .crossed import (center_basis, is_full_matrix_algebra, trace_form_rank,
                       twisted_group_algebra, verify_invariant_ring)
-from .cyclo import lcm, root_of_unity
+from .cyclo import root_of_unity
 from .errors import (CotwistError, DegreeBoundExceeded, FalsificationError,
                      ParseError, ValidationError)
 from .freealg import GenMap, Presentation, embed_presentation

@@ -9,14 +9,13 @@ a common conductor first (`CycNum.embed` / `common_conductor`).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional
 
-from .errors import ConductorMismatch, CotwistError, ParseError
+from .errors import ConductorMismatch, CotwistError
 
 
 def euler_phi(n: int) -> int:
@@ -33,10 +32,6 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _divisors(n: int) -> list[int]:
@@ -297,6 +292,12 @@ class CycNum:
         return self * other.inverse()
 
     def __pow__(self, exponent: int) -> "CycNum":
+        support = [k for k, c in enumerate(self.coeffs) if c]
+        if len(support) == 1 and abs(self.coeffs[support[0]]) == 1:
+            # +-zeta^k with k < phi(N): read the power off the table
+            k = support[0]
+            value = CycNum.zeta(self.conductor, k * exponent)
+            return -value if self.coeffs[k] < 0 and exponent % 2 else value
         if exponent < 0:
             return self.inverse() ** (-exponent)
         result = CycNum.one(self.conductor)
@@ -351,10 +352,7 @@ class CycNum:
 
 
 def common_conductor(*values: CycNum) -> int:
-    n = 1
-    for v in values:
-        n = lcm(n, v.conductor)
-    return n
+    return lcm(*(v.conductor for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -425,123 +423,12 @@ def format_cycnum(value: CycNum) -> str:
     return out
 
 
-# ---------------------------------------------------------------------------
-# scalar expression parser
-#
-# grammar: rationals (3/2), i, zeta(N), + - * / ( ) ^ and, when a variable
-# table is supplied, integer-valued variable names (used by cocycle formulas).
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character in scalar expression: {text[pos:]!r}")
-            break
-        tok = m.group(1)
-        tokens.append("^" if tok == "**" else tok)
-        pos = m.end()
-    return tokens
-
-
-class _ScalarParser:
-    def __init__(self, tokens: list[str], variables: Mapping[str, int]):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of scalar expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self) -> CycNum:
-        value = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input in scalar expression: {self.peek()!r}")
-        return value
-
-    def expr(self) -> CycNum:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            n = common_conductor(value, rhs)
-            value, rhs = value.embed(n), rhs.embed(n)
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> CycNum:
-        value = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.unary()
-            n = common_conductor(value, rhs)
-            value, rhs = value.embed(n), rhs.embed(n)
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def unary(self) -> CycNum:
-        if self.peek() == "-":
-            self.take()
-            return -self.unary()
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> CycNum:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exponent = self.unary()
-            return base ** exponent.as_int()
-        return base
-
-    def atom(self) -> CycNum:
-        tok = self.take()
-        if tok.isdigit():
-            return CycNum.rational(int(tok))
-        if tok == "i":
-            return CycNum.i()
-        if tok == "zeta":
-            self.expect("(")
-            n_tok = self.take()
-            if not n_tok.isdigit() or int(n_tok) < 1:
-                raise ParseError(f"zeta() needs a positive integer, got {n_tok!r}")
-            self.expect(")")
-            return CycNum.zeta(int(n_tok))
-        if tok == "(":
-            value = self.expr()
-            self.expect(")")
-            return value
-        if tok in self.variables:
-            return CycNum.rational(self.variables[tok])
-        raise ParseError(f"unknown token in scalar expression: {tok!r}")
-
-
 def parse_scalar(text: str, variables: Optional[Mapping[str, int]] = None) -> CycNum:
-    """Parse an exact scalar expression into a CycNum.
+    """Parse a scalar expression: a degree-0 polynomial over the empty
+    alphabet in the grammar of `freealg.parse_ncpoly`.
 
-    The result carries the smallest conductor forced by the expression;
-    embed into the computation's global conductor afterwards."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty scalar expression")
-    return _ScalarParser(tokens, variables or {}).parse()
+    The result carries the conductor the text names; embed into the
+    computation's global conductor afterwards."""
+    from .freealg import parse_ncpoly  # freealg builds on this module
+    p = parse_ncpoly(text, (), 1, variables)
+    return p.terms[()] if p.terms else CycNum.zero(p.conductor)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cyclo import CycNum, lcm
+from .cyclo import CycNum
 from .errors import AlphabetMismatch, ParseError, ValidationError
 
 Word = tuple
@@ -297,12 +299,6 @@ class Presentation:
     def gen_poly(self, index: int) -> NcPoly:
         return NcPoly.gen(self.generators, self.conductor, index)
 
-    def gen_named(self, name: str) -> NcPoly:
-        for g in self.generators:
-            if g.name == name:
-                return self.gen_poly(g.index)
-        raise KeyError(name)
-
     def max_relation_degree(self) -> int:
         return max((r.degree() for r in self.relations), default=0)
 
@@ -431,45 +427,68 @@ def change_basis(p: NcPoly, matrix, new_names: Optional[Sequence[str]] = None) -
 
 
 # ---------------------------------------------------------------------------
-# relation parser
+# the expression grammar
 #
-# Accepts the scalar grammar of the cyclo module plus generator names, ^ with
-# nonnegative integer exponents, and the commutator shorthands [a,b] and
-# [a,b]_+ (an anticommutator may also be written [a,b]+ when the plus sign
-# immediately follows the bracket).
+# One grammar serves relations, generator images, scalar tables and cocycle
+# formulas; a scalar is a degree-0 polynomial over the empty alphabet.
+#
+#   expr  := term (('+' | '-') term)*
+#   term  := unary (('*' | '/') unary)*
+#   unary := ('+' | '-') unary | power
+#   power := atom ['^' unary]                 (so '^' is right-associative)
+#   atom  := integer | 'i' | 'zeta' '(' integer ')' | '(' expr ')'
+#          | '[' expr ',' expr (']' | ']_+') | name
+#
+# '**' means '^', and ']' immediately followed by '+' means ']_+' (the
+# anticommutator).  An exponent must evaluate to a rational integer and may
+# be negative only on a scalar; division is only by a nonzero scalar.  A
+# name is a generator, else a caller-bound integer variable.
 # ---------------------------------------------------------------------------
 
-_POLY_TOKEN_RE = re.compile(r"(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|\]_\+|[-+*/^()\[\],])")
+_TOKEN_RE = re.compile(r"(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|\]_\+|[-+*/^()\[\],])")
 
 
-def _poly_tokenize(text: str) -> list[str]:
+@lru_cache(maxsize=256)
+def _tokenize(text: str) -> tuple:
+    """The tokens of an expression and the conductor its scalars name:
+    4 for each `i` and N for each `zeta(N)`."""
     tokens = []
     pos = 0
     while pos < len(text):
         if text[pos].isspace():
             pos += 1
             continue
-        m = _POLY_TOKEN_RE.match(text, pos)
+        m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise ParseError(f"bad character in relation: {text[pos:]!r}")
+            raise ParseError(f"bad character in expression: {text[pos:]!r}")
         tok = m.group(1)
         pos = m.end()
         if tok == "**":
             tok = "^"
-        if tok == "]" and pos < len(text) and text[pos] == "+":
-            # adjacent ']+' means the anticommutator bracket
+        if tok == "]" and text.startswith("+", pos):
             tok = "]_+"
             pos += 1
         tokens.append(tok)
-    return tokens
+    named = 1
+    for k, tok in enumerate(tokens):
+        if tok == "i":
+            named = lcm(named, 4)
+        elif tok == "zeta":
+            # the parser rejects anything but zeta ( N ) with N >= 1
+            arg = tokens[k + 2] if k + 2 < len(tokens) else ""
+            if arg.isdigit() and int(arg) > 0:
+                named = lcm(named, int(arg))
+    return tuple(tokens), named
 
 
-class _PolyParser:
-    def __init__(self, tokens: list[str], gens: tuple, conductor: int):
+class _Parser:
+    def __init__(self, tokens: tuple, gens: tuple, conductor: int,
+                 variables: Mapping[str, int]):
         self.tokens = tokens
         self.pos = 0
         self.gens = gens
         self.conductor = conductor
+        self.variables = variables
         self.by_name = {g.name: g.index for g in gens}
 
     def peek(self) -> Optional[str]:
@@ -478,7 +497,7 @@ class _PolyParser:
     def take(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of relation")
+            raise ParseError("unexpected end of expression")
         self.pos += 1
         return tok
 
@@ -490,7 +509,7 @@ class _PolyParser:
     def parse(self) -> NcPoly:
         p = self.expr()
         if self.peek() is not None:
-            raise ParseError(f"trailing input in relation: {self.peek()!r}")
+            raise ParseError(f"trailing input in expression: {self.peek()!r}")
         return p
 
     def expr(self) -> NcPoly:
@@ -509,11 +528,7 @@ class _PolyParser:
             if op == "*":
                 p = p * q
             else:
-                if q.terms.keys() != {()} and not q.is_zero():
-                    raise ParseError("division only by scalars")
-                if q.is_zero():
-                    raise ParseError("division by zero")
-                p = p.scale(q.terms[()].inverse())
+                p = p.scale(self.inverse(self.constant(q)))
         return p
 
     def unary(self) -> NcPoly:
@@ -527,41 +542,48 @@ class _PolyParser:
 
     def power(self) -> NcPoly:
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp_tok = self.take()
-            negative = False
-            if exp_tok == "-":
-                negative = True
-                exp_tok = self.take()
-            if not exp_tok.isdigit():
-                raise ParseError(f"integer exponent expected, got {exp_tok!r}")
-            e = int(exp_tok)
-            if negative:
-                if base.terms.keys() != {()}:
-                    raise ParseError("negative powers only on scalars")
-                return NcPoly(self.gens, self.conductor,
-                              {(): base.terms[()] ** (-e)})
-            return base ** e
-        return base
+        if self.peek() != "^":
+            return base
+        self.take()
+        exponent = self.constant(self.unary())
+        if not exponent.is_rational() or exponent.coeffs[0].denominator != 1:
+            raise ParseError(f"an exponent must be a rational integer, got {exponent}")
+        e = exponent.coeffs[0].numerator
+        if base.terms.keys() <= {()}:
+            value = self.constant(base)
+            return self.scalar(value ** e if e >= 0 else self.inverse(value) ** -e)
+        if e < 0:
+            raise ParseError("negative powers only on scalars")
+        return base ** e
+
+    def constant(self, p: NcPoly) -> CycNum:
+        if not p.terms.keys() <= {()}:
+            raise ParseError(f"expected a scalar, got {p}")
+        return p.terms[()] if p.terms else CycNum.zero(self.conductor)
+
+    @staticmethod
+    def inverse(value: CycNum) -> CycNum:
+        if value.is_zero():
+            raise ParseError("division by zero")
+        return value.inverse()
 
     def scalar(self, value: CycNum) -> NcPoly:
-        return NcPoly(self.gens, self.conductor,
-                      {(): value.embed(self.conductor)})
+        return NcPoly(self.gens, self.conductor, {(): value})
 
     def atom(self) -> NcPoly:
         tok = self.take()
         if tok.isdigit():
-            return self.scalar(CycNum.rational(int(tok)))
+            return self.scalar(CycNum.rational(int(tok), self.conductor))
         if tok == "i":
-            return self.scalar(CycNum.i())
+            return self.scalar(CycNum.zeta(self.conductor, self.conductor // 4))
         if tok == "zeta":
             self.expect("(")
             n_tok = self.take()
             if not n_tok.isdigit() or int(n_tok) < 1:
                 raise ParseError(f"zeta() needs a positive integer, got {n_tok!r}")
             self.expect(")")
-            return self.scalar(CycNum.zeta(int(n_tok)))
+            return self.scalar(CycNum.zeta(self.conductor,
+                                           self.conductor // int(n_tok)))
         if tok == "(":
             p = self.expr()
             self.expect(")")
@@ -578,25 +600,17 @@ class _PolyParser:
             raise ParseError(f"expected ']' or ']_+', got {closing!r}")
         if tok in self.by_name:
             return NcPoly.gen(self.gens, self.conductor, self.by_name[tok])
-        raise ParseError(f"unknown name in relation: {tok!r}")
+        if tok in self.variables:
+            return self.scalar(CycNum.rational(self.variables[tok], self.conductor))
+        raise ParseError(f"unknown name in expression: {tok!r}")
 
 
-def parse_ncpoly(text: str, gens: tuple, conductor: int) -> NcPoly:
-    """Parse a relation string over the given alphabet at a fixed conductor.
-
-    The conductor must already cover every scalar appearing in the text."""
-    tokens = _poly_tokenize(text)
+def parse_ncpoly(text: str, gens: tuple, conductor: int,
+                 variables: Optional[Mapping[str, int]] = None) -> NcPoly:
+    """Parse an expression over the alphabet `gens`, with `variables` bound
+    to integers.  The result lives at lcm(conductor, the conductor the text
+    names)."""
+    tokens, named = _tokenize(text)
     if not tokens:
-        raise ParseError("empty relation")
-    return _PolyParser(tokens, gens, conductor).parse()
-
-
-def scalar_conductor_needed(text: str) -> int:
-    """Smallest conductor that can host every scalar in a relation string."""
-    need = 1
-    for tok in _poly_tokenize(text):
-        if tok == "i":
-            need = lcm(need, 4)
-    for m in re.finditer(r"zeta\s*\(\s*(\d+)\s*\)", text):
-        need = lcm(need, int(m.group(1)))
-    return need
+        raise ParseError("empty expression")
+    return _Parser(tokens, gens, lcm(conductor, named), variables or {}).parse()

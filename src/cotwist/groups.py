@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
-from .cyclo import CycNum, common_conductor, lcm, parse_scalar, root_exponent
+from .cyclo import CycNum, common_conductor, parse_scalar, root_exponent
 from .errors import FalsificationError, ValidationError
 from .linalg import solve_mod
 
@@ -39,16 +39,10 @@ class AbGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for n in self.factors:
-            out *= n
-        return out
+        return prod(self.factors)
 
     def exponent(self) -> int:
-        out = 1
-        for n in self.factors:
-            out = lcm(out, n)
-        return out
+        return lcm(*self.factors)
 
     def elements(self) -> list:
         return [tuple(v) for v in itertools.product(*(range(n) for n in self.factors))]
@@ -66,10 +60,7 @@ class AbGroup:
         return tuple((-x) % n for x, n in zip(a, self.factors))
 
     def order_of(self, a: Element) -> int:
-        out = 1
-        for x, n in zip(a, self.factors):
-            out = lcm(out, n // gcd(x, n) if x else 1)
-        return out
+        return lcm(*(n // gcd(x, n) for x, n in zip(a, self.factors)))
 
     def index(self, a: Element) -> int:
         idx = 0

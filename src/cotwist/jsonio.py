@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .action import (GGrading, GradedAction, HomogBasis, diagonal_action,
                      grading_from_degrees, isotypic_basis,
                      regrade_presentation, validate_action)
-from .cyclo import common_conductor, lcm, parse_scalar, root_of_unity
+from .cyclo import common_conductor, parse_scalar, root_of_unity
 from .errors import ParseError, ValidationError
 from .freealg import (GenMap, NcPoly, Presentation, make_alphabet,
-                      make_presentation, parse_ncpoly, scalar_conductor_needed)
+                      make_presentation, parse_ncpoly)
 from .gbasis import IsoVerdict, TruncGB
 from .groups import (AbGroup, Cocycle, Duality, cocycle_from_scalars,
                      formula_table, klein_duality, klein_mu, make_duality,
@@ -51,41 +52,59 @@ def dump_json(data) -> str:
 # loading
 # ---------------------------------------------------------------------------
 
-def _require(data: dict, key: str):
+# Malformed input raises ParseError naming its JSON path, e.g.
+# "generators[0].name" or "relations[1]".
+
+def _check(ok: bool, where: str, what: str) -> None:
+    if not ok:
+        raise ParseError(f"{where} must be {what}")
+
+
+def _require(data: dict, key: str, where: str = ""):
     if key not in data:
-        raise ParseError(f"missing {key!r} in input")
+        raise ParseError(f"{where}.{key} is missing" if where else f"{key} is missing")
     return data[key]
 
 
 def generators_from_dict(data: dict):
     gens = _require(data, "generators")
+    _check(isinstance(gens, list), "generators", "a list")
     pairs = []
-    for item in gens:
+    for k, item in enumerate(gens):
         if isinstance(item, str):
             pairs.append((item, 1))
-        else:
-            pairs.append((str(item["name"]), int(item.get("degree", 1))))
+            continue
+        where = f"generators[{k}]"
+        _check(isinstance(item, dict), where, "a name or a {name, degree} object")
+        _check(isinstance(item.get("name"), str), f"{where}.name", "a string")
+        degree = item.get("degree", 1)
+        _check(type(degree) is int, f"{where}.degree", "an integer")
+        pairs.append((item["name"], degree))
     return make_alphabet(pairs)
 
 
-def presentation_conductor_needed(data: dict) -> int:
-    need = int(data.get("conductor", 1))
-    for text in data.get("relations", []):
-        need = lcm(need, scalar_conductor_needed(text))
-    return need
-
-
 def presentation_from_dict(data: dict, conductor: Optional[int] = None) -> Presentation:
+    """The presentation at lcm(its "conductor", `conductor`, every conductor
+    its relations name)."""
     gens = generators_from_dict(data)
-    final = lcm(presentation_conductor_needed(data), conductor or 1)
-    relations = [parse_ncpoly(text, gens, final)
-                 for text in data.get("relations", [])]
-    return make_presentation(final, gens, relations)
+    base = data.get("conductor", 1)
+    _check(type(base) is int and base > 0, "conductor", "a positive integer")
+    base = lcm(base, conductor or 1)
+    texts = data.get("relations", [])
+    _check(isinstance(texts, list), "relations", "a list")
+    relations = []
+    for k, text in enumerate(texts):
+        _check(isinstance(text, str), f"relations[{k}]", "a string")
+        relations.append(parse_ncpoly(text, gens, base))
+    return make_presentation(lcm(base, *(r.conductor for r in relations)),
+                             gens, relations)
 
 
 def group_from_dict(data: dict) -> AbGroup:
     factors = _require(data, "group")
-    return AbGroup(tuple(int(n) for n in factors))
+    _check(isinstance(factors, list) and all(type(n) is int for n in factors),
+           "group", "a list of cyclic orders")
+    return AbGroup(tuple(factors))
 
 
 def _parse_scalar_table(rows, block: str) -> list:
@@ -113,6 +132,7 @@ def duality_from_dict(data: dict, group: AbGroup) -> tuple:
 
 def cocycle_from_dict(data: dict, group: AbGroup) -> tuple:
     """The cocycle and the conductor its input names."""
+    _check(isinstance(data, dict), "the top level", "an object")
     block = data.get("cocycle", {"builtin": "trivial"})
     if not isinstance(block, dict):
         raise ParseError("cocycle block must be an object with one of: "
@@ -169,21 +189,21 @@ def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBu
     duality, duality_conductor = duality_from_dict(data, group)
     cocycle, cocycle_conductor = cocycle_from_dict(data, group)
 
-    need = lcm(presentation_conductor_needed(data), conductor or 1)
-    need = lcm(need, lcm(duality_conductor, cocycle_conductor))
+    need = lcm(conductor or 1, duality_conductor, cocycle_conductor)
     action_block = data.get("action")
     matrices = None
     if action_block is not None:
-        by_name = {str(item["generator"]): item["matrix"] for item in action_block}
+        _check(isinstance(action_block, list)
+               and all(isinstance(item, dict) for item in action_block),
+               "action", "a list of {generator, matrix} objects")
+        by_name = {str(item.get("generator")): item.get("matrix")
+                   for item in action_block}
         expected = [f"g{j + 1}" for j in range(group.rank)]
         if set(by_name) != set(expected):
             raise ParseError(f"action block must name exactly {expected}")
         matrices = [_parse_scalar_table(by_name[name], f"action matrix for {name}")
                     for name in expected]
-        for m in matrices:
-            for row in m:
-                for x in row:
-                    need = lcm(need, x.conductor)
+        need = lcm(need, *(x.conductor for m in matrices for row in m for x in row))
 
     presentation = presentation_from_dict(data, need)
 
@@ -213,14 +233,20 @@ def genmap_from_dict(data: dict, source: Presentation,
                      target: Presentation) -> GenMap:
     images_block = _require(data, "images")
     if isinstance(images_block, dict):
-        texts = [images_block[g.name] for g in source.generators]
+        texts = [_require(images_block, g.name, "images") for g in source.generators]
     else:
-        texts = list(images_block)
+        _check(isinstance(images_block, list), "images", "an object or a list")
+        texts = images_block
     if len(texts) != len(source.generators):
         raise ParseError("one image per source generator required")
-    images = tuple(parse_ncpoly(str(t), target.generators, target.conductor)
-                   for t in texts)
-    return GenMap(source.generators, images)
+    images = []
+    for g, text in zip(source.generators, texts):
+        image = parse_ncpoly(str(text), target.generators, target.conductor)
+        if image.conductor != target.conductor:
+            raise ParseError(f"images.{g.name} names conductor {image.conductor}, "
+                             f"but the target has conductor {target.conductor}")
+        images.append(image)
+    return GenMap(source.generators, tuple(images))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ instead of c^(-1) is the classic off-by-conjugation mistake.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
 from .action import GGrading, GradedAction, isotypic_basis, regrade_presentation
-from .cyclo import lcm, root_of_unity
+from .cyclo import root_of_unity
 from .errors import FalsificationError, ValidationError
 from .freealg import GenMap, NcPoly, Presentation, make_presentation
 from .groups import (AbGroup, Cocycle, Duality, Element, GroupAut,

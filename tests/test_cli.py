@@ -103,6 +103,18 @@ def test_iso_check_with_map_file(capsys, tmp_path):
     assert json.loads(out)["status"] in ("SYNTACTIC", "VERIFIED")
 
 
+def test_map_image_beyond_target_conductor_is_input_error(capsys, tmp_path):
+    # the presets live at conductor 4, which cannot host zeta(8)
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"images": {"w1": "zeta(8)*w1", "w2": "w2",
+                                               "w3": "w3"}}))
+    code, out, err = run(capsys, ["iso-check", "--lhs", "preset:C(1)",
+                                  "--rhs", "preset:C(1)",
+                                  "--map", str(map_path), "--degree", "4"])
+    assert code == 2 and out == ""
+    assert "input error: images.w1 names conductor 8" in err
+
+
 def test_kgmu_command(capsys):
     code, out, _ = run(capsys, ["kgmu", "--group", "2,2",
                                 "--cocycle", "klein"])
@@ -214,6 +226,33 @@ def test_malformed_group_block_is_input_error(capsys, tmp_path, blocks, message)
     code, _, err = run(capsys, ["validate", "--input", path])
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("argv,data,where", [
+    (["gb", "--input"], {"generators": 5, "relations": []}, "generators"),
+    (["gb", "--input"], {"generators": [{"degree": 1}], "relations": []},
+     "generators[0].name"),
+    (["gb", "--input"], {"generators": ["x"], "relations": ["x^2", 5]},
+     "relations[1]"),
+    (["validate", "--input"],
+     {"generators": ["x"], "relations": [], "group": 5, "g_degrees": [[1]]},
+     "group"),
+    (["kgmu", "--group", "2,2", "--cocycle"], [[1, 1], [1, 1]], "the top level"),
+    (["gb", "--input"], {"conductor": 0, "generators": ["x"], "relations": []},
+     "conductor"),
+    (["validate", "--input"], {"generators": ["x"], "relations": [],
+                               "group": [2], "action": 5}, "action"),
+    (["iso-check", "--lhs", "preset:C(1)", "--rhs", "preset:C(1)", "--map"],
+     {"images": {"w1": "w1", "w3": "w3"}}, "images.w2"),
+], ids=["generators-number", "generator-without-name", "relation-number",
+        "group-number", "cocycle-file-list", "conductor-zero", "action-number",
+        "image-missing"])
+def test_malformed_json_is_input_error(capsys, tmp_path, argv, data, where):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 2 and out == ""
+    assert f"input error: {where} " in err
 
 
 def test_bad_relation_is_input_error(capsys, tmp_path):

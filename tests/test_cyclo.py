@@ -154,10 +154,44 @@ def test_parse_errors():
         parse_scalar("2 +")
     with pytest.raises(ParseError):
         parse_scalar("q")
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_scalar("1/0")
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_scalar("0^-1")
+    with pytest.raises(ParseError, match="rational integer"):
+        parse_scalar("2^(1/2)")
 
 
-def test_parse_powers_and_variables():
-    assert parse_scalar("zeta(8)^2") == CycNum.zeta(8, 2)
-    assert parse_scalar("2^-1").as_fraction() == Fraction(1, 2)
-    assert parse_scalar("(-1)^(p*s)", {"p": 1, "s": 1}) == CycNum.rational(-1)
-    assert parse_scalar("(-1)^(p*s)", {"p": 1, "s": 0}).is_one()
+# the result carries the conductor the text names: 4 per i, N per zeta(N)
+@pytest.mark.parametrize("text,variables,expected", [
+    ("zeta(8)^2", None, CycNum.zeta(8, 2)),
+    ("zeta( 8 )", None, CycNum.zeta(8)),
+    ("2^-1", None, CycNum.rational(Fraction(1, 2))),
+    ("2^3^2", None, CycNum.rational(512)),
+    ("2**3**2", None, CycNum.rational(512)),
+    ("2^(i*i)", None, CycNum.rational(Fraction(1, 2), 4)),
+    ("zeta(12)^-5", None, CycNum.zeta(12, 7)),
+    ("-i^2", None, CycNum.rational(1, 4)),
+    ("(-1)^(p*s)", {"p": 1, "s": 1}, CycNum.rational(-1)),
+    ("(-1)^(p*s)", {"p": 1, "s": 0}, CycNum.one()),
+    ("zeta(6)^(2*a1*b2)", {"a1": 1, "b2": 2}, CycNum.zeta(6, 4)),
+], ids=["zeta-power", "zeta-spaces", "negative-power", "right-associative",
+        "double-star", "exponent-names-i", "zeta-negative-power", "unary-minus",
+        "variables-odd", "variables-even", "formula"])
+def test_parse_powers_and_variables(text, variables, expected):
+    assert parse_scalar(text, variables) == expected
+
+
+@pytest.mark.parametrize("conductor", CONDUCTORS)
+def test_power_matches_repeated_multiplication(conductor):
+    # +-zeta^k are read off the power table; 2 + zeta goes through
+    # square-and-multiply
+    bases = [s * CycNum.zeta(conductor, k) for k in range(euler_phi(conductor))
+             for s in (CycNum.one(conductor), -CycNum.one(conductor))]
+    bases.append(CycNum.rational(2, conductor) + CycNum.zeta(conductor))
+    for base in bases:
+        expected = CycNum.one(conductor)
+        for e in range(13):
+            assert base ** e == expected
+            assert base ** -e == expected.inverse()
+            expected = expected * base

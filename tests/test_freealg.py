@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cotwist.cyclo import CycNum
+from cotwist.cyclo import CycNum, parse_scalar
 from cotwist.errors import AlphabetMismatch, ParseError, ValidationError
 from cotwist.freealg import (GenMap, NcPoly, change_basis, make_alphabet,
                              make_presentation, parse_ncpoly)
@@ -166,10 +166,31 @@ def test_commutator_shorthands():
     assert nested == poly("x3*x1*x2 + x3*x2*x1 - x1*x2*x3 - x2*x1*x3")
 
 
-def test_parser_scalar_coefficients():
-    p = poly("i*x1*x2 - (1/2)*x2*x1")
-    assert p.terms[(0, 1)] == CycNum.i()
-    assert p.terms[(1, 0)] == CycNum.rational(Fraction(-1, 2), 4)
+# parsed at conductor 4; the result lives at lcm(4, the conductor the text names)
+@pytest.mark.parametrize("text,conductor,terms", [
+    ("i*x1*x2 - (1/2)*x2*x1", 4,
+     {(0, 1): CycNum.i(), (1, 0): CycNum.rational(Fraction(-1, 2))}),
+    ("x1^(1+1)", 4, {(0, 0): CycNum.one()}),
+    ("x1^2^1", 4, {(0, 0): CycNum.one()}),
+    ("2^3^2*x1", 4, {(0,): CycNum.rational(512)}),
+    ("2^-1*x1**2", 4, {(0, 0): CycNum.rational(Fraction(1, 2))}),
+    ("x2/(1 + i)", 4,
+     {(1,): (CycNum.one(4) - CycNum.i()) * CycNum.rational(Fraction(1, 2), 4)}),
+    ("zeta( 8 )^2*x3", 8, {(2,): CycNum.zeta(8, 2)}),
+    ("[x1,x2]+ - [x1,x2]_+", 4, {}),
+], ids=["coefficients", "exponent-expression", "right-associative",
+        "scalar-power", "negative-scalar-power", "divide-by-scalar",
+        "lifts-conductor", "anticommutator-spellings"])
+def test_parser_scalar_coefficients(text, conductor, terms):
+    expected = NcPoly(X3, conductor, {w: c.embed(conductor) for w, c in terms.items()})
+    assert poly(text) == expected
+
+
+@pytest.mark.parametrize("text", ["3/2", "-i^2 + zeta(8)", "2^(i*i)", "zeta(6)^-1",
+                                  "[2, 3]_+", "(1 + i)/(1 - i)"])
+def test_scalar_and_degree_zero_relation_agree(text):
+    value = parse_scalar(text)
+    assert poly(text, conductor=1) == NcPoly(X3, value.conductor, {(): value})
 
 
 def test_parser_rejects_unknown_names_and_bad_input():
@@ -179,6 +200,12 @@ def test_parser_rejects_unknown_names_and_bad_input():
         poly("x1 +")
     with pytest.raises(ParseError):
         poly("x1 / x2")
+    with pytest.raises(ParseError, match="negative powers"):
+        poly("x1^-1")
+    with pytest.raises(ParseError, match="division by zero"):
+        poly("x1/0")
+    with pytest.raises(ParseError, match="division by zero"):
+        poly("0^-1*x1")
 
 
 def test_poly_string_round_trip():

@@ -61,7 +61,7 @@ def test_generator_multiples_reduce_to_zero():
     pres = preset("A(1,-1)").presentation
     gb = truncated_gb(pres, 6)
     r = pres.relations[0]
-    w3 = pres.gen_named("w3")
+    w3 = pres.parse("w3")
     assert normal_form(r + r * w3, gb).is_zero()
 
 

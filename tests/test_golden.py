@@ -20,6 +20,9 @@ SKLYANIN = os.path.join(GOLDEN, "sklyanin.json")
 # cocycle), and conductor 6 from a formula naming zeta(6) on C3 x C3
 KLEIN_STANDARD = os.path.join(GOLDEN, "klein-standard.json")
 C3C3 = os.path.join(GOLDEN, "c3c3.json")
+# every construct of the expression grammar: zeta(8), i, [a,b], [a,b]_+, ]+,
+# **, a scalar ^-1, a nested bracket and a rational coefficient
+GRAMMAR = os.path.join(GOLDEN, "grammar.json")
 
 TWIST_SOURCES = {"A": "A(1,-1)", "B": "B(1)", "E": "E(1,i)",
                  "G": "G(1,(1+i)/2)"}
@@ -34,6 +37,8 @@ CASES = {
     "twist-klein-standard": ["twist", "--input", KLEIN_STANDARD],
     "twist-c3c3": ["twist", "--input", C3C3],
     "kgmu-c3c3": ["kgmu", "--group", "3,3", "--cocycle", "zeta(6)^(2*a1*b2)"],
+    "twist-grammar": ["twist", "--input", GRAMMAR],
+    "gb-grammar": ["gb", "--degree", "4", "--input", GRAMMAR],
 }
 for _key, _name in TWIST_SOURCES.items():
     CASES[f"gb-{_key}"] = ["gb", "--degree", "6", "--input", f"preset:{_name}"]
