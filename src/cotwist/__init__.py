@@ -29,7 +29,7 @@ from .crossed import (CrossedElement, CrossedModel, FinDimAlg,
                       is_full_matrix_algebra, isotypic_component,
                       twisted_group_algebra, verify_bimodule_component,
                       verify_invariant_ring)
-from .presets import (PRESET_NAMES, Preset, a_family_xbasis, full_report,
-                      preset, run_twist_suite)
+from .presets import (CHECKS, PRESET_NAMES, Preset, a_family_xbasis,
+                      full_report, preset)
 
 __version__ = "0.1.0"

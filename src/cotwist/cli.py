@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 a verification was falsified, 2 input
-error.  Output is JSON with sorted keys (byte-deterministic given the
-inputs); --human switches to an indented text rendering.
+error, 3 internal error (any other exception).  Output is JSON with sorted
+keys (byte-deterministic given the inputs); --human switches to an indented
+text rendering.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .jsonio import (SpecBundle, basis_to_dict, cocycle_from_dict,
                      genmap_from_dict, grading_to_dict, load_json,
                      presentation_from_dict, presentation_to_dict,
                      spec_bundle_from_dict, verdict_to_dict)
-from .presets import full_report, preset, run_twist_suite
+from .presets import CHECKS, full_report, preset, verdict
 from .twist import twist_presentation
 
 _PRESET_SCHEME = "preset:"
@@ -235,16 +236,14 @@ def _cmd_schur(args) -> int:
     return 0
 
 
-def _cmd_theorem55(args) -> int:
-    report = run_twist_suite(args.degree)
-    _emit(report, args.human)
-    return 0 if report["passed"] else 1
-
-
-def _cmd_report(args) -> int:
-    report = full_report(bound=args.degree)
-    _emit(report, args.human)
-    return 0 if report["passed"] else 1
+def _cmd_checks(args) -> int:
+    """`theorem55` runs one entry of `CHECKS`, `report` all of them."""
+    if args.check is None:
+        out = full_report(args.degree)
+    else:
+        out = CHECKS[args.check](args.degree)
+    _emit(out, args.human)
+    return 0 if verdict(out) else 1
 
 
 def _nonnegative_int(text: str) -> int:
@@ -338,11 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem55", help="run the built-in twist-equivalence "
                                          "suite on the preset families")
     common(p)
-    p.set_defaults(func=_cmd_theorem55)
+    p.set_defaults(func=_cmd_checks, check="twist_suite")
 
     p = sub.add_parser("report", help="run the full verification battery")
     common(p)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_checks, check=None)
     return parser
 
 
@@ -361,6 +360,10 @@ def main(argv: Optional[list] = None) -> int:
     except CotwistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -230,12 +230,6 @@ class CycNum:
             raise CotwistError(f"{self} is not rational")
         return self.coeffs[0]
 
-    def as_int(self) -> int:
-        f = self.as_fraction()
-        if f.denominator != 1:
-            raise CotwistError(f"{self} is not an integer")
-        return f.numerator
-
     def _check(self, other: "CycNum") -> None:
         if self.conductor != other.conductor:
             raise ConductorMismatch(

@@ -354,10 +354,6 @@ class GroupAut:
         return all(self.images[j] == self.group.generator(j)
                    for j in range(self.group.rank))
 
-    def compose(self, inner: "GroupAut") -> "GroupAut":
-        return GroupAut(self.group,
-                        tuple(self.apply(img) for img in inner.images))
-
     def inverse(self) -> "GroupAut":
         perm = {self.apply(g): g for g in self.group.elements()}
         return GroupAut(self.group,
@@ -381,10 +377,6 @@ def make_group_aut(group: AbGroup, images: Sequence[Element]) -> GroupAut:
 
 def _divisors_of(n: int) -> set:
     return {d for d in range(1, n + 1) if n % d == 0}
-
-
-def identity_aut(group: AbGroup) -> GroupAut:
-    return GroupAut(group, tuple(group.generator(j) for j in range(group.rank)))
 
 
 def all_automorphisms(group: AbGroup) -> list:

@@ -1,6 +1,6 @@
 """Built-in data: the Klein-group twist setup and the twist-related members
-of the Rogalski-Zhang families, stored in the diagonal w-basis, plus the
-end-to-end verification pipelines behind the `theorem55` and `report`
+of the Rogalski-Zhang families, stored in the diagonal w-basis, plus
+`CHECKS`, the table of named checks behind the `theorem55` and `report`
 commands.
 
 Every preset lives over conductor 4, has three degree-1 generators with
@@ -15,15 +15,17 @@ one display form, the C-family cubic, has leading coefficient -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .action import GGrading, GradedAction, diagonal_action, grading_from_degrees
+from .crossed import (center_basis, is_full_matrix_algebra, trace_form_rank,
+                      twisted_group_algebra, verify_bimodule_component,
+                      verify_invariant_ring)
 from .cyclo import CycNum
 from .errors import CotwistError
 from .freealg import GenMap, NcPoly, Presentation, make_alphabet, make_presentation, parse_ncpoly
 from .gbasis import hilbert_coeffs, is_regular_to_degree, verify_iso
-from .groups import (AbGroup, Cocycle, Duality, klein_duality, klein_mu,
-                     standard_duality, all_automorphisms, trivial_cocycle)
+from .groups import (AbGroup, Cocycle, Duality, all_automorphisms, klein_duality,
+                     klein_mu, schur_order, standard_duality, trivial_cocycle)
 from .twist import (TwistSpec, coboundary_rescale_matches, double_twist,
                     twist_poly, twist_presentation, verify_duality_benign,
                     verify_regrade_compat)
@@ -65,8 +67,6 @@ class Preset:
     cocycle: Cocycle
     g_degrees: tuple
     action: GradedAction
-    expected_target: Optional[str]
-    expected_scalars: Optional[tuple]
 
     def grading(self) -> GGrading:
         return grading_from_degrees(self.presentation, self.group, self.g_degrees)
@@ -78,14 +78,10 @@ class Preset:
 _PRESET_CACHE: dict = {}
 
 
-def preset(name: str):
-    """A named preset; `klein-mu` returns the built-in cocycle table."""
-    if name == "klein-mu":
-        return klein_mu()
+def preset(name: str) -> Preset:
     if name not in _CATALOG:
         raise CotwistError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)} "
-            f"and klein-mu")
+            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     if name in _PRESET_CACHE:
         return _PRESET_CACHE[name]
     gens = make_alphabet([("w1", 1), ("w2", 1), ("w3", 1)])
@@ -96,12 +92,7 @@ def preset(name: str):
     mu = klein_mu()
     degrees = ((0, 0), (0, 1), (1, 0))
     act = diagonal_action(pres, group, duality, degrees)
-    pair = TWIST_PAIRS.get(name)
-    scalars = None
-    if pair is not None:
-        scalars = tuple(CycNum.rational(s, CONDUCTOR) for s in pair[1])
-    p = Preset(name, pres, display, group, duality, mu, degrees, act,
-               pair[0] if pair else None, scalars)
+    p = Preset(name, pres, display, group, duality, mu, degrees, act)
     _PRESET_CACHE[name] = p
     return p
 
@@ -130,38 +121,56 @@ def a_family_xbasis() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the four built-in twist isomorphisms
+# the verification battery: one table of named checks
 # ---------------------------------------------------------------------------
 
-def run_twist_suite(bound: int = 6) -> dict:
+# fixed bounds of the crossed-product and regularity checks
+INVARIANT_BOUND = 4
+BIMODULE_BOUND = 3
+REGULARITY_BOUND = 4
+
+# generator rescalings g -> i^k, as exponents mod 4
+_FIXED_RESCALINGS = (
+    {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 1},
+    {(0, 0): 0, (1, 0): 0, (0, 1): 1, (1, 1): 3},
+)
+
+
+def _section(items_key: str, items: list, verdict_key: str = "pass",
+             **details) -> dict:
+    """A report section listing `items`, records with a `pass` verdict; it
+    passes when every item does."""
+    return {items_key: items,
+            verdict_key: all(item["pass"] for item in items), **details}
+
+
+def verdict(section: dict) -> bool:
+    """The verdict of a section (`passed` for the twist suite and the whole
+    report, `pass` elsewhere); a section with neither fails."""
+    return section.get("pass", section.get("passed")) is True
+
+
+def _twist_suite(bound: int) -> dict:
     """Twist each source preset, demand an exact syntactic match with its
-    target, record the per-relation scalars, and re-verify with the degree-
-    bounded membership and Hilbert checks."""
+    target, record the per-relation scalars against the display forms, and
+    re-verify with the degree-bounded membership and Hilbert checks."""
     pairs = []
-    passed = True
-    for source_name, (target_name, _) in TWIST_PAIRS.items():
+    for source_name, (target_name, expected) in TWIST_PAIRS.items():
         source = preset(source_name)
         target = preset(target_name)
         twisted = twist_presentation(source.twist_spec())
         syntactic = twisted.presentation.relations == target.presentation.relations
 
         scalars = []
-        scalars_ok = True
         for raw, tgt in zip(source.display_relations, target.display_relations):
             tw = twist_poly(raw, source.grading(), source.cocycle)
             ratio = tw.leading_coeff() * tgt.leading_coeff().inverse()
-            if tw != tgt.scale(ratio):
-                scalars_ok = False
-                scalars.append(None)
-            else:
-                scalars.append(ratio)
-        scalars_ok = scalars_ok and tuple(scalars) == source.expected_scalars
+            scalars.append(ratio if tw == tgt.scale(ratio) else None)
+        scalars_ok = scalars == [CycNum.rational(s, CONDUCTOR) for s in expected]
 
         iso = verify_iso(twisted.presentation, target.presentation,
                          GenMap.identity(target.presentation.generators, CONDUCTOR),
                          bound)
-        ok = syntactic and scalars_ok and iso.ok and iso.hilbert_equal
-        passed = passed and ok
         pairs.append({
             "source": source_name,
             "target": target_name,
@@ -172,166 +181,152 @@ def run_twist_suite(bound: int = 6) -> dict:
             "hilbert_equal": iso.hilbert_equal,
             "twisted_relations": [str(r) for r in twisted.presentation.relations],
             "target_relations": [str(r) for r in target.presentation.relations],
-            "pass": ok,
+            "pass": syntactic and scalars_ok and iso.ok and iso.hilbert_equal,
         })
-    return {
-        "pairs": pairs,
-        "passed": passed,
-        "degree": bound,
-        "notes": {
-            "scalar_reference": "scalars compare the twisted relations with "
-                                "the catalog display forms of the targets",
-            "g_family_parametrization": "the G-family cubic is stored with "
-                                        "coefficient 2*gamma-1; this "
-                                        "parametrization is inferred from the "
-                                        "conjugate-parameter target",
-        },
-    }
+    return _section("pairs", pairs, verdict_key="passed", degree=bound, notes={
+        "scalar_reference": "scalars compare the twisted relations with "
+                            "the catalog display forms of the targets",
+        "g_family_parametrization": "the G-family cubic is stored with "
+                                    "coefficient 2*gamma-1; this "
+                                    "parametrization is inferred from the "
+                                    "conjugate-parameter target",
+    })
 
 
-# ---------------------------------------------------------------------------
-# the full verification battery
-# ---------------------------------------------------------------------------
-
-# generator rescalings g -> i^k, as exponents mod 4
-_FIXED_RESCALINGS = (
-    {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 1},
-    {(0, 0): 0, (1, 0): 0, (0, 1): 1, (1, 1): 3},
-)
-
-
-def full_report(bound: int = 6, invariant_bound: int = 4,
-                bimodule_bound: int = 3) -> dict:
-    """Run every verification the package can make, machine-readably."""
-    from .crossed import (center_basis, is_full_matrix_algebra,
-                          trace_form_rank, twisted_group_algebra,
-                          verify_bimodule_component, verify_invariant_ring)
-    from .groups import schur_order
-
-    report: dict = {}
-    report["twist_suite"] = run_twist_suite(bound)
-
-    hilbert = {"pass": True, "presets": []}
+def _hilbert_preservation(bound: int) -> dict:
+    presets = []
     for name in PRESET_NAMES:
         p = preset(name)
         own = hilbert_coeffs(p.presentation, bound)
         twisted = twist_presentation(p.twist_spec())
         other = hilbert_coeffs(twisted.presentation, bound)
-        ok = own == other and own[:3] == (1, 3, 7)
-        hilbert["pass"] = hilbert["pass"] and ok
-        hilbert["presets"].append({
-            "name": name, "dims": list(own), "twist_dims": list(other),
-            "pass": ok})
-    report["hilbert_preservation"] = hilbert
+        presets.append({"name": name, "dims": list(own), "twist_dims": list(other),
+                        "pass": own == other and own[:3] == (1, 3, 7)})
+    return _section("presets", presets)
 
-    invariant = {"pass": True, "presets": []}
+
+def _invariant_ring(bound: int) -> dict:
+    presets = []
     for name in ("A(1,-1)", "B(1)"):
-        rep = verify_invariant_ring(preset(name).twist_spec(), invariant_bound)
-        invariant["pass"] = invariant["pass"] and rep.ok
-        invariant["presets"].append({
+        rep = verify_invariant_ring(preset(name).twist_spec(), INVARIANT_BOUND)
+        presets.append({
             "name": name, "bound": rep.bound,
             "dims": [list(t) for t in rep.dims_match],
             "relations_vanish": rep.relations_vanish,
             "multiplicative": rep.multiplicative,
             "pass": rep.ok})
-    report["invariant_ring"] = invariant
+    return _section("presets", presets)
 
-    bimodule = {"pass": True, "components": []}
-    spec_a = preset("A(1,-1)").twist_spec()
-    for g in spec_a.group.elements():
-        rep = verify_bimodule_component(spec_a, g, bimodule_bound)
-        bimodule["pass"] = bimodule["pass"] and rep.ok
-        bimodule["components"].append({
-            "g": spec_a.group.describe(g),
+
+def _bimodule_components(bound: int) -> dict:
+    spec = preset("A(1,-1)").twist_spec()
+    components = []
+    for g in spec.group.elements():
+        rep = verify_bimodule_component(spec, g, BIMODULE_BOUND)
+        components.append({
+            "g": spec.group.describe(g),
             "dims": [list(t) for t in rep.component_dims],
             "scaling_multiplicative": rep.scaling_multiplicative,
             "spans_match": rep.left_span_matches and rep.right_span_matches,
             "pass": rep.ok})
-    report["bimodule_components"] = bimodule
+    return _section("components", components)
 
-    group = spec_a.group
+
+def _twisted_group_algebra(bound: int) -> dict:
+    group = preset("A(1,-1)").group
     alg = twisted_group_algebra(group, klein_mu(), CONDUCTOR)
     plain = twisted_group_algebra(group, trivial_cocycle(group), CONDUCTOR)
-    kgmu = {
+    out = {
         "twisted_center_dim": len(center_basis(alg)),
         "twisted_trace_rank": trace_form_rank(alg),
         "is_full_matrix_algebra": is_full_matrix_algebra(alg),
         "plain_center_dim": len(center_basis(plain)),
     }
-    kgmu["pass"] = (kgmu["twisted_center_dim"] == 1
-                    and kgmu["is_full_matrix_algebra"]
-                    and kgmu["plain_center_dim"] == group.order)
-    report["twisted_group_algebra"] = kgmu
+    out["pass"] = (out["twisted_center_dim"] == 1
+                   and out["is_full_matrix_algebra"]
+                   and out["plain_center_dim"] == group.order)
+    return out
 
-    schur = {
-        "values": {
-            "C2xC2": schur_order(AbGroup((2, 2))),
-            "C2": schur_order(AbGroup((2,))),
-            "C3": schur_order(AbGroup((3,))),
-            "C4": schur_order(AbGroup((4,))),
-            "C3xC3": schur_order(AbGroup((3, 3))),
-        }
-    }
-    schur["pass"] = (schur["values"]["C2xC2"] == 2
-                     and schur["values"]["C2"] == schur["values"]["C3"]
-                     == schur["values"]["C4"] == 1
-                     and schur["values"]["C3xC3"] == 3)
-    report["schur"] = schur
 
-    regrade = {"pass": True, "automorphisms": 0}
-    for sigma in all_automorphisms(group):
-        ok = verify_regrade_compat(spec_a, sigma)
-        regrade["pass"] = regrade["pass"] and ok
-        regrade["automorphisms"] += 1
-    report["regrade_compat"] = regrade
+def _schur(bound: int) -> dict:
+    values = {label: schur_order(AbGroup(factors)) for label, factors in (
+        ("C2xC2", (2, 2)), ("C2", (2,)), ("C3", (3,)), ("C4", (4,)),
+        ("C3xC3", (3, 3)))}
+    return {"values": values,
+            "pass": (values["C2xC2"] == 2
+                     and values["C2"] == values["C3"] == values["C4"] == 1
+                     and values["C3xC3"] == 3)}
 
-    tau = verify_duality_benign(preset("A(1,-1)").action,
-                                klein_duality(), standard_duality(group),
-                                klein_mu())
-    report["duality_compat"] = {
-        "pass": True,
-        "witness": [group.describe(img) for img in tau.images],
-    }
 
-    double = {"pass": True, "presets": []}
+def _regrade_compat(bound: int) -> dict:
+    spec = preset("A(1,-1)").twist_spec()
+    oks = [verify_regrade_compat(spec, sigma)
+           for sigma in all_automorphisms(spec.group)]
+    return {"pass": all(oks), "automorphisms": len(oks)}
+
+
+def _duality_compat(bound: int) -> dict:
+    """Raises FalsificationError when no compatible duality change exists."""
+    p = preset("A(1,-1)")
+    tau = verify_duality_benign(p.action, klein_duality(),
+                                standard_duality(p.group), klein_mu())
+    return {"pass": True,
+            "witness": [p.group.describe(img) for img in tau.images]}
+
+
+def _double_twist(bound: int) -> dict:
+    presets = []
     for name in PRESET_NAMES:
         p = preset(name)
         back = double_twist(p.twist_spec())
-        ok = back.presentation == p.presentation
-        double["pass"] = double["pass"] and ok
-        double["presets"].append({"name": name, "pass": ok})
-    report["double_twist"] = double
+        presets.append({"name": name, "pass": back.presentation == p.presentation})
+    return _section("presets", presets)
 
-    rescale = {"pass": True, "checked": 0}
-    for name in PRESET_NAMES:
-        p = preset(name)
-        for rho in _FIXED_RESCALINGS:
-            ok = coboundary_rescale_matches(p.twist_spec(), 4, rho)
-            rescale["pass"] = rescale["pass"] and ok
-            rescale["checked"] += 1
-    report["coboundary_rescale"] = rescale
 
-    regular = {"pass": True, "presets": []}
+def _coboundary_rescale(bound: int) -> dict:
+    oks = [coboundary_rescale_matches(preset(name).twist_spec(), 4, rho)
+           for name in PRESET_NAMES for rho in _FIXED_RESCALINGS]
+    return {"pass": all(oks), "checked": len(oks)}
+
+
+def _regularity_agreement(bound: int) -> dict:
+    presets = []
     for name in PRESET_NAMES:
         p = preset(name)
         twisted = twist_presentation(p.twist_spec())
-        agree = True
         verdicts = []
         for g in p.presentation.generators:
             before = is_regular_to_degree(p.presentation.gen_poly(g.index),
-                                          p.presentation, 4)
-            after = is_regular_to_degree(
-                twisted.presentation.gen_poly(g.index),
-                twisted.presentation, 4)
+                                          p.presentation, REGULARITY_BOUND)
+            after = is_regular_to_degree(twisted.presentation.gen_poly(g.index),
+                                         twisted.presentation, REGULARITY_BOUND)
             verdicts.append({"generator": g.name,
                              "before": list(before), "after": list(after)})
-            agree = agree and before == after
-        regular["pass"] = regular["pass"] and agree
-        regular["presets"].append({"name": name, "verdicts": verdicts,
-                                   "pass": agree})
-    report["regularity_agreement"] = regular
+        agree = all(v["before"] == v["after"] for v in verdicts)
+        presets.append({"name": name, "verdicts": verdicts, "pass": agree})
+    return _section("presets", presets)
 
-    report["passed"] = report["twist_suite"]["passed"] and all(
-        section["pass"] for key, section in report.items()
-        if isinstance(section, dict) and "pass" in section)
+
+# report key -> check(bound) -> section, in report order; `theorem55` runs
+# the `twist_suite` entry, `report` runs them all
+CHECKS = {
+    "twist_suite": _twist_suite,
+    "hilbert_preservation": _hilbert_preservation,
+    "invariant_ring": _invariant_ring,
+    "bimodule_components": _bimodule_components,
+    "twisted_group_algebra": _twisted_group_algebra,
+    "schur": _schur,
+    "regrade_compat": _regrade_compat,
+    "duality_compat": _duality_compat,
+    "double_twist": _double_twist,
+    "coboundary_rescale": _coboundary_rescale,
+    "regularity_agreement": _regularity_agreement,
+}
+
+
+def full_report(bound: int = 6) -> dict:
+    """Run every check in `CHECKS`; the report passes when every section
+    has a passing verdict."""
+    report = {key: check(bound) for key, check in CHECKS.items()}
+    report["passed"] = all(verdict(section) for section in report.values())
     return report

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cotwist.cli import main
+from cotwist.presets import CHECKS
 
 SPEC_XBASIS = {
     "conductor": 4,
@@ -157,6 +158,43 @@ def test_output_is_byte_deterministic(capsys, spec_file):
     _, first, _ = run(capsys, ["twist", "--input", spec_file])
     _, second, _ = run(capsys, ["twist", "--input", spec_file])
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "--input", "preset:klein-mu"],
+    ["hilbert", "--input", "preset:klein-mu"],
+    ["twist", "--input", "preset:klein-mu"],
+    ["invariants", "--input", "preset:Z(9)"],
+], ids=["gb-klein-mu", "hilbert-klein-mu", "twist-klein-mu", "invariants-unknown"])
+def test_unknown_preset_is_input_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "unknown preset" in err
+
+
+def test_check_verdicts_set_the_exit_code(capsys, monkeypatch):
+    for key in CHECKS:
+        monkeypatch.setitem(CHECKS, key, lambda bound: {"pass": True})
+    monkeypatch.setitem(CHECKS, "twist_suite", lambda bound: {"passed": True})
+    assert run(capsys, ["report"])[0] == 0
+    assert run(capsys, ["theorem55"])[0] == 0
+    monkeypatch.setitem(CHECKS, "twist_suite", lambda bound: {"passed": False})
+    code, out, _ = run(capsys, ["report"])
+    assert code == 1 and json.loads(out)["passed"] is False
+    code, out, _ = run(capsys, ["theorem55"])
+    assert code == 1 and json.loads(out) == {"passed": False}
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(bound):
+        raise RuntimeError("broken check\nsecond line")
+
+    for key in CHECKS:
+        monkeypatch.setitem(CHECKS, key, lambda bound: {"pass": True})
+    monkeypatch.setitem(CHECKS, "schur", broken)
+    code, out, err = run(capsys, ["report"])
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: broken check second line\n"
 
 
 def test_missing_file_is_input_error(capsys):

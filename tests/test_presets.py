@@ -1,13 +1,16 @@
+import dataclasses
+import itertools
+
 import pytest
 
+from cotwist import presets
 from cotwist.cyclo import root_of_unity
-from cotwist.errors import CotwistError
+from cotwist.errors import CotwistError, FalsificationError
 from cotwist.freealg import GenMap, make_presentation
 from cotwist.gbasis import hilbert_coeffs, verify_iso
-from cotwist.groups import (AbGroup, Cocycle, coboundary, cocycle_product,
-                            trivial_cocycle)
-from cotwist.presets import (PRESET_NAMES, TWIST_PAIRS, a_family_xbasis,
-                             preset, run_twist_suite)
+from cotwist.groups import AbGroup, coboundary, cocycle_product, trivial_cocycle
+from cotwist.presets import (CHECKS, PRESET_NAMES, TWIST_PAIRS,
+                             a_family_xbasis, full_report, preset, verdict)
 from cotwist.twist import TwistSpec, twist_presentation
 
 KLEIN = AbGroup((2, 2))
@@ -30,14 +33,6 @@ def test_presets_connected_with_three_dimensional_degree_one():
         assert dims[0] == 1 and dims[1] == 3
 
 
-def test_klein_mu_preset_entry():
-    mu = preset("klein-mu")
-    assert isinstance(mu, Cocycle)
-    assert mu.modulus == 2
-    assert mu.value((1, 0), (0, 1)) == 1
-    assert mu.value((0, 1), (1, 0)) == 0
-
-
 def test_unknown_preset_rejected():
     with pytest.raises(CotwistError, match="unknown preset"):
         preset("Z(9)")
@@ -52,7 +47,7 @@ def test_fourth_relations_differ_between_source_and_target():
 
 
 def test_twist_suite_passes_with_expected_scalars():
-    report = run_twist_suite(6)
+    report = CHECKS["twist_suite"](6)
     assert report["passed"]
     by_source = {pair["source"]: pair for pair in report["pairs"]}
     assert by_source["A(1,-1)"]["scalars"] == ["1", "1", "1", "-1"]
@@ -133,3 +128,68 @@ def test_preset_relations_survive_string_round_trip():
         pres = preset(name).presentation
         for rel in pres.relations:
             assert pres.parse(str(rel)) == rel
+
+
+def _replacing(attr, **fields):
+    """The verifier `attr` with some fields of its record overridden."""
+    real = getattr(presets, attr)
+    return lambda *args: dataclasses.replace(real(*args), **fields)
+
+
+def _answering_anew(attr):
+    """The verifier `attr` giving a different answer on every call, so no
+    before/after or source/twist comparison can agree."""
+    real, counter = getattr(presets, attr), itertools.count()
+    return lambda *args: tuple(real(*args)) + (next(counter),)
+
+
+def _raising(*args):
+    raise FalsificationError("no compatible duality change")
+
+
+# check -> (verifier it delegates to, in the presets namespace; a factory of
+# a falsifying stand-in)
+FALSIFIERS = {
+    "twist_suite": ("verify_iso", lambda: _replacing("verify_iso", status="FAILED")),
+    "hilbert_preservation": ("hilbert_coeffs",
+                             lambda: _answering_anew("hilbert_coeffs")),
+    "invariant_ring": ("verify_invariant_ring",
+                       lambda: _replacing("verify_invariant_ring",
+                                          multiplicative=False)),
+    "bimodule_components": ("verify_bimodule_component",
+                            lambda: _replacing("verify_bimodule_component",
+                                               scaling_multiplicative=False)),
+    "twisted_group_algebra": ("is_full_matrix_algebra", lambda: lambda alg: False),
+    "schur": ("schur_order", lambda: lambda group: 1),
+    "regrade_compat": ("verify_regrade_compat", lambda: lambda spec, sigma: False),
+    "duality_compat": ("verify_duality_benign", lambda: _raising),
+    # a "double" twist that twists once
+    "double_twist": ("double_twist", lambda: twist_presentation),
+    "coboundary_rescale": ("coboundary_rescale_matches",
+                           lambda: lambda spec, modulus, rho: False),
+    "regularity_agreement": ("is_regular_to_degree",
+                             lambda: _answering_anew("is_regular_to_degree")),
+}
+
+
+@pytest.mark.parametrize("key", list(CHECKS))
+def test_every_check_fails_when_its_verifier_does(monkeypatch, key):
+    attr, make = FALSIFIERS[key]
+    assert verdict(CHECKS[key](4))
+    monkeypatch.setattr(presets, attr, make())
+    if key == "duality_compat":
+        with pytest.raises(FalsificationError):
+            CHECKS[key](4)
+    else:
+        assert verdict(CHECKS[key](4)) is False
+
+
+def test_section_without_verdict_fails_the_report(monkeypatch):
+    for key in CHECKS:
+        monkeypatch.setitem(CHECKS, key, lambda bound: {"pass": True})
+    monkeypatch.setitem(CHECKS, "twist_suite", lambda bound: {"passed": True})
+    assert full_report(4)["passed"] is True
+    monkeypatch.setitem(CHECKS, "schur", lambda bound: {"values": {}})
+    report = full_report(4)
+    assert list(report) == list(CHECKS) + ["passed"]
+    assert report["passed"] is False

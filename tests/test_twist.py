@@ -4,7 +4,7 @@ import pytest
 
 from cotwist.errors import ValidationError
 from cotwist.groups import (AbGroup, all_automorphisms, coboundary,
-                            cocycle_product, identity_aut, klein_duality,
+                            cocycle_product, klein_duality,
                             klein_mu, make_group_aut, standard_duality,
                             trivial_cocycle)
 from cotwist.presets import preset
@@ -99,7 +99,8 @@ def test_double_twist_with_inverse_cocycle():
 
 def test_regrade_compat_identity():
     spec = preset("A(1,-1)").twist_spec()
-    assert verify_regrade_compat(spec, identity_aut(KLEIN))
+    identity = make_group_aut(KLEIN, (KLEIN.generator(0), KLEIN.generator(1)))
+    assert verify_regrade_compat(spec, identity)
 
 
 def test_regrade_compat_all_automorphisms_and_cocycles():
