@@ -95,6 +95,7 @@ def make_findim_algebra(labels: Sequence[str], conductor: int,
 def twisted_group_algebra(group: AbGroup, mu: Cocycle,
                           conductor: int) -> FinDimAlg:
     """kG_mu over Q(zeta_conductor): basis u_g with u_g u_h = mu(g,h) u_{gh}."""
+    group.require_table_order()
     elements = group.elements()
     zero = CycNum.zero(conductor)
     n = len(elements)
@@ -218,7 +219,8 @@ class CrossedElement:
         return not self.terms
 
     def key(self):
-        return tuple(sorted(((w, g, c.coeffs) for (w, g), c in self.terms.items())))
+        return tuple(sorted(((w, g, c.num, c.den)
+                             for (w, g), c in self.terms.items())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CrossedElement):

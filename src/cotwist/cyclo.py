@@ -1,19 +1,23 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1),
-reduced modulo the N-th cyclotomic polynomial, with Fraction coefficients.
-Equality is coefficient-wise, so canonical form doubles as an equality test.
+An element is a vector of integer numerators in the power basis
+1, zeta_N, ..., zeta_N^(phi(N)-1), reduced modulo the N-th cyclotomic
+polynomial, over one positive common denominator.  The representation is
+always in lowest terms (gcd(den, *num) == 1, zero is (0, ..., 0)/1), so it
+is canonical and doubles as an equality test and a hash key.  Arithmetic
+works on the integers directly; `Fraction` appears only at the boundary:
+the public constructor, `coeffs`, `as_fraction` and text rendering.
 Arithmetic between two numbers requires equal conductors; callers embed into
 a common conductor first (`CycNum.embed` / `common_conductor`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Mapping, Optional
+from operator import neg
+from typing import Mapping, Optional, Sequence
 
 from .errors import ConductorMismatch, CotwistError
 
@@ -71,7 +75,9 @@ def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
-@lru_cache(maxsize=None)
+# Each entry is a small tuple; the bound only caps a long-running process
+# that meets many conductors.
+@lru_cache(maxsize=256)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, low degree first."""
     if n == 1:
@@ -83,132 +89,179 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# per-conductor table of zeta^k reduced into the power basis
-_POWER_TABLES: dict[int, list[tuple[Fraction, ...]]] = {}
+# per-conductor table of zeta^k reduced into the power basis; the rows are
+# integers because the cyclotomic polynomial is monic
+_POWER_TABLES: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _power_mod(n: int, k: int) -> tuple[Fraction, ...]:
-    deg = euler_phi(n)
-    table = _POWER_TABLES.setdefault(n, [])
-    if not table:
-        row = [Fraction(0)] * deg
-        row[0] = Fraction(1)
-        table.append(tuple(row))
-    phi = cyclotomic_poly(n)
-    while len(table) <= k:
-        prev = table[-1]
-        row = [Fraction(0)] + list(prev)
-        if len(row) > deg:
+def _power_rows(n: int, k: int) -> list[tuple[int, ...]]:
+    """The table of zeta_n^0, zeta_n^1, ... in the power basis, grown to at
+    least k + 1 rows."""
+    table = _POWER_TABLES.get(n)
+    if table is None:
+        table = _POWER_TABLES[n] = [(1,) + (0,) * (euler_phi(n) - 1)]
+    if len(table) <= k:
+        phi = cyclotomic_poly(n)
+        deg = len(phi) - 1
+        while len(table) <= k:
+            row = [0] + list(table[-1])
             top = row.pop()
             if top:
                 for j in range(deg):
                     row[j] -= top * phi[j]
-        table.append(tuple(row))
-    return table[k]
+            table.append(tuple(row))
+    return table
 
 
 # ---------------------------------------------------------------------------
-# Fraction polynomial helpers for inversion
+# integer vectors in the power basis of Z[zeta_N]
 # ---------------------------------------------------------------------------
 
-def _fpoly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _vmul(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer vectors, reduced modulo Phi_N."""
+    deg = len(a)
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    out = prod[:deg]
+    table = _power_rows(n, 2 * deg - 2)
+    for k in range(deg, 2 * deg - 1):
+        c = prod[k]
+        if c:
+            row = table[k]
+            for j in range(deg):
+                out[j] += c * row[j]
+    return out
 
 
-def _fpoly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead
-        d = len(a) - len(b)
-        q[d] = c
-        for j in range(len(b)):
-            a[d + j] -= c * b[j]
-        _fpoly_trim(a)
-        if not a:
-            break
-    return q, a
+def _vsubst(n: int, a: Sequence[int], k: int) -> list[int]:
+    """sum_j a_j zeta_n^(jk) in the power basis of Z[zeta_n]."""
+    table = _power_rows(n, n - 1)
+    deg = len(table[0])
+    out = [0] * deg
+    for j, c in enumerate(a):
+        if c:
+            row = table[j * k % n]
+            for i in range(deg):
+                out[i] += c * row[i]
+    return out
 
 
-def _fpoly_invert_mod(b: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    # extended Euclid: returns u with u*b == 1 (mod modulus)
-    r0, r1 = list(modulus), _fpoly_trim(list(b))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1:
-        q, r = _fpoly_divmod(r0, r1)
-        s = list(s0)
-        # s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        for i in range(max(len(s), len(prod))):
-            if i >= len(s):
-                s.append(Fraction(0))
-            if i < len(prod):
-                s[i] -= prod[i]
-        r0, r1 = r1, _fpoly_trim(r)
-        s0, s1 = s1, _fpoly_trim(s)
-    if not r1:
-        raise ZeroDivisionError("division by zero in cyclotomic field")
-    c = r1[0]
-    return [x / c for x in s1]
+_new = object.__new__
 
 
-_ZERO = Fraction(0)
+def _make(n: int, num: tuple, den: int) -> "CycNum":
+    # trusted constructor: num/den must already be in lowest terms, den > 0;
+    # the slot setters bypass CycNum.__setattr__, which refuses every write
+    x = _new(CycNum)
+    _set_conductor(x, n)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
 
 
-def _mul_quadratic(n: int, a: tuple, b: tuple) -> tuple:
-    # phi(n) = 2, i.e. n = 3, 4, 6: z^2 = -c0 - c1*z.  Zero coefficients are
-    # skipped because most products in practice are of rationals in Q(i).
-    c0, c1, _ = cyclotomic_poly(n)
-    a0, a1 = a
-    b0, b1 = b
-    lo = a0 * b0 if a0 and b0 else _ZERO
-    hi = a0 * b1 if a0 and b1 else _ZERO
-    if a1:
-        if b0:
-            hi += a1 * b0
-        if b1:
-            top = a1 * b1
-            lo -= c0 * top
-            if c1:
-                hi -= c1 * top
-    return lo, hi
+def _reduced(n: int, num: Sequence[int], den: int) -> "CycNum":
+    g = gcd(den, *num)
+    if g == 1:
+        return _make(n, tuple(num), den)
+    return _make(n, tuple(x // g for x in num), den // g)
 
 
-@dataclass(frozen=True)
+def _mismatch(a: "CycNum", b: "CycNum") -> ConductorMismatch:
+    return ConductorMismatch(
+        f"conductor {a.conductor} vs {b.conductor}; embed first")
+
+
+# Sums follow Knuth's rational addition: for a/b + c/d in lowest terms only
+# a factor of gcd(b, d) can cancel.
+
+def _add_rational(n: int, x: int, b: int, y: int, d: int) -> "CycNum":
+    if b == d:
+        t = x + y
+        if b != 1:
+            g = gcd(t, b)
+            if g != 1:
+                t //= g
+                b //= g
+    else:
+        g = gcd(b, d)
+        if g == 1:
+            t = x * d + b * y
+            b *= d
+        else:
+            b //= g
+            t = x * (d // g) + y * b
+            g2 = gcd(t, g)
+            if g2 != 1:
+                t //= g2
+                d //= g2
+            b *= d
+    return _make(n, (t,), b)
+
+
+def _add_vector(n: int, a: tuple, b: int, c: tuple, d: int) -> "CycNum":
+    if b == d:
+        return _reduced(n, [x + y for x, y in zip(a, c)], b)
+    g = gcd(b, d)
+    s, e = b // g, d // g
+    return _reduced(n, [x * e + y * s for x, y in zip(a, c)], s * d)
+
+
+# Phi_N = x^2 + c1*x + 1 for the conductors with phi(N) = 2
+_QUADRATIC_C1 = {n: cyclotomic_poly(n)[1] for n in (3, 4, 6)}
+
+
 class CycNum:
-    """An element of Q(zeta_N) in reduced power-basis form."""
+    """An element of Q(zeta_N): integer numerators `num` in the power basis
+    over the positive common denominator `den`, in lowest terms.  Values
+    are immutable, and `zero`, `one` and the roots of unity are shared
+    instances; every operation returns a new value."""
 
-    conductor: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("conductor", "num", "den")
+
+    def __init__(self, conductor: int, coeffs: Sequence) -> None:
+        """The element with rational power-basis coefficients `coeffs`."""
+        fracs = [Fraction(c) for c in coeffs]
+        if len(fracs) != euler_phi(conductor):
+            raise ValueError(
+                f"Q(zeta({conductor})) needs {euler_phi(conductor)} coefficients")
+        den = lcm(*(f.denominator for f in fracs))
+        _set_conductor(self, conductor)
+        _set_num(self, tuple(f.numerator * (den // f.denominator) for f in fracs))
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CycNum is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CycNum is immutable")
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def zero(conductor: int = 1) -> "CycNum":
-        return CycNum(conductor, (Fraction(0),) * euler_phi(conductor))
+        return _make(conductor, (0,) * euler_phi(conductor), 1)
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def one(conductor: int = 1) -> "CycNum":
-        c = [Fraction(0)] * euler_phi(conductor)
-        c[0] = Fraction(1)
-        return CycNum(conductor, tuple(c))
+        return _make(conductor, (1,) + (0,) * (euler_phi(conductor) - 1), 1)
 
     @staticmethod
     def rational(value, conductor: int = 1) -> "CycNum":
-        c = [Fraction(0)] * euler_phi(conductor)
-        c[0] = Fraction(value)
-        return CycNum(conductor, tuple(c))
+        q = value if isinstance(value, int) else Fraction(value)
+        return _make(conductor,
+                     (q.numerator,) + (0,) * (euler_phi(conductor) - 1),
+                     q.denominator)
 
     @staticmethod
     def zeta(conductor: int, power: int = 1) -> "CycNum":
-        return CycNum(conductor, _power_mod(conductor, power % conductor))
+        k = power % conductor
+        return _make(conductor, _power_rows(conductor, k)[k], 1)
 
     @staticmethod
     def i() -> "CycNum":
@@ -216,82 +269,128 @@ class CycNum:
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
+
+    def height(self) -> int:
+        """Bits of the largest numerator or of the denominator."""
+        return max(self.den.bit_length(), *(abs(x).bit_length() for x in self.num))
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise CotwistError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
-    def _check(self, other: "CycNum") -> None:
-        if self.conductor != other.conductor:
-            raise ConductorMismatch(
-                f"conductor {self.conductor} vs {other.conductor}; embed first"
-            )
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CycNum:
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and self.conductor == other.conductor)
+
+    def __hash__(self) -> int:
+        return hash((self.conductor, self.num, self.den))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "CycNum") -> "CycNum":
-        self._check(other)
-        return CycNum(self.conductor,
-                      tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        n = self.conductor
+        if other.conductor != n:
+            raise _mismatch(self, other)
+        a, c = self.num, other.num
+        if len(a) == 1:
+            return _add_rational(n, a[0], self.den, c[0], other.den)
+        return _add_vector(n, a, self.den, c, other.den)
 
     def __sub__(self, other: "CycNum") -> "CycNum":
-        self._check(other)
-        return CycNum(self.conductor,
-                      tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        n = self.conductor
+        if other.conductor != n:
+            raise _mismatch(self, other)
+        a, c = self.num, other.num
+        if len(a) == 1:
+            return _add_rational(n, a[0], self.den, -c[0], other.den)
+        return _add_vector(n, a, self.den, tuple(map(neg, c)), other.den)
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.conductor, tuple(-a for a in self.coeffs))
+        a = self.num
+        return _make(self.conductor,
+                     (-a[0],) if len(a) == 1 else tuple(map(neg, a)), self.den)
 
     def __mul__(self, other: "CycNum") -> "CycNum":
-        self._check(other)
-        n, deg = self.conductor, len(self.coeffs)
-        if deg == 1:
-            return CycNum(n, (self.coeffs[0] * other.coeffs[0],))
-        if deg == 2:
-            return CycNum(n, _mul_quadratic(n, self.coeffs, other.coeffs))
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        out = list(prod[:deg])
-        for k in range(deg, 2 * deg - 1):
-            c = prod[k]
-            if c:
-                row = _power_mod(n, k)
-                for j in range(deg):
-                    out[j] += c * row[j]
-        return CycNum(n, tuple(out))
+        n = self.conductor
+        if other.conductor != n:
+            raise _mismatch(self, other)
+        a, c = self.num, other.num
+        b, d = self.den, other.den
+        if len(a) == 1:
+            # cross-cancel as in Fraction multiplication
+            x, y = a[0], c[0]
+            if not x or not y:
+                x, b, d = 0, 1, 1
+            else:
+                if d != 1:
+                    g = gcd(x, d)
+                    if g != 1:
+                        x //= g
+                        d //= g
+                if b != 1:
+                    g = gcd(y, b)
+                    if g != 1:
+                        y //= g
+                        b //= g
+                x *= y
+            return _make(n, (x,), b * d)
+        if len(a) == 2:
+            # conductors 3, 4, 6: zeta^2 = -1 - c1*zeta
+            x0, x1 = a
+            y0, y1 = c
+            top = x1 * y1
+            lo = x0 * y0 - top
+            hi = x0 * y1 + x1 * y0 - _QUADRATIC_C1[n] * top
+            den = b * d
+            g = gcd(lo, hi, den)
+            if g != 1:
+                lo //= g
+                hi //= g
+                den //= g
+            return _make(n, (lo, hi), den)
+        return _reduced(n, _vmul(n, a, c), b * d)
 
     def inverse(self) -> "CycNum":
-        if self.is_zero():
+        a, b, n = self.num, self.den, self.conductor
+        if not any(a):
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.conductor)]
-        inv = _fpoly_invert_mod(list(self.coeffs), phi)
-        deg = len(self.coeffs)
-        inv = inv + [Fraction(0)] * (deg - len(inv))
-        return CycNum(self.conductor, tuple(inv[:deg]))
+        # 1/a = (product of the other Galois conjugates of a) / norm(a); for
+        # phi(N) = 1 there are none and the norm is a itself
+        others = [1] + [0] * (len(a) - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                others = _vmul(n, others, _vsubst(n, a, k))
+        norm = _vmul(n, a, others)[0]
+        if norm < 0:
+            b, norm = -b, -norm
+        return _reduced(n, [b * x for x in others], norm)
 
     def __truediv__(self, other: "CycNum") -> "CycNum":
         return self * other.inverse()
 
     def __pow__(self, exponent: int) -> "CycNum":
-        support = [k for k, c in enumerate(self.coeffs) if c]
-        if len(support) == 1 and abs(self.coeffs[support[0]]) == 1:
+        support = [k for k, c in enumerate(self.num) if c]
+        if len(support) == 1 and self.den == 1 and abs(self.num[support[0]]) == 1:
             # +-zeta^k with k < phi(N): read the power off the table
             k = support[0]
             value = CycNum.zeta(self.conductor, k * exponent)
-            return -value if self.coeffs[k] < 0 and exponent % 2 else value
+            return -value if self.num[k] < 0 and exponent % 2 else value
         if exponent < 0:
             return self.inverse() ** (-exponent)
         result = CycNum.one(self.conductor)
@@ -305,6 +404,9 @@ class CycNum:
         return result
 
     # -- field maps ----------------------------------------------------------
+    # Both maps send the ring of integers into a ring of integers and back,
+    # so they keep the numerators' content and the result stays in lowest
+    # terms.
 
     def embed(self, conductor: int) -> "CycNum":
         """Express the same element with a larger conductor (N must divide it)."""
@@ -312,29 +414,16 @@ class CycNum:
             return self
         if conductor % self.conductor != 0:
             raise ConductorMismatch(
-                f"cannot embed conductor {self.conductor} into {conductor}"
-            )
+                f"cannot embed conductor {self.conductor} into {conductor}")
+        # zeta_N = zeta_M^(M/N)
         step = conductor // self.conductor
-        deg = euler_phi(conductor)
-        out = [Fraction(0)] * deg
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = _power_mod(conductor, k * step)
-                for j in range(deg):
-                    out[j] += c * row[j]
-        return CycNum(conductor, tuple(out))
+        return _make(conductor, tuple(_vsubst(conductor, self.num, step)),
+                     self.den)
 
     def conj(self) -> "CycNum":
         """Complex conjugation, i.e. the Galois map zeta_N -> zeta_N^(-1)."""
         n = self.conductor
-        deg = len(self.coeffs)
-        out = [Fraction(0)] * deg
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = _power_mod(n, (n - k) % n)
-                for j in range(deg):
-                    out[j] += c * row[j]
-        return CycNum(n, tuple(out))
+        return _make(n, tuple(_vsubst(n, self.num, n - 1)), self.den)
 
     # -- display -------------------------------------------------------------
 
@@ -343,6 +432,11 @@ class CycNum:
 
     def __repr__(self) -> str:
         return f"CycNum({self.conductor}, '{format_cycnum(self)}')"
+
+
+_set_conductor = CycNum.conductor.__set__
+_set_num = CycNum.num.__set__
+_set_den = CycNum.den.__set__
 
 
 def common_conductor(*values: CycNum) -> int:

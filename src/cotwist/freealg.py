@@ -105,7 +105,7 @@ class NcPoly:
         cached = self._key
         if cached is None:
             cached = tuple(sorted(
-                ((w, c.coeffs) for w, c in self.terms.items()),
+                ((w, c.num, c.den) for w, c in self.terms.items()),
                 key=lambda item: deglex_key(item[0], self.gens), reverse=True))
             object.__setattr__(self, "_key", cached)
         return cached
@@ -440,10 +440,21 @@ def change_basis(p: NcPoly, matrix, new_names: Optional[Sequence[str]] = None) -
 #          | '[' expr ',' expr (']' | ']_+') | name
 #
 # '**' means '^', and ']' immediately followed by '+' means ']_+' (the
-# anticommutator).  An exponent must evaluate to a rational integer and may
-# be negative only on a scalar; division is only by a nonzero scalar.  A
-# name is a generator, else a caller-bound integer variable.
+# anticommutator).  An exponent must evaluate to a rational integer of size
+# at most MAX_EXPONENT and may be negative only on a scalar; division is only
+# by a nonzero scalar.  A name is a generator, else a caller-bound integer
+# variable.
 # ---------------------------------------------------------------------------
+
+# Bounds on '^', checked before the power is computed: the exponent's size;
+# the bits of the coefficients (the exponent times the base's largest
+# coefficient height); and for a polynomial base the terms (terms of the base
+# to the exponent) and the degree (the exponent times the longest word of the
+# base).  Past them the text is rejected with a ParseError.
+MAX_EXPONENT = 10_000
+MAX_POWER_BITS = 65_536
+MAX_POWER_TERMS = 10_000
+MAX_POWER_DEGREE = 256
 
 _TOKEN_RE = re.compile(r"(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|\]_\+|[-+*/^()\[\],])")
 
@@ -546,15 +557,34 @@ class _Parser:
             return base
         self.take()
         exponent = self.constant(self.unary())
-        if not exponent.is_rational() or exponent.coeffs[0].denominator != 1:
+        if not exponent.is_rational() or exponent.den != 1:
             raise ParseError(f"an exponent must be a rational integer, got {exponent}")
-        e = exponent.coeffs[0].numerator
+        e = exponent.num[0]
+        if abs(e) > MAX_EXPONENT:
+            raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}")
         if base.terms.keys() <= {()}:
             value = self.constant(base)
-            return self.scalar(value ** e if e >= 0 else self.inverse(value) ** -e)
+            if e < 0:
+                value, e = self.inverse(value), -e
+            self.check_power_bits(e, value.height())
+            return self.scalar(value ** e)
         if e < 0:
             raise ParseError("negative powers only on scalars")
+        if len(base.terms) ** e > MAX_POWER_TERMS:
+            raise ParseError(f"a power with up to {len(base.terms)}^{e} terms "
+                             f"exceeds the limit {MAX_POWER_TERMS}")
+        degree = e * max(map(len, base.terms))
+        if degree > MAX_POWER_DEGREE:
+            raise ParseError(f"a power of degree {degree} exceeds the limit "
+                             f"{MAX_POWER_DEGREE}")
+        self.check_power_bits(e, max(c.height() for c in base.terms.values()))
         return base ** e
+
+    @staticmethod
+    def check_power_bits(e: int, height: int) -> None:
+        if e * height > MAX_POWER_BITS:
+            raise ParseError(f"a power of about {e * height} bits exceeds "
+                             f"the limit {MAX_POWER_BITS}")
 
     def constant(self, p: NcPoly) -> CycNum:
         if not p.terms.keys() <= {()}:

@@ -22,14 +22,33 @@ from .linalg import rank as mat_rank
 from .linalg import row_spaces_equal
 
 
+@dataclass
+class DegreeStats:
+    """What completion did in one N-degree.  `overlaps` counts the overlap
+    S-polynomials generated, `reductions` every polynomial the completion
+    loop reduced (relations, S-polynomials and re-queued basis elements),
+    `zero_reductions` those that reduced to zero; `basis_size` and
+    `coeff_height_bits` (the largest numerator or denominator, in bits)
+    describe the final basis elements of this degree."""
+
+    overlaps: int = 0
+    reductions: int = 0
+    zero_reductions: int = 0
+    basis_size: int = 0
+    coeff_height_bits: int = 0
+
+
 class TruncGB:
-    """A reduced Groebner basis, complete through `bound`."""
+    """A reduced Groebner basis, complete through `bound`.  `stats` maps
+    each degree 0..bound to the `DegreeStats` of the completion that built
+    it; the counters are deterministic, like the basis itself."""
 
     def __init__(self, presentation: Presentation, bound: int,
-                 elements: Sequence[NcPoly]):
+                 elements: Sequence[NcPoly], stats: dict):
         self.presentation = presentation
         self.bound = bound
         self.elements = tuple(elements)
+        self.stats = stats
         self.lead_map = {g.leading_word(): g for g in self.elements}
         self.lead_lengths = sorted({len(w) for w in self.lead_map})
         self._words_by_degree: Optional[list] = None
@@ -215,14 +234,17 @@ def truncated_gb(presentation: Presentation, bound: int,
 
     basis: list = []
     lead_map: dict = {}
+    stats = {d: DegreeStats() for d in range(bound + 1)}
 
     def lengths() -> list:
         return sorted({len(w) for w in lead_map})
 
     while heap:
-        _, _, p = heapq.heappop(heap)
+        degree, _, p = heapq.heappop(heap)
         h = _reduce(p, lead_map, lengths())
+        stats[degree].reductions += 1
         if h.is_zero():
+            stats[degree].zero_reductions += 1
             continue
         h = h.monic()
         lead_h = h.leading_word()
@@ -235,10 +257,10 @@ def truncated_gb(presentation: Presentation, bound: int,
                 kept.append(g)
         basis = kept
         for g in basis + [h]:
-            for degree, s in _overlap_spolys(h, g, bound):
-                heapq.heappush(heap, (degree, next(seq), s))
-            if g is not h:
-                for degree, s in _overlap_spolys(g, h, bound):
+            pairs = [(h, g)] if g is h else [(h, g), (g, h)]
+            for left, right in pairs:
+                for degree, s in _overlap_spolys(left, right, bound):
+                    stats[degree].overlaps += 1
                     heapq.heappush(heap, (degree, next(seq), s))
         basis.append(h)
         lead_map[lead_h] = h
@@ -257,7 +279,12 @@ def truncated_gb(presentation: Presentation, bound: int,
                 changed = True
 
     basis.sort(key=lambda g: deglex_key(g.leading_word(), gens))
-    result = TruncGB(presentation, bound, basis)
+    for g in basis:
+        record = stats[g.degree()]
+        record.basis_size += 1
+        record.coeff_height_bits = max(
+            record.coeff_height_bits, *(c.height() for c in g.terms.values()))
+    result = TruncGB(presentation, bound, basis, stats)
     if use_cache:
         _GB_CACHE[key] = result
     return result

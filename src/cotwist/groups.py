@@ -22,6 +22,13 @@ from .linalg import solve_mod
 
 Element = tuple
 
+# The largest group order for which a cocycle table (|G|^2 entries) or the
+# twisted group algebra kG_mu (|G|^3 structure constants) is built; at this
+# bound `kgmu` stays under about 60 MB, and the paper's examples have order
+# <= 16.  Computations that never enumerate G x G, such as `schur_order`,
+# take any order.
+MAX_GROUP_ORDER = 64
+
 
 @dataclass(frozen=True)
 class AbGroup:
@@ -32,6 +39,13 @@ class AbGroup:
     def __post_init__(self):
         if not self.factors or any(n < 2 for n in self.factors):
             raise ValidationError("group factors must all be at least 2")
+
+    def require_table_order(self) -> None:
+        """Raise ValidationError when |G| > MAX_GROUP_ORDER; called before a
+        table indexed by G x G is built."""
+        if self.order > MAX_GROUP_ORDER:
+            raise ValidationError(
+                f"group order {self.order} exceeds the limit {MAX_GROUP_ORDER}")
 
     @property
     def rank(self) -> int:
@@ -159,6 +173,7 @@ def validate_cocycle(group: AbGroup, modulus: int, table: Mapping) -> Cocycle:
     """Accept a mapping (g, h) -> k, meaning zeta_modulus^k, iff it satisfies
     normalization and the cocycle identity; the error names the first
     violation."""
+    group.require_table_order()
     elements = group.elements()
     n = len(elements)
     v = [[table[(g, h)] % modulus for h in elements] for g in elements]
@@ -200,6 +215,7 @@ def cocycle_from_scalars(group: AbGroup, table: Mapping) -> Cocycle:
 
 
 def trivial_cocycle(group: AbGroup) -> Cocycle:
+    group.require_table_order()
     n = group.order
     return Cocycle(group, 1, tuple((0,) * n for _ in range(n)))
 
@@ -210,6 +226,7 @@ def formula_table(group: AbGroup, formula: str) -> dict:
     Coordinates of the first argument bind to a1..ar, of the second to
     b1..br; for rank <= 2 the aliases p,q (first) and r,s (second) are
     also provided, matching the usual (p,q,r,s) notation."""
+    group.require_table_order()
     elements = group.elements()
     table = {}
     for g in elements:

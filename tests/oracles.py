@@ -320,3 +320,116 @@ def add_expanded(a, b, sign=1):
     for w, c in b.items():
         out[w] = out.get(w, Fraction(0)) + sign * c
     return {w: c for w, c in out.items() if c != 0}
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_N) as Fraction tuples, independent of cotwist.cyclo
+#
+# Polynomials are Fraction lists, low degree first.  The cyclotomic
+# polynomial comes from x^N - 1 divided by Phi_d for the proper divisors d,
+# every product is reduced by long division, and inverses come from the
+# extended Euclidean algorithm; no power tables, no integer numerators.
+# ---------------------------------------------------------------------------
+
+def _ptrim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _pdivmod(a, b):
+    a, b = _ptrim(a), _ptrim(b)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        q[shift] = c
+        for j, y in enumerate(b):
+            a[shift + j] -= c * y
+        a = _ptrim(a)
+    return q, a
+
+
+def _pmul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _psub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+_CYCLOTOMIC: dict = {}
+
+
+def oracle_cyclotomic(n: int):
+    if n not in _CYCLOTOMIC:
+        poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+        for d in range(1, n):
+            if n % d == 0:
+                poly, rest = _pdivmod(poly, oracle_cyclotomic(d))
+                assert not rest
+        _CYCLOTOMIC[n] = _ptrim(poly)
+    return _CYCLOTOMIC[n]
+
+
+class FracCyclo:
+    """An element of Q(zeta_n): the Fraction coefficients of its remainder
+    modulo Phi_n, in the basis 1, zeta_n, zeta_n^2, ..."""
+
+    def __init__(self, n: int, poly):
+        self.n = n
+        self.modulus = oracle_cyclotomic(n)
+        _, rest = _pdivmod([Fraction(c) for c in poly], self.modulus)
+        deg = len(self.modulus) - 1
+        self.coeffs = tuple(rest) + (Fraction(0),) * (deg - len(rest))
+
+    def __add__(self, other):
+        return FracCyclo(self.n, [x + y for x, y in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return FracCyclo(self.n, _psub(self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return FracCyclo(self.n, [-x for x in self.coeffs])
+
+    def __mul__(self, other):
+        return FracCyclo(self.n, _pmul(self.coeffs, other.coeffs))
+
+    def inverse(self):
+        r0, r1 = self.modulus, _ptrim(self.coeffs)
+        if not r1:
+            raise ZeroDivisionError("zero has no inverse")
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _pdivmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _psub(s0, _pmul(q, s1))
+        return FracCyclo(self.n, [x / r1[0] for x in s1])
+
+    def __pow__(self, e: int):
+        base = self if e >= 0 else self.inverse()
+        out = FracCyclo(self.n, [1])
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
+    def substitute(self, m: int, k: int):
+        """The image in Q(zeta_m) under zeta_n -> zeta_m^k."""
+        poly = [Fraction(0)] * (k * len(self.coeffs) + 1)
+        for j, c in enumerate(self.coeffs):
+            poly[j * k] += c
+        return FracCyclo(m, poly)
+
+    def embed(self, m: int):
+        return self.substitute(m, m // self.n)
+
+    def conj(self):
+        return self.substitute(self.n, self.n - 1)

@@ -3,6 +3,10 @@ import json
 import pytest
 
 from cotwist.cli import main
+from cotwist.crossed import twisted_group_algebra
+from cotwist.cyclo import CycNum, parse_scalar
+from cotwist.errors import ValidationError
+from cotwist.groups import AbGroup, Cocycle, cocycle_from_formula
 from cotwist.presets import CHECKS
 
 SPEC_XBASIS = {
@@ -135,6 +139,70 @@ def test_kgmu_formula_cocycle(capsys):
                                 "--cocycle", "(-1)^(p*s)"])
     assert code == 0
     assert json.loads(out)["center_dimension"] == 1
+
+
+# Each input below is an input error found before the work starts.  Without
+# the bounds `kgmu --group 1000,1000` grew until the process was killed and
+# `2^(10^9)` computed for more than 20 s.
+@pytest.mark.parametrize("argv,message", [
+    (["kgmu", "--group", "2,2", "--cocycle", "2^(10^9)"],
+     "exponent 1000000000 exceeds the limit 10000"),
+    (["kgmu", "--group", "2,2", "--cocycle", "(2^5000)^5000"],
+     "bits exceeds the limit 65536"),
+    (["kgmu", "--group", "1000,1000"], "group order 1000000 exceeds the limit 64"),
+    (["kgmu", "--group", "2,2,2,2,2,2,2", "--cocycle", "(-1)^(a1*b2)"],
+     "group order 128 exceeds the limit 64"),
+], ids=["exponent", "power-bits", "kgmu-order", "kgmu-formula-order"])
+def test_resource_bounds_are_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_group_order_bound_covers_spec_files(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SPEC_XBASIS, group=[1000, 1000],
+                                    duality={"builtin": "standard"})))
+    code, out, err = run(capsys, ["twist", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert "group order 1000000 exceeds the limit 64" in err
+
+
+# schur_order never enumerates G x G, so it takes groups past the bound
+@pytest.mark.parametrize("group,order", [
+    ("1000,1000", 1000), ("2,2,2,2,2,2,2", 2 ** 21), ("8,8", 8)])
+def test_schur_takes_any_group_order(capsys, group, order):
+    code, out, _ = run(capsys, ["schur", "--group", group])
+    assert code == 0 and json.loads(out)["schur_order"] == order
+
+
+@pytest.mark.parametrize("relation,message", [
+    ("(x + y)^17", "a power with up to 2^17 terms exceeds the limit 10000"),
+    ("(x^10000)^10000", "a power of degree 10000 exceeds the limit 256"),
+    ("(x^200)^200", "a power of degree 40000 exceeds the limit 256"),
+    ("(2^6000*x)^10000", "a power of degree 10000 exceeds the limit 256"),
+    ("(2^6000*x)^100", "a power of about 600100 bits exceeds the limit 65536"),
+], ids=["terms", "degree-inner", "degree-outer", "degree-one-term", "bits"])
+def test_polynomial_power_bound_is_input_error(capsys, tmp_path, relation,
+                                               message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"generators": ["x", "y"],
+                                "relations": [relation]}))
+    code, out, err = run(capsys, ["gb", "--degree", "2", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_resource_bounds_are_inclusive():
+    assert parse_scalar("zeta(8)^10000") == CycNum.one(8)
+    assert parse_scalar("2^-10000") == CycNum.rational(2) ** -10000
+    assert cocycle_from_formula(AbGroup((8, 8)), "zeta(8)^(a1*b2)").modulus == 8
+
+
+def test_twisted_group_algebra_checks_group_order():
+    group = AbGroup((5, 13))
+    with pytest.raises(ValidationError, match="group order 65 exceeds the limit 64"):
+        twisted_group_algebra(group, Cocycle(group, 1, ()), 1)
 
 
 def test_invariants_command(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cotwist.cyclo import (CycNum, euler_phi, parse_scalar, root_exponent,
                            root_of_unity)
 from cotwist.errors import ConductorMismatch, ParseError
+from oracles import FracCyclo
 
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
 
@@ -195,3 +196,64 @@ def test_power_matches_repeated_multiplication(conductor):
             assert base ** e == expected
             assert base ** -e == expected.inverse()
             expected = expected * base
+
+
+# ---------------------------------------------------------------------------
+# differential test against the Fraction-tuple model in tests/oracles.py
+# ---------------------------------------------------------------------------
+
+ORACLE_CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12]
+
+
+def _canonical(x: CycNum) -> bool:
+    return x.den > 0 and gcd(x.den, *x.num) == 1 and len(x.num) == euler_phi(x.conductor)
+
+
+def _pair(conductor, coeffs):
+    return CycNum(conductor, coeffs), FracCyclo(conductor, coeffs)
+
+
+def oracle_coeffs(conductor):
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=12))
+    dense = st.tuples(*([coeff] * euler_phi(conductor)))
+    return st.one_of(st.just((Fraction(0),) * euler_phi(conductor)), dense)
+
+
+@pytest.mark.parametrize("conductor", ORACLE_CONDUCTORS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_arithmetic_agrees_with_fraction_oracle(conductor, data):
+    x, fx = _pair(conductor, data.draw(oracle_coeffs(conductor)))
+    y, fy = _pair(conductor, data.draw(oracle_coeffs(conductor)))
+    e = data.draw(st.integers(min_value=-3, max_value=4))
+    results = [(x + y, fx + fy), (x - y, fx - fy), (-x, -fx), (x * y, fx * fy),
+               (x.conj(), fx.conj()), (x.embed(2 * conductor), fx.embed(2 * conductor)),
+               (x.embed(3 * conductor), fx.embed(3 * conductor))]
+    if not x.is_zero():
+        results += [(x.inverse(), fx.inverse()), (y / x, fy * fx.inverse()),
+                    (x ** e, fx ** e)]
+    for got, want in results:
+        assert _canonical(got)
+        assert got.coeffs == want.coeffs
+    assert (x == y) == (fx.coeffs == fy.coeffs)
+    # equal values are equal objects with equal hashes, whatever the route
+    zero = CycNum.zero(conductor)
+    for product in (x * zero, zero * y, (x - x) * y):
+        assert product == zero and hash(product) == hash(zero)
+        assert product.num == (0,) * euler_phi(conductor) and product.den == 1
+    assert x + y == y + x and hash(x + y) == hash(y + x)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+
+
+def test_values_are_immutable():
+    # zero, one and the roots of unity are shared instances
+    for value in (CycNum.zero(4), CycNum.one(4), root_of_unity(1, 4, 4),
+                  CycNum(4, [Fraction(1, 2), 3])):
+        for name in ("conductor", "num", "den"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    assert CycNum.zero(4).num == (0, 0) and CycNum.one(4).num == (1, 0)

@@ -264,6 +264,41 @@ def test_sklyanin_hilbert_function_kept_by_twist(sklyanin):
     assert len(truncated_gb(sklyanin[0], 6).elements) == 18
 
 
+# Baseline for overlap criteria: each of these zero reductions is work a
+# criterion could skip.  The counts depend on the completion order, which the
+# golden snapshots fix, so a change here must come with a reason.
+SKLYANIN_ZERO_REDUCTIONS = {3: 4, 4: 5, 5: 7, 6: 16, 7: 20}
+
+
+def test_sklyanin_completion_counters(sklyanin):
+    for pres in sklyanin:
+        gb = truncated_gb(pres, 7, use_cache=False)
+        stats = gb.stats
+        assert sorted(stats) == list(range(8))
+        assert {d: s.zero_reductions for d, s in stats.items()
+                if s.zero_reductions} == SKLYANIN_ZERO_REDUCTIONS
+        assert stats[2].reductions == len(pres.relations) == 6
+        assert sum(s.basis_size for s in stats.values()) == len(gb.elements)
+        for d, s in stats.items():
+            # every overlap is reduced once; relations live in degree 2
+            assert s.reductions >= s.overlaps + (6 if d == 2 else 0)
+            assert s.zero_reductions <= s.reductions
+        heights = [s.coeff_height_bits for s in stats.values()]
+        assert heights[2] > 0 and max(heights) == heights[7]
+
+
+def test_counters_read_the_basis_heights():
+    pres = pres_xy("x*y - 2/3*y*x")
+    gb = truncated_gb(pres, 3, use_cache=False)
+    # y*x - 3/2*x*y: numerator -3 and denominator 2 have 2 bits each
+    assert gb.stats[2].basis_size == 1
+    assert gb.stats[2].coeff_height_bits == 2
+    assert gb.stats[3].zero_reductions == gb.stats[3].reductions == 0
+    # a constant relation is counted at degree 0
+    constant = truncated_gb(pres_xy("1", "x*y"), 2, use_cache=False)
+    assert constant.stats[0].reductions == 1
+
+
 def _old_default_strategy(gens):
     """The deglex-largest reducible word, then its leftmost, shortest match."""
     def choose(candidates):
