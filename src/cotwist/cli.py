@@ -217,12 +217,15 @@ def _cmd_kgmu(args) -> int:
                 else:
                     terms.append(f"({coords[d]})*{alg.labels[d]}")
             structure[f"{la}*{lb}"] = " + ".join(terms) if terms else "0"
+    center_dim = len(center_basis(alg))
+    trace_rank = trace_form_rank(alg)
     out = {
         "dimension": alg.dim,
         "structure_constants": structure,
-        "center_dimension": len(center_basis(alg)),
-        "trace_form_rank": trace_form_rank(alg),
-        "is_full_matrix_algebra": is_full_matrix_algebra(alg),
+        "center_dimension": center_dim,
+        "trace_form_rank": trace_rank,
+        "is_full_matrix_algebra": is_full_matrix_algebra(alg, trace_rank,
+                                                         center_dim),
         "cocycle": cocycle_to_dict(mu, conductor),
     }
     _emit(out, args.human)

@@ -18,8 +18,8 @@ from typing import Mapping, Optional, Sequence
 
 from .cyclo import CycNum, root_of_unity
 from .errors import DegreeBoundExceeded, ValidationError
-from .freealg import NcPoly, Word
-from .gbasis import TruncGB, normal_form, truncated_gb
+from .freealg import Word, word_degree
+from .gbasis import TruncGB, truncated_gb
 from .groups import AbGroup, Cocycle, Element
 from .linalg import rank as mat_rank
 from .linalg import row_spaces_equal
@@ -152,15 +152,22 @@ def trace_form_rank(alg: FinDimAlg) -> int:
     return mat_rank(gram)
 
 
-def is_full_matrix_algebra(alg: FinDimAlg) -> bool:
+def is_full_matrix_algebra(alg: FinDimAlg, trace_rank: Optional[int] = None,
+                           center_dim: Optional[int] = None) -> bool:
     """Characteristic-zero recognition of M_n(k): dimension n^2, semisimple
-    (nondegenerate trace form) and one-dimensional center."""
+    (nondegenerate trace form) and one-dimensional center.  A caller that
+    has already computed the trace form rank or the center dimension passes
+    it in, so neither is computed twice."""
     n = round(alg.dim ** 0.5)
     if n * n != alg.dim:
         return False
-    if trace_form_rank(alg) != alg.dim:
+    if trace_rank is None:
+        trace_rank = trace_form_rank(alg)
+    if trace_rank != alg.dim:
         return False
-    return len(center_basis(alg)) == 1
+    if center_dim is None:
+        center_dim = len(center_basis(alg))
+    return center_dim == 1
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +265,22 @@ class CrossedElement:
         mu = model.spec.cocycle
         gens = model.spec.presentation.generators
         conductor = model.conductor
+        one = CycNum.one(conductor)
         out: dict = {}
         for (wa, ga), ca in self.terms.items():
+            left = None
             for (wb, gb_el), cb in other.terms.items():
-                prod = NcPoly.from_word(gens, conductor, wa + wb)
-                deg = prod.degree()
-                if deg is not None and deg > model.bound:
+                deg = word_degree(wa + wb, gens)
+                if deg > model.bound:
                     raise DegreeBoundExceeded(
                         f"crossed product degree {deg} exceeds bound {model.bound}")
-                reduced = normal_form(prod, model.gb)
+                if left is None:
+                    left = model.gb.times_word({(): one}, wa)
+                reduced = model.gb.times_word(left, wb)
                 scalar = ca * cb * root_of_unity(mu.value(ga, gb_el),
                                                  mu.modulus, conductor)
                 gh = group.mul(ga, gb_el)
-                for w, c in reduced.terms.items():
+                for w, c in reduced.items():
                     key = (w, gh)
                     s = out.get(key)
                     v = scalar * c
@@ -366,20 +376,22 @@ def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
 
     gen_images = [CrossedElement.monomial(model, (j,), spec.grading.g_degrees[j])
                   for j in range(n)]
+    images = {(): CrossedElement.monomial(model, (), model.group.identity())}
 
     def embed_word(word: Word) -> CrossedElement:
-        acc = CrossedElement.monomial(model, (), model.group.identity())
-        for letter in word:
-            acc = acc * gen_images[letter]
-        return acc
+        img = images.get(word)
+        if img is None:
+            img = embed_word(word[:-1]) * gen_images[word[-1]]
+            images[word] = img
+        return img
 
-    def embed_poly(p: NcPoly) -> CrossedElement:
+    def embed_poly(terms: Mapping[Word, CycNum]) -> CrossedElement:
         out = CrossedElement.zero(model)
-        for w, c in p.terms.items():
+        for w, c in terms.items():
             out = out + embed_word(w).scale(c)
         return out
 
-    relations_vanish = all(embed_poly(r).is_zero()
+    relations_vanish = all(embed_poly(r.terms).is_zero()
                            for r in twisted.presentation.relations)
 
     group_gens = [model.group.generator(j) for j in range(model.group.rank)]
@@ -401,14 +413,14 @@ def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
             embedding_injective = False
         dims_match.append((d, inv_dim, alg_dim, len(tw_words)))
 
+    one = CycNum.one(conductor)
     multiplicative = True
     for d1 in range(1, bound):
         for d2 in range(1, bound - d1 + 1):
             for u in tw_gb.normal_words(d1):
                 pu = embed_word(u)
                 for v in tw_gb.normal_words(d2):
-                    prod_in_twist = normal_form(
-                        NcPoly.from_word(gens, conductor, u + v), tw_gb)
+                    prod_in_twist = tw_gb.times_word({u: one}, v)
                     if embed_poly(prod_in_twist) != pu * embed_word(v):
                         multiplicative = False
     return InvariantRingReport(bound, relations_vanish, dims_match,

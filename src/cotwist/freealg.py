@@ -59,7 +59,7 @@ def deglex_key(word: Word, gens: Sequence[GeneratorInfo]):
 class NcPoly:
     """A noncommutative polynomial over a fixed alphabet and conductor."""
 
-    __slots__ = ("gens", "conductor", "terms", "_key")
+    __slots__ = ("gens", "conductor", "terms", "_key", "_lead")
 
     def __init__(self, gens: tuple, conductor: int, terms: Mapping[Word, CycNum]):
         clean = {}
@@ -75,6 +75,7 @@ class NcPoly:
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("NcPoly is immutable")
@@ -138,9 +139,13 @@ class NcPoly:
         return degrees.pop()
 
     def leading_word(self) -> Word:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=lambda w: deglex_key(w, self.gens))
+        cached = self._lead
+        if cached is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading word")
+            cached = max(self.terms, key=lambda w: deglex_key(w, self.gens))
+            object.__setattr__(self, "_lead", cached)
+        return cached
 
     def leading_coeff(self) -> CycNum:
         return self.terms[self.leading_word()]
@@ -319,9 +324,13 @@ def make_presentation(conductor: int, generators: tuple,
                 f"relation {k} needs conductor {rel.conductor}, got {conductor}")
         if rel.is_zero():
             raise ValidationError(f"relation {k} is zero")
-        if rel.homogeneous_degree() is None:
+        degree = rel.homogeneous_degree()
+        if degree is None:
             raise ValidationError(
                 f"relation {k} is not homogeneous: {rel}")
+        if degree == 0:
+            raise ValidationError(
+                f"relation {k} is a nonzero constant, so the quotient is zero")
         rels.append(rel.monic())
     return Presentation(conductor, generators, tuple(rels))
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .cyclo import CycNum
 from .errors import DegreeBoundExceeded, ValidationError
@@ -41,7 +42,13 @@ class DegreeStats:
 class TruncGB:
     """A reduced Groebner basis, complete through `bound`.  `stats` maps
     each degree 0..bound to the `DegreeStats` of the completion that built
-    it; the counters are deterministic, like the basis itself."""
+    it; the counters are deterministic, like the basis itself.
+
+    Products are normal-formed through a lazily built right-multiplication
+    table: `_table[w + (x,)]` is NF(w*x) for a normal word w and a generator
+    x, as a map {normal word: CycNum}.  Each entry is rewritten once, by the
+    same reduction as `normal_form`; `times_word` then folds any product
+    through the table letter by letter."""
 
     def __init__(self, presentation: Presentation, bound: int,
                  elements: Sequence[NcPoly], stats: dict):
@@ -52,6 +59,8 @@ class TruncGB:
         self.lead_map = {g.leading_word(): g for g in self.elements}
         self.lead_lengths = sorted({len(w) for w in self.lead_map})
         self._words_by_degree: Optional[list] = None
+        self._degrees = [g.degree for g in presentation.generators]
+        self._table: dict = {}
 
     def __repr__(self) -> str:
         return f"TruncGB(bound={self.bound}, elements={len(self.elements)})"
@@ -90,6 +99,43 @@ class TruncGB:
             raise DegreeBoundExceeded(
                 f"degree {degree} exceeds the truncation bound {self.bound}")
         return self.normal_words_by_degree()[degree]
+
+    # -- the multiplication table --------------------------------------------
+
+    def _entry(self, word: Word) -> dict:
+        """NF(word) for word = w*x with w normal; the returned map is shared."""
+        entry = self._table.get(word)
+        if entry is None:
+            gens = self.presentation.generators
+            conductor = self.presentation.conductor
+            entry = _reduce(NcPoly.from_word(gens, conductor, word),
+                            self.lead_map, self.lead_lengths).terms
+            self._table[word] = entry
+        return entry
+
+    def times_word(self, terms: Mapping[Word, CycNum], word: Word) -> dict:
+        """NF(p*word) for p = sum of c*v over `terms`, as {normal word: CycNum}.
+
+        The words v of `terms` must be normal; NF of any word u is
+        `times_word({(): 1}, u)`, because the empty word is normal."""
+        degrees = self._degrees
+        top = max((sum(degrees[i] for i in v) for v in terms), default=0)
+        degree = top + sum(degrees[i] for i in word)
+        if terms and degree > self.bound:
+            raise DegreeBoundExceeded(
+                f"product degree {degree} exceeds the truncation bound {self.bound}")
+        if not word:
+            return dict(terms)
+        entry = self._entry
+        for letter in word:
+            out: dict = {}
+            for v, c in terms.items():
+                for u, e in entry(v + (letter,)).items():
+                    t = c * e
+                    s = out.get(u)
+                    out[u] = t if s is None else s + t
+            terms = {u: c for u, c in out.items() if not c.is_zero()}
+        return terms
 
 
 def _contains_subword(haystack: Word, needle: Word) -> bool:
@@ -208,7 +254,11 @@ def _overlap_spolys(p: NcPoly, q: NcPoly, bound: int) -> list:
     return out
 
 
-_GB_CACHE: dict = {}
+# Bases by (presentation key, bound), least recently used first.  A cached
+# basis keeps the multiplication table it has grown, so the cache is bounded;
+# `report` uses 24 distinct keys.
+GB_CACHE_SIZE = 64
+_GB_CACHE: OrderedDict = OrderedDict()
 
 
 def clear_cache() -> None:
@@ -224,6 +274,7 @@ def truncated_gb(presentation: Presentation, bound: int,
             f"{presentation.max_relation_degree()}")
     key = (presentation.canonical_key(), bound)
     if use_cache and key in _GB_CACHE:
+        _GB_CACHE.move_to_end(key)
         return _GB_CACHE[key]
 
     gens = presentation.generators
@@ -287,6 +338,8 @@ def truncated_gb(presentation: Presentation, bound: int,
     result = TruncGB(presentation, bound, basis, stats)
     if use_cache:
         _GB_CACHE[key] = result
+        if len(_GB_CACHE) > GB_CACHE_SIZE:
+            _GB_CACHE.popitem(last=False)
     return result
 
 
@@ -312,11 +365,22 @@ def ideal_contains(p: NcPoly, presentation: Presentation, bound: int) -> bool:
 # regular and normal elements, checked degreewise
 # ---------------------------------------------------------------------------
 
-def _coords(p: NcPoly, index: dict, zero: CycNum) -> list:
+def _coords(terms: dict, index: dict, zero: CycNum) -> list:
     row = [zero] * len(index)
-    for w, c in p.terms.items():
+    for w, c in terms.items():
         row[index[w]] = c
     return row
+
+
+def _sum_products(gb: TruncGB, left: dict, right: Mapping[Word, CycNum]) -> dict:
+    """NF(p*q) for p = `left` (normal words) and q = `right`, by the table."""
+    out: dict = {}
+    for u, c in right.items():
+        for w, e in gb.times_word(left, u).items():
+            t = e * c
+            s = out.get(w)
+            out[w] = t if s is None else s + t
+    return {w: c for w, c in out.items() if not c.is_zero()}
 
 
 def _multiplication_rows(a: NcPoly, gb: TruncGB, degree: int, side: str) -> list:
@@ -325,12 +389,13 @@ def _multiplication_rows(a: NcPoly, gb: TruncGB, degree: int, side: str) -> list
     target = gb.normal_words(degree + deg_a)
     index = {w: i for i, w in enumerate(target)}
     zero = CycNum.zero(a.conductor)
-    rows = []
-    for w in source:
-        word_poly = NcPoly.from_word(a.gens, a.conductor, w)
-        prod = a * word_poly if side == "left" else word_poly * a
-        rows.append(_coords(normal_form(prod, gb), index, zero))
-    return rows
+    one = CycNum.one(a.conductor)
+    if side == "left":
+        nf_a = _sum_products(gb, {(): one}, a.terms)
+        products = (gb.times_word(nf_a, w) for w in source)
+    else:
+        products = (_sum_products(gb, {w: one}, a.terms) for w in source)
+    return [_coords(p, index, zero) for p in products]
 
 
 def is_regular_to_degree(a: NcPoly, presentation: Presentation,

@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over cyclotomic scalars, plus the small
-integer Smith-form solver used for coboundary witnesses.
+"""Exact linear algebra over cyclotomic scalars, plus the small integer
+Smith-form solver used for coboundary witnesses.
 
-Matrices are lists of row lists.  Everything is pure and allocation-happy;
-the dimensions in this package are tiny (at most a few hundred rows).
+Matrices are lists of row lists.  Row reduction works on sparse rows
+{column: CycNum}, because the matrices built here (multiplication maps on
+normal words, crossed-product coordinates) are mostly zero; the dimensions
+are small (at most a few hundred rows).
 """
 
 from __future__ import annotations
@@ -78,29 +80,32 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _sparse_rref(matrix: Matrix) -> tuple[list, list[int]]:
+    """Gauss-Jordan elimination on sparse rows {column: CycNum}: pivots are
+    chosen column by column as in the dense algorithm, and a row operation
+    touches only the nonzero entries of the pivot row."""
+    rows = [{c: x for c, x in enumerate(row) if not x.is_zero()}
+            for row in matrix]
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
+    for c in sorted(set().union(*rows)):
+        pivot_row = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivot = rows[r] = {k: x * inv for k, x in rows[r].items()}
+        for i, row in enumerate(rows):
+            factor = row.get(c)
+            if factor is None or i == r:
+                continue
+            for k, x in pivot.items():
+                y = row.get(k)
+                y = -(factor * x) if y is None else y - factor * x
+                if y.is_zero():
+                    del row[k]
+                else:
+                    row[k] = y
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -108,8 +113,27 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     return rows, pivots
 
 
+def _dense(rows: list, ncols: int, zero: CycNum) -> Matrix:
+    out = []
+    for row in rows:
+        dense = [zero] * ncols
+        for c, x in row.items():
+            dense[c] = x
+        out.append(dense)
+    return out
+
+
+def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    if not matrix or not matrix[0]:
+        return [list(r) for r in matrix], []
+    rows, pivots = _sparse_rref(matrix)
+    zero = CycNum.zero(matrix[0][0].conductor)
+    return _dense(rows, len(matrix[0]), zero), pivots
+
+
 def rank(matrix: Matrix) -> int:
-    return len(rref(matrix)[1])
+    return len(_sparse_rref(matrix)[1])
 
 
 def row_space_rref(matrix: Matrix) -> list:
@@ -125,7 +149,7 @@ def row_spaces_equal(a: Matrix, b: Matrix) -> bool:
 def kernel_basis(matrix: Matrix, ncols: int, conductor: int) -> list:
     """Basis of the right kernel.  Each vector is scaled so its first nonzero
     coordinate is 1; vectors are ordered by that coordinate's index."""
-    rows, pivots = rref(matrix)
+    rows, pivots = _sparse_rref(matrix)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -135,7 +159,9 @@ def kernel_basis(matrix: Matrix, ncols: int, conductor: int) -> list:
         vec = [zero] * ncols
         vec[f] = one
         for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
+            x = rows[r].get(f)
+            if x is not None:
+                vec[p] = -x
         first = next(i for i, x in enumerate(vec) if not x.is_zero())
         scale = vec[first].inverse()
         vec = [x * scale for x in vec]

@@ -433,3 +433,63 @@ class FracCyclo:
 
     def conj(self):
         return self.substitute(self.n, self.n - 1)
+
+
+# ---------------------------------------------------------------------------
+# dense Gauss-Jordan over FracCyclo: the reference for the sparse elimination
+# ---------------------------------------------------------------------------
+
+def frac_is_zero(x: FracCyclo) -> bool:
+    return not any(x.coeffs)
+
+
+def dense_rref(matrix, n: int):
+    """(rows, pivots) of the reduced row echelon form of a matrix of
+    FracCyclo entries in Q(zeta_n), by textbook elimination on full rows."""
+    rows = [list(r) for r in matrix]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        hit = next((i for i in range(r, len(rows))
+                    if not frac_is_zero(rows[i][c])), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def dense_kernel(matrix, ncols: int, n: int):
+    """Right-kernel basis: one vector per free column, scaled so its first
+    nonzero coordinate is 1 and ordered by that coordinate."""
+    rows, pivots = dense_rref(matrix, n)
+    zero, one = FracCyclo(n, [0]), FracCyclo(n, [1])
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
+        vec[f] = one
+        for r, p in enumerate(pivots):
+            vec[p] = -rows[r][f]
+        first = next(i for i, x in enumerate(vec) if not frac_is_zero(x))
+        scale = vec[first].inverse()
+        out.append((first, [x * scale for x in vec]))
+    return [vec for _, vec in sorted(out, key=lambda pair: pair[0])]
+
+
+def dense_inverse(matrix, n: int):
+    """The inverse of a square matrix, or None when it is singular."""
+    size = len(matrix)
+    aug = [list(row) + [FracCyclo(n, [int(i == j)]) for j in range(size)]
+           for i, row in enumerate(matrix)]
+    rows, pivots = dense_rref(aug, n)
+    if pivots[:size] != list(range(size)):
+        return None
+    return [row[size:] for row in rows[:size]]

@@ -134,6 +134,25 @@ def test_kgmu_command(capsys):
     assert json.loads(out)["center_dimension"] == 4
 
 
+def test_kgmu_computes_center_and_trace_rank_once(capsys, monkeypatch):
+    from cotwist import cli, crossed
+    calls = {"center_basis": 0, "trace_form_rank": 0}
+    for name in calls:
+        real = getattr(crossed, name)
+
+        def counted(alg, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(alg)
+
+        monkeypatch.setattr(crossed, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    # Klein: a square dimension and a nondegenerate trace form, so the
+    # matrix-algebra test needs both values
+    code, out, _ = run(capsys, ["kgmu", "--group", "2,2", "--cocycle", "klein"])
+    assert code == 0 and json.loads(out)["is_full_matrix_algebra"] is True
+    assert calls == {"center_basis": 1, "trace_form_rank": 1}
+
+
 def test_kgmu_formula_cocycle(capsys):
     code, out, _ = run(capsys, ["kgmu", "--group", "2,2",
                                 "--cocycle", "(-1)^(p*s)"])
@@ -371,6 +390,16 @@ def test_bad_relation_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, ["gb", "--input", str(path)])
     assert code == 2
     assert "input error" in err
+
+
+def test_constant_relation_is_input_error(capsys, tmp_path):
+    # a nonzero constant generates the whole algebra; the Groebner normal
+    # words and `normal_form` used to disagree on it
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps({"generators": ["x"], "relations": ["1", "x^2"]}))
+    code, out, err = run(capsys, ["gb", "--degree", "2", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert "input error" in err and "relation 0 is a nonzero constant" in err
 
 
 def test_human_mode_renders_text(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,10 @@ from cotwist.crossed import (CrossedElement, build_crossed_model, center_basis,
                              is_full_matrix_algebra, isotypic_component,
                              trace_form_rank, twisted_group_algebra,
                              verify_bimodule_component, verify_invariant_ring)
-from cotwist.cyclo import CycNum
+from cotwist.cyclo import CycNum, root_of_unity
 from cotwist.errors import DegreeBoundExceeded, ValidationError
+from cotwist.freealg import NcPoly
+from cotwist.gbasis import normal_form
 from cotwist.groups import AbGroup, klein_mu, trivial_cocycle, validate_cocycle
 from cotwist.presets import preset
 from cotwist.twist import TwistSpec
@@ -161,3 +164,23 @@ def test_degree_bound_enforced():
     x = CrossedElement.monomial(model, (0, 1), E)
     with pytest.raises(DegreeBoundExceeded):
         x * x
+
+
+def test_product_matches_normal_form_for_non_normal_words():
+    # every pair of words through the bound, normal or not, on both sides
+    model = model_for("E(1,i)", 4)
+    gens, n = model.spec.presentation.generators, model.conductor
+    mu = model.spec.cocycle
+    assert any(len(g.leading_word()) == 2 for g in model.gb.elements)
+    words = [w for d in range(3)
+             for w in itertools.product(range(len(gens)), repeat=d)]
+    for wa in words:
+        for wb in words:
+            for ga, gb_el in ((G1, G2), (G12, G1)):
+                prod = (CrossedElement.monomial(model, wa, ga)
+                        * CrossedElement.monomial(model, wb, gb_el))
+                scalar = root_of_unity(mu.value(ga, gb_el), mu.modulus, n)
+                nf = normal_form(NcPoly.from_word(gens, n, wa + wb), model.gb)
+                assert prod == CrossedElement(
+                    model, {(w, KLEIN.mul(ga, gb_el)): c * scalar
+                            for w, c in nf.terms.items()})

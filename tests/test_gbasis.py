@@ -9,15 +9,16 @@ import pytest
 from cotwist import gbasis
 from cotwist.cyclo import CycNum
 from cotwist.errors import DegreeBoundExceeded, ValidationError
-from cotwist.freealg import (GenMap, NcPoly, deglex_key, make_alphabet,
-                             make_presentation, parse_ncpoly, word_degree)
+from cotwist.freealg import (GenMap, NcPoly, Presentation, deglex_key,
+                             make_alphabet, make_presentation, parse_ncpoly,
+                             word_degree)
 from cotwist.gbasis import (clear_cache, hilbert_coeffs, ideal_contains,
                             is_normal_to_degree, is_regular_to_degree,
                             normal_form, truncated_gb, verify_iso)
 from cotwist.jsonio import spec_bundle_from_dict
 from cotwist.presets import PRESET_NAMES, a_family_xbasis, preset
 from cotwist.twist import twist_presentation
-from oracles import quotient_dims
+from oracles import quotient_dims, words_of_degree
 
 XY = make_alphabet([("x", 1), ("y", 1)])
 
@@ -225,6 +226,26 @@ def test_cache_round_trip():
     assert first is second
 
 
+def test_cache_is_bounded_and_keeps_recent_bases():
+    clear_cache()
+    limit = gbasis.GB_CACHE_SIZE
+    presentations = [pres_xy(f"x*y - {c}*y*x") for c in range(1, limit + 11)]
+    first = truncated_gb(presentations[0], 3)
+    for pres in presentations[1:]:
+        assert truncated_gb(presentations[0], 3) is first
+        gb = truncated_gb(pres, 3)
+        assert [str(g) for g in gb.elements] == [str(g) for g in truncated_gb(
+            pres, 3, use_cache=False).elements]
+        assert hilbert_coeffs(pres, 3) == (1, 2, 3, 4)
+        assert len(gbasis._GB_CACHE) <= limit
+    # the least recently used bases were evicted and come back rebuilt
+    again = truncated_gb(presentations[1], 3)
+    assert again.elements == truncated_gb(presentations[1], 3,
+                                          use_cache=False).elements
+    assert len(gbasis._GB_CACHE) == limit
+    clear_cache()
+
+
 def test_weighted_generators_supported():
     gens = make_alphabet([("x", 1), ("y", 2)])
     pres = make_presentation(1, gens, [parse_ncpoly("y - x^2", gens, 1)])
@@ -294,8 +315,10 @@ def test_counters_read_the_basis_heights():
     assert gb.stats[2].basis_size == 1
     assert gb.stats[2].coeff_height_bits == 2
     assert gb.stats[3].zero_reductions == gb.stats[3].reductions == 0
-    # a constant relation is counted at degree 0
-    constant = truncated_gb(pres_xy("1", "x*y"), 2, use_cache=False)
+    # a constant relation is counted at degree 0; `make_presentation`
+    # rejects one, so the presentation is built without it
+    relations = (parse_ncpoly("1", XY, 4), parse_ncpoly("x*y", XY, 4))
+    constant = truncated_gb(Presentation(4, XY, relations), 2, use_cache=False)
     assert constant.stats[0].reductions == 1
 
 
@@ -344,3 +367,77 @@ def test_heap_reduction_repeats_old_rewrite_sequence(name, sklyanin,
         assert normal_form(p, gb, chooser=_old_default_strategy(gens)) == heap_nf
         assert rewrites == heap_rewrites
         rewrites.clear()
+
+
+# ---------------------------------------------------------------------------
+# the multiplication table against the rewrite loop
+# ---------------------------------------------------------------------------
+
+def assert_table_matches_normal_form(pres, bound, words):
+    """For every word w and every split w = u*v, the table's NF(NF(u)*v)
+    equals `normal_form(w)`; the table starts empty."""
+    gb = truncated_gb(pres, bound, use_cache=False)
+    gens, n = pres.generators, pres.conductor
+    one = CycNum.one(n)
+    for w in words:
+        expected = normal_form(NcPoly.from_word(gens, n, w), gb).terms
+        for k in range(len(w) + 1):
+            left = gb.times_word({(): one}, w[:k])
+            assert gb.times_word(left, w[k:]) == expected
+
+
+def all_words(pres, bound):
+    weights = [g.degree for g in pres.generators]
+    return [w for d in range(bound + 1)
+            for w in words_of_degree(len(weights), weights, d)]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_table_products_match_normal_form_on_presets(name):
+    source = preset(name)
+    for pres in (source.presentation,
+                 twist_presentation(source.twist_spec()).presentation):
+        assert_table_matches_normal_form(pres, 5, all_words(pres, 5))
+
+
+def test_table_products_match_normal_form_with_linear_relations():
+    # z and y are leading words of degree-1 relations, so neither is normal
+    xyz = make_alphabet([("x", 1), ("y", 1), ("z", 1)])
+    pres = make_presentation(4, xyz, [parse_ncpoly(r, xyz, 4) for r in
+                                      ("z - x - i*y", "y - 2*x", "x^2*z")])
+    gb = truncated_gb(pres, 5)
+    assert gb.normal_words(1) == [(0,)]
+    assert_table_matches_normal_form(pres, 5, all_words(pres, 5))
+    weighted = make_alphabet([("x", 1), ("y", 2)])
+    pres = make_presentation(1, weighted, [parse_ncpoly("y - x^2", weighted, 1)])
+    assert_table_matches_normal_form(pres, 6, all_words(pres, 6))
+
+
+def test_table_products_match_normal_form_on_sklyanin(sklyanin):
+    pres = sklyanin[0]
+    assert_table_matches_normal_form(pres, 6, all_words(pres, 4))
+    # through degree 6: every product of two normal words
+    gb = truncated_gb(pres, 6, use_cache=False)
+    gens, n = pres.generators, pres.conductor
+    one = CycNum.one(n)
+    levels = gb.normal_words_by_degree()
+    expected: dict = {}
+    for d1 in range(7):
+        for d2 in range(7 - d1):
+            for u in levels[d1]:
+                for v in levels[d2]:
+                    w = u + v
+                    if w not in expected:
+                        expected[w] = normal_form(
+                            NcPoly.from_word(gens, n, w), gb).terms
+                    assert gb.times_word({u: one}, v) == expected[w]
+
+
+def test_table_products_respect_the_bound():
+    pres = preset("A(1,-1)").presentation
+    gb = truncated_gb(pres, 4)
+    one = CycNum.one(pres.conductor)
+    with pytest.raises(DegreeBoundExceeded):
+        gb.times_word({(0, 1): one}, (2, 2, 2))
+    assert gb.times_word({(0, 1): one}, (2, 2)) == normal_form(
+        parse_ncpoly("w1*w2*w3^2", pres.generators, 4), gb).terms

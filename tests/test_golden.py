@@ -37,6 +37,12 @@ CASES = {
     "twist-klein-standard": ["twist", "--input", KLEIN_STANDARD],
     "twist-c3c3": ["twist", "--input", C3C3],
     "kgmu-c3c3": ["kgmu", "--group", "3,3", "--cocycle", "zeta(6)^(2*a1*b2)"],
+    # the radical of the commutator bicharacter is {e, g2^2}: center of
+    # dimension 2, not a matrix algebra
+    "kgmu-c2c4": ["kgmu", "--group", "2,4", "--cocycle", "(-1)^(a1*b2)"],
+    # degree 7 reaches the multiplicative check's longest products
+    "invariants-A7": ["invariants", "--degree", "7",
+                      "--input", "preset:A(1,-1)"],
     "twist-grammar": ["twist", "--input", GRAMMAR],
     "gb-grammar": ["gb", "--degree", "4", "--input", GRAMMAR],
 }
