@@ -89,17 +89,18 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# per-conductor table of zeta^k reduced into the power basis; the rows are
-# integers because the cyclotomic polynomial is monic
-_POWER_TABLES: dict[int, list[tuple[int, ...]]] = {}
+# Per-conductor table of zeta^k reduced into the power basis; the rows are
+# integers because the cyclotomic polynomial is monic.  The cache holds the
+# growing list, so a table evicted by the bound is only rebuilt.
+@lru_cache(maxsize=256)
+def _power_table(n: int) -> list[tuple[int, ...]]:
+    return [(1,) + (0,) * (euler_phi(n) - 1)]
 
 
 def _power_rows(n: int, k: int) -> list[tuple[int, ...]]:
     """The table of zeta_n^0, zeta_n^1, ... in the power basis, grown to at
     least k + 1 rows."""
-    table = _POWER_TABLES.get(n)
-    if table is None:
-        table = _POWER_TABLES[n] = [(1,) + (0,) * (euler_phi(n) - 1)]
+    table = _power_table(n)
     if len(table) <= k:
         phi = cyclotomic_poly(n)
         deg = len(phi) - 1
@@ -117,9 +118,19 @@ def _power_rows(n: int, k: int) -> list[tuple[int, ...]]:
 # integer vectors in the power basis of Z[zeta_N]
 # ---------------------------------------------------------------------------
 
+# Phi_N = x^2 + c1*x + 1 for the conductors with phi(N) = 2
+_QUADRATIC_C1 = {n: cyclotomic_poly(n)[1] for n in (3, 4, 6)}
+
+
 def _vmul(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The product of two integer vectors, reduced modulo Phi_N."""
     deg = len(a)
+    if deg == 2:
+        # conductors 3, 4, 6: zeta^2 = -1 - c1*zeta
+        x0, x1 = a
+        y0, y1 = b
+        top = x1 * y1
+        return [x0 * y0 - top, x0 * y1 + x1 * y0 - _QUADRATIC_C1[n] * top]
     prod = [0] * (2 * deg - 1)
     for i, x in enumerate(a):
         if x:
@@ -202,16 +213,31 @@ def _add_rational(n: int, x: int, b: int, y: int, d: int) -> "CycNum":
     return _make(n, (t,), b)
 
 
-def _add_vector(n: int, a: tuple, b: int, c: tuple, d: int) -> "CycNum":
+def _rational_product(x: int, b: int, y: int, d: int) -> tuple[int, int]:
+    """x/b * y/d as (numerator, denominator) in lowest terms, for operands
+    in lowest terms: cross-cancel as in Fraction multiplication."""
+    if not x or not y:
+        return 0, 1
+    if d != 1:
+        g = gcd(x, d)
+        if g != 1:
+            x //= g
+            d //= g
+    if b != 1:
+        g = gcd(y, b)
+        if g != 1:
+            y //= g
+            b //= g
+    return x * y, b * d
+
+
+def _add_vector(n: int, a: Sequence[int], b: int, c: Sequence[int],
+                d: int) -> "CycNum":
     if b == d:
         return _reduced(n, [x + y for x, y in zip(a, c)], b)
     g = gcd(b, d)
     s, e = b // g, d // g
     return _reduced(n, [x * e + y * s for x, y in zip(a, c)], s * d)
-
-
-# Phi_N = x^2 + c1*x + 1 for the conductors with phi(N) = 2
-_QUADRATIC_C1 = {n: cyclotomic_poly(n)[1] for n in (3, 4, 6)}
 
 
 class CycNum:
@@ -331,40 +357,52 @@ class CycNum:
         if other.conductor != n:
             raise _mismatch(self, other)
         a, c = self.num, other.num
-        b, d = self.den, other.den
         if len(a) == 1:
-            # cross-cancel as in Fraction multiplication
-            x, y = a[0], c[0]
-            if not x or not y:
-                x, b, d = 0, 1, 1
-            else:
-                if d != 1:
-                    g = gcd(x, d)
-                    if g != 1:
-                        x //= g
-                        d //= g
-                if b != 1:
-                    g = gcd(y, b)
-                    if g != 1:
-                        y //= g
-                        b //= g
-                x *= y
-            return _make(n, (x,), b * d)
+            x, den = _rational_product(a[0], self.den, c[0], other.den)
+            return _make(n, (x,), den)
+        den = self.den * other.den
         if len(a) == 2:
-            # conductors 3, 4, 6: zeta^2 = -1 - c1*zeta
+            # `_vmul` and `_reduced` inlined: products at conductor 4 are
+            # the bulk of the crossed-product work
             x0, x1 = a
             y0, y1 = c
             top = x1 * y1
             lo = x0 * y0 - top
             hi = x0 * y1 + x1 * y0 - _QUADRATIC_C1[n] * top
-            den = b * d
             g = gcd(lo, hi, den)
             if g != 1:
                 lo //= g
                 hi //= g
                 den //= g
             return _make(n, (lo, hi), den)
-        return _reduced(n, _vmul(n, a, c), b * d)
+        return _reduced(n, _vmul(n, a, c), den)
+
+    # Fused operations for the rewrite loop of `gbasis`: each builds one
+    # value where the operators would build two.
+
+    def neg_mul(self, other: "CycNum") -> "CycNum":
+        """-(self*other)."""
+        n = self.conductor
+        if other.conductor != n:
+            raise _mismatch(self, other)
+        a, c = self.num, other.num
+        if len(a) == 1:
+            x, den = _rational_product(a[0], self.den, c[0], other.den)
+            return _make(n, (-x,), den)
+        return _reduced(n, [-x for x in _vmul(n, a, c)], self.den * other.den)
+
+    def sub_mul(self, a: "CycNum", b: "CycNum") -> "CycNum":
+        """self - a*b."""
+        n = self.conductor
+        if a.conductor != n or b.conductor != n:
+            raise _mismatch(self, b if a.conductor == n else a)
+        x, y, z = self.num, a.num, b.num
+        if len(x) == 1:
+            # `_add_rational` needs both operands in lowest terms
+            t, den = _rational_product(y[0], a.den, z[0], b.den)
+            return _add_rational(n, x[0], self.den, -t, den)
+        return _add_vector(n, x, self.den, [-t for t in _vmul(n, y, z)],
+                           a.den * b.den)
 
     def inverse(self) -> "CycNum":
         a, b, n = self.num, self.den, self.conductor

@@ -5,6 +5,12 @@ degree bound; every conclusion drawn downstream is therefore "to degree D"
 and the tool never claims global completeness.  The monomial order is deglex
 over the generator order as listed in the presentation, which makes runs
 byte-deterministic.
+
+Reduction rewrites the deglex-largest reducible word at its leftmost,
+shortest match, popping words from a heap.  Matches are found in a letter
+trie of the leading words (`_lead_trie`) whose nodes hold the rewrite rules,
+and each term update is one fused scalar operation (`CycNum.sub_mul`,
+`CycNum.neg_mul`).
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import heapq
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable, Mapping, Optional, Sequence
 
 from .cyclo import CycNum
@@ -30,13 +37,17 @@ class DegreeStats:
     loop reduced (relations, S-polynomials and re-queued basis elements),
     `zero_reductions` those that reduced to zero; `basis_size` and
     `coeff_height_bits` (the largest numerator or denominator, in bits)
-    describe the final basis elements of this degree."""
+    describe the final basis elements of this degree.  `normal_words`, the
+    dimension of the quotient in this degree, is None until the normal
+    words are enumerated (`TruncGB.normal_words_by_degree`): with many
+    generators there are too many of them to count on every completion."""
 
     overlaps: int = 0
     reductions: int = 0
     zero_reductions: int = 0
     basis_size: int = 0
     coeff_height_bits: int = 0
+    normal_words: Optional[int] = None
 
 
 class TruncGB:
@@ -44,11 +55,13 @@ class TruncGB:
     each degree 0..bound to the `DegreeStats` of the completion that built
     it; the counters are deterministic, like the basis itself.
 
-    Products are normal-formed through a lazily built right-multiplication
-    table: `_table[w + (x,)]` is NF(w*x) for a normal word w and a generator
-    x, as a map {normal word: CycNum}.  Each entry is rewritten once, by the
-    same reduction as `normal_form`; `times_word` then folds any product
-    through the table letter by letter."""
+    Reduction finds leading words through `_trie`, a letter trie of the
+    leading words whose nodes hold their elements' rewrite rules (see
+    `_lead_trie`).  Products are normal-formed through a lazily built
+    right-multiplication table: `_table[w + (x,)]` is NF(w*x) for a normal
+    word w and a generator x, as a map {normal word: CycNum}.  Each entry is
+    rewritten once, by the same reduction as `normal_form`; `times_word` then
+    folds any product through the table letter by letter."""
 
     def __init__(self, presentation: Presentation, bound: int,
                  elements: Sequence[NcPoly], stats: dict):
@@ -57,7 +70,7 @@ class TruncGB:
         self.elements = tuple(elements)
         self.stats = stats
         self.lead_map = {g.leading_word(): g for g in self.elements}
-        self.lead_lengths = sorted({len(w) for w in self.lead_map})
+        self._trie = _lead_trie(self.elements)
         self._words_by_degree: Optional[list] = None
         self._degrees = [g.degree for g in presentation.generators]
         self._table: dict = {}
@@ -67,17 +80,12 @@ class TruncGB:
 
     # -- normal words --------------------------------------------------------
 
-    def _suffix_reducible(self, word: Word) -> bool:
-        for length in self.lead_lengths:
-            if length <= len(word) and word[-length:] in self.lead_map:
-                return True
-        return False
-
     def normal_words_by_degree(self) -> list:
         """Irreducible words grouped by N-degree, degrees 0..bound."""
         if self._words_by_degree is not None:
             return self._words_by_degree
         gens = self.presentation.generators
+        depth = max(map(len, self.lead_map), default=0)
         levels: list = [[()]]
         for d in range(1, self.bound + 1):
             level = []
@@ -86,11 +94,16 @@ class TruncGB:
                 if prev < 0:
                     continue
                 for w in levels[prev]:
+                    # w is normal, so a match in cand is a suffix: it
+                    # starts at most `depth` letters before the end
                     cand = w + (gen.index,)
-                    if not self._suffix_reducible(cand):
+                    start = max(len(cand) - depth, 0)
+                    if _first_match(cand, self._trie, start) is None:
                         level.append(cand)
             level.sort()
             levels.append(level)
+        for d, level in enumerate(levels):
+            self.stats[d].normal_words = len(level)
         self._words_by_degree = levels
         return levels
 
@@ -109,7 +122,7 @@ class TruncGB:
             gens = self.presentation.generators
             conductor = self.presentation.conductor
             entry = _reduce(NcPoly.from_word(gens, conductor, word),
-                            self.lead_map, self.lead_lengths).terms
+                            self._trie).terms
             self._table[word] = entry
         return entry
 
@@ -145,55 +158,104 @@ def _contains_subword(haystack: Word, needle: Word) -> bool:
     return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
 
 
-def _matches(word: Word, lead_map: dict, lead_lengths: Sequence[int]):
-    """(position, length) of every basis leading word inside `word`,
-    leftmost first, then shortest."""
-    for pos in range(len(word)):
-        for length in lead_lengths:
-            if pos + length > len(word):
+# The trie key of a leading word's rewrite rule; letters are >= 0.
+_RULE = -1
+
+
+def _add_lead(trie: dict, g: NcPoly) -> None:
+    """Enter the leading word of the monic element g into `trie`.  Its node
+    holds g's rewrite rule lead -> -tail as the (word, coeff) pairs of the
+    tail g - lead."""
+    lead = g.leading_word()
+    node = trie
+    for letter in lead:
+        node = node.setdefault(letter, {})
+    node[_RULE] = tuple((w, c) for w, c in g.terms.items() if w != lead)
+
+
+def _lead_trie(elements) -> dict:
+    trie: dict = {}
+    for g in elements:
+        _add_lead(trie, g)
+    return trie
+
+
+def _first_match(word: Word, trie: dict, start: int = 0):
+    """(position, length, rule) of the leftmost, then shortest, leading word
+    inside `word` that starts at `start` or later; None if there is none."""
+    n = len(word)
+    for pos in range(start, n):
+        node = trie
+        i = pos
+        while True:
+            rule = node.get(_RULE)
+            if rule is not None:
+                return pos, i - pos, rule
+            if i == n:
                 break
-            if word[pos:pos + length] in lead_map:
-                yield pos, length
+            node = node.get(word[i])
+            if node is None:
+                break
+            i += 1
+    return None
+
+
+def _matches(word: Word, trie: dict):
+    """Every (position, length, rule) match in `word`, leftmost first.  The
+    leading words of a basis form an antichain under the subword order, so
+    at most one of them starts at each position."""
+    match = _first_match(word, trie)
+    while match is not None:
+        yield match
+        match = _first_match(word, trie, match[0] + 1)
 
 
 def _rewrite(terms: dict, word: Word, coeff: CycNum, pos: int, length: int,
-             lead_map: dict) -> list:
-    """Replace coeff*word in `terms` (already popped) by coeff*left*tail*right,
-    where word = left*lead*right; return the words this adds to `terms`."""
-    lead = word[pos:pos + length]
+             rule: tuple) -> list:
+    """Replace coeff*word in `terms` (already popped) by -coeff*left*tail*right,
+    where word = left*lead*right and `rule` is the tail of the monic element
+    with that leading word; return the words this adds to `terms`."""
     left, right = word[:pos], word[pos + length:]
     added = []
-    for tw, tc in lead_map[lead].terms.items():
-        if tw == lead:
-            continue
+    for tw, tc in rule:
         new_word = left + tw + right
-        delta = coeff * tc
-        if new_word in terms:
-            s = terms[new_word] - delta
+        s = terms.get(new_word)
+        if s is None:
+            terms[new_word] = coeff.neg_mul(tc)
+            added.append(new_word)
+        else:
+            s = s.sub_mul(coeff, tc)
             if s.is_zero():
                 del terms[new_word]
             else:
                 terms[new_word] = s
-        else:
-            terms[new_word] = -delta
-            added.append(new_word)
     return added
 
 
-def _reduce(p: NcPoly, lead_map: dict, lead_lengths: Sequence[int],
+# letter i -> 255 - i, so that ascending bytes order is descending lex order
+_FLIP = bytes(range(255, -1, -1))
+
+
+def _heap_key(degrees: Sequence[int]) -> Callable:
+    """A key whose ascending order is descending deglex.  With generator
+    degrees >= 1, words of equal degree are never prefixes of each other,
+    so reversing the letter order reverses lex.  Alphabets of at most 256
+    letters get a bytes key, which is built and compared in C."""
+    weight = degrees.__getitem__
+    if len(degrees) > 256:
+        return lambda w: (-sum(map(weight, w)), tuple(map(neg, w)))
+    return lambda w: (-sum(map(weight, w)), bytes(w).translate(_FLIP))
+
+
+def _reduce(p: NcPoly, trie: dict,
             chooser: Optional[Callable] = None) -> NcPoly:
     if chooser is not None:
-        return _reduce_chosen(p, lead_map, lead_lengths, chooser)
+        return _reduce_chosen(p, trie, chooser)
     # Rewrite the deglex-largest reducible word at its first match until none
     # is left.  A rewrite only adds words smaller than the one it replaces, so
     # a max-heap visits words in that order and an irreducible word, once
-    # popped, is final.  With generator degrees >= 1, words of equal degree
-    # are never prefixes of each other, so negating the letters reverses lex.
-    degrees = [g.degree for g in p.gens]
-
-    def heap_key(w: Word) -> tuple:
-        return (-sum(degrees[i] for i in w), tuple(-i for i in w))
-
+    # popped, is final.
+    heap_key = _heap_key([g.degree for g in p.gens])
     terms = dict(p.terms)
     heap = [(heap_key(w), w) for w in terms]
     heapq.heapify(heap)
@@ -203,25 +265,24 @@ def _reduce(p: NcPoly, lead_map: dict, lead_lengths: Sequence[int],
         coeff = terms.pop(word, None)
         if coeff is None:            # cancelled, or a repeated heap entry
             continue
-        match = next(_matches(word, lead_map, lead_lengths), None)
+        match = _first_match(word, trie)
         if match is None:
             done[word] = coeff
             continue
-        for w in _rewrite(terms, word, coeff, *match, lead_map):
+        for w in _rewrite(terms, word, coeff, *match):
             heapq.heappush(heap, (heap_key(w), w))
     return NcPoly(p.gens, p.conductor, done)
 
 
-def _reduce_chosen(p: NcPoly, lead_map: dict, lead_lengths: Sequence[int],
-                   chooser: Callable) -> NcPoly:
+def _reduce_chosen(p: NcPoly, trie: dict, chooser: Callable) -> NcPoly:
     terms = dict(p.terms)
     while True:
-        candidates = sorted((word, match) for word in terms
-                            for match in _matches(word, lead_map, lead_lengths))
-        if not candidates:
+        rules = {(word, (pos, length)): rule for word in terms
+                 for pos, length, rule in _matches(word, trie)}
+        if not rules:
             return NcPoly(p.gens, p.conductor, terms)
-        word, (pos, length) = chooser(candidates)
-        _rewrite(terms, word, terms.pop(word), pos, length, lead_map)
+        word, match = chooser(sorted(rules))
+        _rewrite(terms, word, terms.pop(word), *match, rules[word, match])
 
 
 def normal_form(p: NcPoly, gb: TruncGB,
@@ -235,7 +296,7 @@ def normal_form(p: NcPoly, gb: TruncGB,
     if deg is not None and deg > gb.bound:
         raise DegreeBoundExceeded(
             f"polynomial degree {deg} exceeds the truncation bound {gb.bound}")
-    return _reduce(p, gb.lead_map, gb.lead_lengths, chooser)
+    return _reduce(p, gb._trie, chooser)
 
 
 def _overlap_spolys(p: NcPoly, q: NcPoly, bound: int) -> list:
@@ -284,15 +345,12 @@ def truncated_gb(presentation: Presentation, bound: int,
         heapq.heappush(heap, (rel.degree(), next(seq), rel))
 
     basis: list = []
-    lead_map: dict = {}
+    trie: dict = {}
     stats = {d: DegreeStats() for d in range(bound + 1)}
-
-    def lengths() -> list:
-        return sorted({len(w) for w in lead_map})
 
     while heap:
         degree, _, p = heapq.heappop(heap)
-        h = _reduce(p, lead_map, lengths())
+        h = _reduce(p, trie)
         stats[degree].reductions += 1
         if h.is_zero():
             stats[degree].zero_reductions += 1
@@ -302,10 +360,11 @@ def truncated_gb(presentation: Presentation, bound: int,
         kept = []
         for g in basis:
             if _contains_subword(g.leading_word(), lead_h):
-                del lead_map[g.leading_word()]
                 heapq.heappush(heap, (g.degree(), next(seq), g))
             else:
                 kept.append(g)
+        if len(kept) < len(basis):
+            trie = _lead_trie(kept)
         basis = kept
         for g in basis + [h]:
             pairs = [(h, g)] if g is h else [(h, g), (g, h)]
@@ -314,19 +373,17 @@ def truncated_gb(presentation: Presentation, bound: int,
                     stats[degree].overlaps += 1
                     heapq.heappush(heap, (degree, next(seq), s))
         basis.append(h)
-        lead_map[lead_h] = h
+        _add_lead(trie, h)
 
     # interreduce tails; leading words are already an antichain
     changed = True
     while changed:
         changed = False
         for idx, g in enumerate(basis):
-            others = {w: e for w, e in lead_map.items() if e is not g}
-            red = _reduce(g, others, sorted({len(w) for w in others}))
-            red = red.monic()
+            others = _lead_trie(e for e in basis if e is not g)
+            red = _reduce(g, others).monic()
             if red != g:
                 basis[idx] = red
-                lead_map[red.leading_word()] = red
                 changed = True
 
     basis.sort(key=lambda g: deglex_key(g.leading_word(), gens))

@@ -15,6 +15,7 @@ one display form, the C-family cubic, has leading coefficient -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .action import GGrading, GradedAction, diagonal_action, grading_from_degrees
 from .crossed import (center_basis, is_full_matrix_algebra, trace_form_rank,
@@ -75,15 +76,12 @@ class Preset:
         return TwistSpec(self.grading(), self.duality, self.cocycle)
 
 
-_PRESET_CACHE: dict = {}
-
-
+# One entry per catalog name at most; an unknown name raises and is not cached.
+@lru_cache(maxsize=len(_CATALOG))
 def preset(name: str) -> Preset:
     if name not in _CATALOG:
         raise CotwistError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    if name in _PRESET_CACHE:
-        return _PRESET_CACHE[name]
     gens = make_alphabet([("w1", 1), ("w2", 1), ("w3", 1)])
     display = tuple(parse_ncpoly(text, gens, CONDUCTOR) for text in _CATALOG[name])
     pres = make_presentation(CONDUCTOR, gens, display)
@@ -92,9 +90,7 @@ def preset(name: str) -> Preset:
     mu = klein_mu()
     degrees = ((0, 0), (0, 1), (1, 0))
     act = diagonal_action(pres, group, duality, degrees)
-    p = Preset(name, pres, display, group, duality, mu, degrees, act)
-    _PRESET_CACHE[name] = p
-    return p
+    return Preset(name, pres, display, group, duality, mu, degrees, act)
 
 
 def a_family_xbasis() -> tuple:
@@ -236,10 +232,13 @@ def _twisted_group_algebra(bound: int) -> dict:
     group = preset("A(1,-1)").group
     alg = twisted_group_algebra(group, klein_mu(), CONDUCTOR)
     plain = twisted_group_algebra(group, trivial_cocycle(group), CONDUCTOR)
+    center_dim = len(center_basis(alg))
+    trace_rank = trace_form_rank(alg)
     out = {
-        "twisted_center_dim": len(center_basis(alg)),
-        "twisted_trace_rank": trace_form_rank(alg),
-        "is_full_matrix_algebra": is_full_matrix_algebra(alg),
+        "twisted_center_dim": center_dim,
+        "twisted_trace_rank": trace_rank,
+        "is_full_matrix_algebra": is_full_matrix_algebra(alg, trace_rank,
+                                                         center_dim),
         "plain_center_dim": len(center_basis(plain)),
     }
     out["pass"] = (out["twisted_center_dim"] == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotwist import cyclo
 from cotwist.cyclo import (CycNum, euler_phi, parse_scalar, root_exponent,
                            root_of_unity)
 from cotwist.errors import ConductorMismatch, ParseError
@@ -245,6 +246,45 @@ def test_arithmetic_agrees_with_fraction_oracle(conductor, data):
     assert x + y == y + x and hash(x + y) == hash(y + x)
     assert (x + y) - y == x and hash((x + y) - y) == hash(x)
     assert x * y == y * x and hash(x * y) == hash(y * x)
+
+
+@pytest.mark.parametrize("conductor", ORACLE_CONDUCTORS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fused_ops_agree_with_fraction_oracle(conductor, data):
+    (x, fx), (y, fy), (z, fz) = (_pair(conductor, data.draw(oracle_coeffs(conductor)))
+                                 for _ in range(3))
+    zero = CycNum.zero(conductor)
+    cases = [(x.sub_mul(y, z), fx - fy * fz, x - y * z),
+             (y.neg_mul(z), -(fy * fz), -(y * z)),
+             (x.sub_mul(zero, z), fx, x), (x.sub_mul(y, zero), fx, x),
+             (zero.sub_mul(y, z), -(fy * fz), -(y * z)),
+             (zero.neg_mul(z), fy - fy, zero)]
+    for got, want, plain in cases:
+        # the same value as the two-step route, in the same canonical form
+        assert _canonical(got)
+        assert got.coeffs == want.coeffs
+        assert (got.num, got.den) == (plain.num, plain.den)
+        assert got == plain and hash(got) == hash(plain)
+
+
+def test_fused_ops_need_equal_conductors():
+    one, i = CycNum.one(1), CycNum.i()
+    for call in (lambda: i.sub_mul(one, i), lambda: i.sub_mul(i, one),
+                 lambda: one.sub_mul(i, i), lambda: i.neg_mul(one)):
+        with pytest.raises(ConductorMismatch):
+            call()
+
+
+def test_power_tables_are_bounded():
+    # one table per conductor; the cache keeps the most recent ones and a
+    # table evicted by the bound is rebuilt on demand
+    limit = cyclo._power_table.cache_info().maxsize
+    for n in range(3, limit + 40):
+        assert CycNum.zeta(n) ** n == CycNum.one(n)
+    assert cyclo._power_table.cache_info().currsize == limit
+    assert CycNum.zeta(5) ** 5 == CycNum.one(5)
+    assert CycNum.zeta(12, 3) == CycNum.i().embed(12)
 
 
 def test_values_are_immutable():

@@ -306,6 +306,11 @@ def test_sklyanin_completion_counters(sklyanin):
             assert s.zero_reductions <= s.reductions
         heights = [s.coeff_height_bits for s in stats.values()]
         assert heights[2] > 0 and max(heights) == heights[7]
+        # normal words are counted when they are enumerated
+        assert all(s.normal_words is None for s in stats.values())
+        gb.normal_words_by_degree()
+        assert [s.normal_words for s in stats.values()] == [
+            comb(d + 3, 3) for d in range(8)]
 
 
 def test_counters_read_the_basis_heights():
@@ -441,3 +446,136 @@ def test_table_products_respect_the_bound():
         gb.times_word({(0, 1): one}, (2, 2, 2))
     assert gb.times_word({(0, 1): one}, (2, 2)) == normal_form(
         parse_ncpoly("w1*w2*w3^2", pres.generators, 4), gb).terms
+
+
+# ---------------------------------------------------------------------------
+# the leading-word trie and the heap key against what they replaced
+# ---------------------------------------------------------------------------
+
+def _slice_matches(word, lead_map, lead_lengths):
+    """The slice scan the trie replaced: (position, length) of every
+    leading word inside `word`, leftmost first, then shortest."""
+    for pos in range(len(word)):
+        for length in lead_lengths:
+            if pos + length > len(word):
+                break
+            if word[pos:pos + length] in lead_map:
+                yield pos, length
+
+
+def _slice_normal_words(gb):
+    """Normal words by degree, a word being normal when no leading word is
+    a suffix of it, as the slice scan enumerated them."""
+    lengths = sorted({len(w) for w in gb.lead_map})
+    levels = [[()]]
+    for d in range(1, gb.bound + 1):
+        level = []
+        for gen in gb.presentation.generators:
+            if gen.degree <= d:
+                for w in levels[d - gen.degree]:
+                    cand = w + (gen.index,)
+                    if not any(n <= len(cand) and cand[len(cand) - n:] in gb.lead_map
+                               for n in lengths):
+                        level.append(cand)
+        levels.append(sorted(level))
+    return levels
+
+
+def assert_trie_matches_slice_scan(gb, words):
+    lengths = sorted({len(w) for w in gb.lead_map})
+    for w in words:
+        found = list(gbasis._matches(w, gb._trie))
+        assert [m[:2] for m in found] == list(
+            _slice_matches(w, gb.lead_map, lengths))
+        assert gbasis._first_match(w, gb._trie) == (found[0] if found else None)
+        for pos, length, rule in found:
+            lead = w[pos:pos + length]
+            assert rule == tuple((u, c) for u, c in gb.lead_map[lead].terms.items()
+                                 if u != lead)
+    assert gb.normal_words_by_degree() == _slice_normal_words(gb)
+
+
+def _trie_cases(sklyanin):
+    cases = {}
+    for name in PRESET_NAMES:
+        source = preset(name)
+        cases[name] = source.presentation
+        cases[name + " twisted"] = twist_presentation(source.twist_spec()).presentation
+    cases["sklyanin"], cases["sklyanin twisted"] = sklyanin
+    weighted = make_alphabet([("x", 1), ("y", 2)])
+    cases["weighted"] = make_presentation(1, weighted, [
+        parse_ncpoly(r, weighted, 1) for r in ("y*x - x*y", "y^2 - x^4")])
+    cases["weighted linear"] = make_presentation(
+        1, weighted, [parse_ncpoly("y - x^2", weighted, 1)])
+    xyz = make_alphabet([("x", 1), ("y", 1), ("z", 1)])
+    cases["degree-1 relations"] = make_presentation(4, xyz, [
+        parse_ncpoly(r, xyz, 4) for r in ("z - x - i*y", "y - 2*x", "x^2*z")])
+    return cases
+
+
+def test_trie_matches_slice_scan_through_degree_6(sklyanin):
+    for pres in _trie_cases(sklyanin).values():
+        gb = truncated_gb(pres, 6, use_cache=False)
+        assert_trie_matches_slice_scan(gb, all_words(pres, 6))
+
+
+# Relations whose leading words a later, lower-degree element divides; only
+# a non-homogeneous relation can do that, so `make_presentation` would
+# refuse them.  The bases were computed by the slice-scan completion.
+DELETING_COMPLETIONS = [
+    (("y*x*y", "x^3 - y^2*x", "y*x*y*x - x*y"),
+     ["x*y", "y^2*x - x^3", "x^4"], [1, 2, 3, 3, 2, 1, 1]),
+    (("y^2*x*y - x^4", "y^3 - x^2*y", "y^2*x*y*x - x*y*x"),
+     ["y^3 - x^2*y", "x*y*x^2 - x^2*y*x", "x*y*x*y - x^2*y*x",
+      "y*x^2*y - x^2*y^2", "y*x*y*x - x^2*y*x", "y^2*x*y - x^4",
+      "x^5 - x*y*x", "x^3*y*x - x*y*x", "x^3*y^2 - x*y*x",
+      "x^2*y^2*x - x*y*x", "y*x^4 - x*y*x", "y^2*x^3*y - x^2*y*x"],
+     [1, 2, 4, 7, 8, 5, 2]),
+]
+
+
+@pytest.mark.parametrize("relations, elements, dims", DELETING_COMPLETIONS)
+def test_completion_that_deletes_leading_words(relations, elements, dims,
+                                               monkeypatch):
+    deleted = []
+    real = gbasis._contains_subword
+
+    def spy(haystack, needle):
+        hit = real(haystack, needle)
+        if hit:
+            deleted.append(haystack)
+        return hit
+
+    monkeypatch.setattr(gbasis, "_contains_subword", spy)
+    xy = make_alphabet([("x", 1), ("y", 1)])
+    pres = Presentation(1, xy, tuple(parse_ncpoly(r, xy, 1) for r in relations))
+    gb = truncated_gb(pres, 6, use_cache=False)
+    assert deleted
+    assert [str(g) for g in gb.elements] == elements
+    assert_trie_matches_slice_scan(gb, all_words(pres, 6))
+    assert [len(level) for level in gb.normal_words_by_degree()] == dims
+
+
+@pytest.mark.parametrize("degrees", [[1, 1, 1], [1, 2], [1] * 300, [1, 2] * 150])
+def test_heap_key_orders_by_descending_deglex(degrees):
+    gens = make_alphabet([(f"g{k}", d) for k, d in enumerate(degrees)])
+    rng = random.Random(7)
+    words = {tuple(rng.randrange(len(degrees)) for _ in range(rng.randrange(7)))
+             for _ in range(500)}
+    key = gbasis._heap_key([g.degree for g in gens])
+    assert sorted(words, key=key) == sorted(
+        words, key=lambda w: deglex_key(w, gens), reverse=True)
+
+
+def test_alphabet_beyond_one_byte():
+    # letters 255 and 256 do not fit in a byte, so the heap key uses tuples
+    gens = make_alphabet([(f"g{k}", 1) for k in range(257)])
+    pres = make_presentation(1, gens, [
+        parse_ncpoly("g256*g255 - 2*g255*g256", gens, 1)])
+    gb = truncated_gb(pres, 4)
+    p = parse_ncpoly("g256*g255*g256*g255 + 3*g256*g0*g255 - g0*g256*g255",
+                     gens, 1)
+    nf = normal_form(p, gb)
+    assert str(nf) == "8*g255^2*g256^2 + 3*g256*g0*g255 - 2*g0*g255*g256"
+    assert normal_form(p, gb, chooser=random.Random(3).choice) == nf
+    assert hilbert_coeffs(pres, 2) == (1, 257, 257 ** 2 - 1)

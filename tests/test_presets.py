@@ -38,6 +38,16 @@ def test_unknown_preset_rejected():
         preset("Z(9)")
 
 
+def test_preset_cache_holds_one_entry_per_catalog_name():
+    first = {name: preset(name) for name in PRESET_NAMES}
+    for bad in ("Z(9)", "A(1,1)", ""):
+        with pytest.raises(CotwistError):
+            preset(bad)
+    info = preset.cache_info()
+    assert info.maxsize == info.currsize == len(PRESET_NAMES)
+    assert all(preset(name) is p for name, p in first.items())
+
+
 def test_fourth_relations_differ_between_source_and_target():
     for source_name, (target_name, _) in TWIST_PAIRS.items():
         src = preset(source_name).presentation
@@ -159,7 +169,8 @@ FALSIFIERS = {
     "bimodule_components": ("verify_bimodule_component",
                             lambda: _replacing("verify_bimodule_component",
                                                scaling_multiplicative=False)),
-    "twisted_group_algebra": ("is_full_matrix_algebra", lambda: lambda alg: False),
+    "twisted_group_algebra": ("is_full_matrix_algebra",
+                              lambda: lambda alg, *rest: False),
     "schur": ("schur_order", lambda: lambda group: 1),
     "regrade_compat": ("verify_regrade_compat", lambda: lambda spec, sigma: False),
     "duality_compat": ("verify_duality_benign", lambda: _raising),
