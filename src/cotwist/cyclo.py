@@ -9,6 +9,12 @@ works on the integers directly; `Fraction` appears only at the boundary:
 the public constructor, `coeffs`, `as_fraction` and text rendering.
 Arithmetic between two numbers requires equal conductors; callers embed into
 a common conductor first (`CycNum.embed` / `common_conductor`).
+
+For phi(N) = 1 (conductors 1 and 2) the field is Q, and all arithmetic is
+one rational arithmetic on (numerator, denominator) int pairs in lowest
+terms with a positive denominator: `_rational_product` and `_rational_sum`.
+The operators build on them, and the rewrite loop of `gbasis` calls them
+directly on bare pairs, making a CycNum only for the terms that survive.
 """
 
 from __future__ import annotations
@@ -186,32 +192,9 @@ def _mismatch(a: "CycNum", b: "CycNum") -> ConductorMismatch:
         f"conductor {a.conductor} vs {b.conductor}; embed first")
 
 
-# Sums follow Knuth's rational addition: for a/b + c/d in lowest terms only
-# a factor of gcd(b, d) can cancel.
-
-def _add_rational(n: int, x: int, b: int, y: int, d: int) -> "CycNum":
-    if b == d:
-        t = x + y
-        if b != 1:
-            g = gcd(t, b)
-            if g != 1:
-                t //= g
-                b //= g
-    else:
-        g = gcd(b, d)
-        if g == 1:
-            t = x * d + b * y
-            b *= d
-        else:
-            b //= g
-            t = x * (d // g) + y * b
-            g2 = gcd(t, g)
-            if g2 != 1:
-                t //= g2
-                d //= g2
-            b *= d
-    return _make(n, (t,), b)
-
+# Rationals as (numerator, denominator) int pairs in lowest terms with a
+# positive denominator: the arithmetic of Q(zeta_N) for phi(N) = 1, which the
+# operators below share with the rewrite loop of `gbasis`.
 
 def _rational_product(x: int, b: int, y: int, d: int) -> tuple[int, int]:
     """x/b * y/d as (numerator, denominator) in lowest terms, for operands
@@ -229,6 +212,35 @@ def _rational_product(x: int, b: int, y: int, d: int) -> tuple[int, int]:
             y //= g
             b //= g
     return x * y, b * d
+
+
+def _rational_sum(x: int, b: int, y: int, d: int) -> tuple[int, int]:
+    """x/b + y/d as (numerator, denominator) in lowest terms, for operands
+    in lowest terms.  Knuth's rational addition: only a factor of
+    gcd(b, d) can cancel."""
+    if b == d:
+        t = x + y
+        if b != 1:
+            g = gcd(t, b)
+            if g != 1:
+                t //= g
+                b //= g
+        return t, b
+    g = gcd(b, d)
+    if g == 1:
+        return x * d + b * y, b * d
+    b //= g
+    t = x * (d // g) + y * b
+    g2 = gcd(t, g)
+    if g2 != 1:
+        t //= g2
+        d //= g2
+    return t, b * d
+
+
+def _add_rational(n: int, x: int, b: int, y: int, d: int) -> "CycNum":
+    t, den = _rational_sum(x, b, y, d)
+    return _make(n, (t,), den)
 
 
 def _add_vector(n: int, a: Sequence[int], b: int, c: Sequence[int],

@@ -8,9 +8,13 @@ byte-deterministic.
 
 Reduction rewrites the deglex-largest reducible word at its leftmost,
 shortest match, popping words from a heap.  Matches are found in a letter
-trie of the leading words (`_lead_trie`) whose nodes hold the rewrite rules,
-and each term update is one fused scalar operation (`CycNum.sub_mul`,
-`CycNum.neg_mul`).
+trie of the leading words (`_lead_trie`) whose nodes hold the rewrite rules.
+Over Q (conductors 1 and 2, where phi(N) = 1) the rewrite loop holds every
+coefficient, and every rule's tail, as a (numerator, denominator) int pair
+in lowest terms, updated by `cyclo._rational_product` and
+`cyclo._rational_sum`; a CycNum is built once per surviving term, on the
+way out.  Other conductors keep CycNum coefficients, and each term update is
+one fused scalar operation (`CycNum.sub_mul`, `CycNum.neg_mul`).
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cyclo import CycNum
-from .errors import DegreeBoundExceeded, ValidationError
+from .cyclo import CycNum, _make, _rational_product, _rational_sum
+from .errors import ConductorMismatch, DegreeBoundExceeded, ValidationError
 from .freealg import (GenMap, NcPoly, Presentation, Word, deglex_key,
                       word_degree)
 from .linalg import rank as mat_rank
@@ -158,19 +162,39 @@ def _contains_subword(haystack: Word, needle: Word) -> bool:
     return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
 
 
-# The trie key of a leading word's rewrite rule; letters are >= 0.
+def _loop_terms(terms: Mapping[Word, CycNum], conductor: int) -> dict:
+    """A new dict of `terms` in the rewrite loop's scalars: (numerator,
+    denominator) pairs when phi(conductor) = 1, else the CycNum values."""
+    if conductor <= 2:
+        return {w: (c.num[0], c.den) for w, c in terms.items()}
+    return dict(terms)
+
+
+def _cycnum_terms(terms: dict, conductor: int) -> dict:
+    """The inverse of `_loop_terms`."""
+    if conductor <= 2:
+        return {w: _make(conductor, (x,), d) for w, (x, d) in terms.items()}
+    return terms
+
+
+# The trie keys of a leading word's rewrite rule and, at the root, of the
+# conductor of the rules' scalars; letters are >= 0.
 _RULE = -1
+_CONDUCTOR = -2
 
 
 def _add_lead(trie: dict, g: NcPoly) -> None:
     """Enter the leading word of the monic element g into `trie`.  Its node
     holds g's rewrite rule lead -> -tail as the (word, coeff) pairs of the
-    tail g - lead."""
+    tail g - lead, with coeff in the rewrite loop's scalars."""
     lead = g.leading_word()
     node = trie
     for letter in lead:
         node = node.setdefault(letter, {})
-    node[_RULE] = tuple((w, c) for w, c in g.terms.items() if w != lead)
+    tail = _loop_terms(g.terms, g.conductor)
+    del tail[lead]
+    node[_RULE] = tuple(tail.items())
+    trie[_CONDUCTOR] = g.conductor
 
 
 def _lead_trie(elements) -> dict:
@@ -210,13 +234,31 @@ def _matches(word: Word, trie: dict):
         match = _first_match(word, trie, match[0] + 1)
 
 
-def _rewrite(terms: dict, word: Word, coeff: CycNum, pos: int, length: int,
+def _rewrite(terms: dict, word: Word, coeff, pos: int, length: int,
              rule: tuple) -> list:
     """Replace coeff*word in `terms` (already popped) by -coeff*left*tail*right,
     where word = left*lead*right and `rule` is the tail of the monic element
-    with that leading word; return the words this adds to `terms`."""
+    with that leading word; return the words this adds to `terms`.  The
+    scalars are int pairs or CycNum values, as `_loop_terms` makes them."""
     left, right = word[:pos], word[pos + length:]
     added = []
+    if coeff.__class__ is tuple:
+        x, b = coeff
+        x = -x
+        for tw, (y, d) in rule:
+            new_word = left + tw + right
+            t, e = _rational_product(x, b, y, d)
+            s = terms.get(new_word)
+            if s is None:
+                terms[new_word] = (t, e)
+                added.append(new_word)
+            else:
+                t, e = _rational_sum(s[0], s[1], t, e)
+                if t:
+                    terms[new_word] = (t, e)
+                else:
+                    del terms[new_word]
+        return added
     for tw, tc in rule:
         new_word = left + tw + right
         s = terms.get(new_word)
@@ -249,6 +291,10 @@ def _heap_key(degrees: Sequence[int]) -> Callable:
 
 def _reduce(p: NcPoly, trie: dict,
             chooser: Optional[Callable] = None) -> NcPoly:
+    n = p.conductor
+    if trie.get(_CONDUCTOR, n) != n:
+        raise ConductorMismatch(
+            f"conductor {n} vs {trie[_CONDUCTOR]}; embed first")
     if chooser is not None:
         return _reduce_chosen(p, trie, chooser)
     # Rewrite the deglex-largest reducible word at its first match until none
@@ -256,7 +302,7 @@ def _reduce(p: NcPoly, trie: dict,
     # a max-heap visits words in that order and an irreducible word, once
     # popped, is final.
     heap_key = _heap_key([g.degree for g in p.gens])
-    terms = dict(p.terms)
+    terms = _loop_terms(p.terms, n)
     heap = [(heap_key(w), w) for w in terms]
     heapq.heapify(heap)
     done = {}
@@ -271,16 +317,17 @@ def _reduce(p: NcPoly, trie: dict,
             continue
         for w in _rewrite(terms, word, coeff, *match):
             heapq.heappush(heap, (heap_key(w), w))
-    return NcPoly(p.gens, p.conductor, done)
+    return NcPoly(p.gens, n, _cycnum_terms(done, n))
 
 
 def _reduce_chosen(p: NcPoly, trie: dict, chooser: Callable) -> NcPoly:
-    terms = dict(p.terms)
+    n = p.conductor
+    terms = _loop_terms(p.terms, n)
     while True:
         rules = {(word, (pos, length)): rule for word in terms
                  for pos, length, rule in _matches(word, trie)}
         if not rules:
-            return NcPoly(p.gens, p.conductor, terms)
+            return NcPoly(p.gens, n, _cycnum_terms(terms, n))
         word, match = chooser(sorted(rules))
         _rewrite(terms, word, terms.pop(word), *match, rules[word, match])
 

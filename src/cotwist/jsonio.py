@@ -13,6 +13,10 @@ file (plus any --conductor override; the builtin standard duality counts as
 the group exponent); all scalars are embedded into it once at load time.
 All dumps render scalars canonically and sort keys, so output bytes are a
 function of input bytes.
+
+Only the scalar, polynomial and error layers load with this module; the
+group, action and twist layers load inside the loaders that build their
+objects, so reading and writing a bare presentation needs none of them.
 """
 
 from __future__ import annotations
@@ -20,20 +24,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import lcm
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .action import (GGrading, GradedAction, HomogBasis, diagonal_action,
-                     grading_from_degrees, isotypic_basis,
-                     regrade_presentation, validate_action)
 from .cyclo import common_conductor, parse_scalar, root_of_unity
 from .errors import ParseError, ValidationError
 from .freealg import (GenMap, NcPoly, Presentation, make_alphabet,
                       make_presentation, parse_ncpoly)
-from .gbasis import IsoVerdict, TruncGB
-from .groups import (AbGroup, Cocycle, Duality, cocycle_from_scalars,
-                     formula_table, klein_duality, klein_mu, make_duality,
-                     standard_duality, trivial_cocycle)
-from .twist import TwistSpec
+
+if TYPE_CHECKING:
+    from .action import GGrading, GradedAction, HomogBasis
+    from .gbasis import IsoVerdict, TruncGB
+    from .groups import AbGroup, Cocycle, Duality
+    from .twist import TwistSpec
 
 
 def load_json(path: str) -> dict:
@@ -101,6 +103,7 @@ def presentation_from_dict(data: dict, conductor: Optional[int] = None) -> Prese
 
 
 def group_from_dict(data: dict) -> AbGroup:
+    from .groups import AbGroup
     factors = _require(data, "group")
     _check(isinstance(factors, list) and all(type(n) is int for n in factors),
            "group", "a list of cyclic orders")
@@ -115,6 +118,7 @@ def _parse_scalar_table(rows, block: str) -> list:
 
 def duality_from_dict(data: dict, group: AbGroup) -> tuple:
     """The duality and the conductor its input names."""
+    from .groups import klein_duality, make_duality, standard_duality
     block = data.get("duality", {"builtin": "standard"})
     if isinstance(block, dict):
         builtin = block.get("builtin")
@@ -132,6 +136,8 @@ def duality_from_dict(data: dict, group: AbGroup) -> tuple:
 
 def cocycle_from_dict(data: dict, group: AbGroup) -> tuple:
     """The cocycle and the conductor its input names."""
+    from .groups import (cocycle_from_scalars, formula_table, klein_mu,
+                         trivial_cocycle)
     _check(isinstance(data, dict), "the top level", "an object")
     block = data.get("cocycle", {"builtin": "trivial"})
     if not isinstance(block, dict):
@@ -185,6 +191,9 @@ class SpecBundle:
 
 
 def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBundle:
+    from .action import (diagonal_action, grading_from_degrees,
+                         isotypic_basis, regrade_presentation, validate_action)
+    from .twist import TwistSpec
     group = group_from_dict(data)
     duality, duality_conductor = duality_from_dict(data, group)
     cocycle, cocycle_conductor = cocycle_from_dict(data, group)

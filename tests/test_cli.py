@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cotwist.cli import main
+from cotwist.cli import MAX_DEGREE, main
 from cotwist.crossed import twisted_group_algebra
 from cotwist.cyclo import CycNum, parse_scalar
 from cotwist.errors import ValidationError
@@ -135,7 +138,9 @@ def test_kgmu_command(capsys):
 
 
 def test_kgmu_computes_center_and_trace_rank_once(capsys, monkeypatch):
-    from cotwist import cli, crossed
+    # `kgmu` imports these from `crossed` when it runs, so patching the
+    # module is enough
+    from cotwist import crossed
     calls = {"center_basis": 0, "trace_form_rank": 0}
     for name in calls:
         real = getattr(crossed, name)
@@ -145,7 +150,6 @@ def test_kgmu_computes_center_and_trace_rank_once(capsys, monkeypatch):
             return _real(alg)
 
         monkeypatch.setattr(crossed, name, counted)
-        monkeypatch.setattr(cli, name, counted)
     # Klein: a square dimension and a nondegenerate trace form, so the
     # matrix-algebra test needs both values
     code, out, _ = run(capsys, ["kgmu", "--group", "2,2", "--cocycle", "klein"])
@@ -457,3 +461,124 @@ def test_kgmu_with_explicit_table_file(capsys, tmp_path):
                                 "--cocycle", str(path)])
     assert code == 0
     assert json.loads(out)["is_full_matrix_algebra"] is True
+
+
+# ---------------------------------------------------------------------------
+# start-up: a command loads only its own layers
+# ---------------------------------------------------------------------------
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+
+
+def run_fresh(argv, timeout=120):
+    """`python -m cotwist.cli argv` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "cotwist.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def loaded_modules(argv):
+    """The modules a fresh interpreter has loaded after running the command
+    `argv` successfully, with "cotwist." left off the package's layers."""
+    script = ("import contextlib, io, sys\n"
+              "from cotwist.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(sys.argv[1:])\n"
+              "print(code, *sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script, *argv],
+                         env=dict(os.environ, PYTHONPATH=SRC), check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    code, *modules = out.split()
+    assert code == "0"
+    return {m.removeprefix("cotwist.") for m in modules}
+
+
+LAYERS = {"action", "cli", "crossed", "cyclo", "errors", "freealg", "gbasis",
+          "groups", "jsonio", "linalg", "presets", "twist"}
+
+
+@pytest.mark.parametrize("command", ["gb", "hilbert"])
+def test_groebner_commands_load_only_their_layers(tmp_path, command):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"generators": ["x", "y"],
+                                "relations": ["x*y - 2*y*x"]}))
+    loaded = loaded_modules([command, "--degree", "4", "--input", str(path)])
+    assert loaded & LAYERS == {"cli", "cyclo", "errors", "freealg", "gbasis",
+                               "jsonio", "linalg"}
+    assert not loaded & {"crossed", "presets", "groups", "action", "twist"}
+    # hashlib maps OpenSSL, a few MB of resident memory; only `twist` uses it
+    assert "hashlib" not in loaded
+
+
+def test_twist_loads_no_crossed_product_or_presets(spec_file):
+    loaded = loaded_modules(["twist", "--input", spec_file])
+    assert {"twist", "groups", "action"} <= loaded
+    assert not loaded & {"crossed", "presets"}
+
+
+# every name the package re-exported when `import cotwist` loaded every layer
+PACKAGE_NAMES = [
+    "CycNum", "parse_scalar", "AlphabetMismatch", "ConductorMismatch",
+    "CotwistError", "DegreeBoundExceeded", "FalsificationError", "ParseError",
+    "ValidationError", "GeneratorInfo", "GenMap", "NcPoly", "Presentation",
+    "change_basis", "embed_presentation", "make_alphabet", "make_presentation",
+    "parse_ncpoly", "AbGroup", "Cocycle", "Duality", "GroupAut",
+    "all_automorphisms", "coboundary", "cocycle_from_formula",
+    "cocycle_from_scalars", "cocycle_inverse", "cocycle_product",
+    "cocycle_pullback", "cohomologous", "is_coboundary", "klein_duality",
+    "klein_mu", "make_duality", "make_group_aut", "schur_order",
+    "standard_duality", "trivial_cocycle", "validate_cocycle", "GGrading",
+    "GradedAction", "HomogBasis", "diagonal_action", "grading_from_degrees",
+    "isotypic_basis", "regrade_presentation", "validate_action", "TwistSpec",
+    "coboundary_rescale_matches", "double_twist", "twist_poly",
+    "twist_presentation", "verify_duality_benign", "verify_regrade_compat",
+    "word_twist_scalar", "TruncGB", "hilbert_coeffs", "ideal_contains",
+    "is_normal_to_degree", "is_regular_to_degree", "normal_form",
+    "truncated_gb", "verify_iso", "CrossedElement", "CrossedModel",
+    "FinDimAlg", "build_crossed_model", "center_basis", "diagonal_invariants",
+    "is_full_matrix_algebra", "isotypic_component", "twisted_group_algebra",
+    "verify_bimodule_component", "verify_invariant_ring", "CHECKS",
+    "PRESET_NAMES", "Preset", "a_family_xbasis", "full_report", "preset"]
+
+
+def test_package_names_resolve_on_first_use():
+    import cotwist
+    from cotwist import gbasis, presets
+    assert sorted(cotwist.__all__) == sorted(PACKAGE_NAMES)
+    assert set(PACKAGE_NAMES) <= set(dir(cotwist))
+    star: dict = {}
+    exec("from cotwist import *", star)
+    for name in PACKAGE_NAMES:
+        assert star[name] is getattr(cotwist, name)
+    assert cotwist.truncated_gb is gbasis.truncated_gb
+    assert cotwist.CHECKS is presets.CHECKS
+    assert cotwist.linalg is sys.modules["cotwist.linalg"]
+    assert cotwist.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        cotwist.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# --degree is bounded
+# ---------------------------------------------------------------------------
+
+def test_huge_degree_is_refused_promptly():
+    # a fresh process with a time limit: an unbounded degree would run on
+    proc = run_fresh(["hilbert", "--input", "preset:B(1)",
+                      "--degree", "1000000"], timeout=60)
+    assert proc.returncode == 2
+    assert f"argument --degree: must be at most {MAX_DEGREE}, got 1000000" \
+        in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--input", "preset:B(1)"], ["twist", "--input", "preset:B(1)"],
+    ["gb", "--input", "preset:B(1)"], ["hilbert", "--input", "preset:B(1)"],
+    ["iso-check", "--lhs", "preset:B(1)", "--rhs", "preset:C(1)"],
+    ["invariants", "--input", "preset:B(1)"], ["theorem55"], ["report"]],
+    ids=lambda argv: argv[0])
+def test_every_degree_flag_is_bounded(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--degree", str(MAX_DEGREE + 1)])
+    assert exc.value.code == 2
+    assert "argument --degree: must be at most" in capsys.readouterr().err

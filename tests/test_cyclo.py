@@ -268,6 +268,38 @@ def test_fused_ops_agree_with_fraction_oracle(conductor, data):
         assert got == plain and hash(got) == hash(plain)
 
 
+# the rational arithmetic of phi(N) = 1, which the rewrite loop of `gbasis`
+# runs on (numerator, denominator) pairs; denominators with shared factors
+# make cancellation after a sum likely
+rationals = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-40, max_value=40,
+                                   max_denominator=36))
+
+
+def _as_pair(q: Fraction) -> tuple:
+    return q.numerator, q.denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=rationals, b=rationals)
+def test_rational_pairs_agree_with_fraction(a, b):
+    for got, want in ((cyclo._rational_product(*_as_pair(a), *_as_pair(b)), a * b),
+                      (cyclo._rational_sum(*_as_pair(a), *_as_pair(b)), a + b)):
+        # lowest terms with a positive denominator: zero is 0/1
+        assert got[1] > 0 and gcd(*got) == 1
+        assert got == _as_pair(want)
+
+
+@pytest.mark.parametrize("a, b", [
+    ("1/6", "1/3"), ("5/12", "1/4"), ("-1/6", "2/3"), ("7/10", "-1/5"),
+    ("1/2", "-1/2"), ("0", "-3/4"), ("-2/9", "0"), ("0", "0"), ("3", "-5")])
+def test_rational_sum_cancels_after_adding(a, b):
+    # in the first four the sum's numerator shares a factor of gcd(b, d)
+    a, b = Fraction(a), Fraction(b)
+    assert cyclo._rational_sum(*_as_pair(a), *_as_pair(b)) == _as_pair(a + b)
+    assert cyclo._rational_product(*_as_pair(a), *_as_pair(b)) == _as_pair(a * b)
+
+
 def test_fused_ops_need_equal_conductors():
     one, i = CycNum.one(1), CycNum.i()
     for call in (lambda: i.sub_mul(one, i), lambda: i.sub_mul(i, one),

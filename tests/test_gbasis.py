@@ -2,13 +2,14 @@ import json
 import os
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from cotwist import gbasis
 from cotwist.cyclo import CycNum
-from cotwist.errors import DegreeBoundExceeded, ValidationError
+from cotwist.errors import (ConductorMismatch, DegreeBoundExceeded,
+                            ValidationError)
 from cotwist.freealg import (GenMap, NcPoly, Presentation, deglex_key,
                              make_alphabet, make_presentation, parse_ncpoly,
                              word_degree)
@@ -481,8 +482,19 @@ def _slice_normal_words(gb):
     return levels
 
 
+def _rule_cycnums(rule, n):
+    """A trie rule's tail with its scalars as CycNum: the rewrite loop holds
+    them as (numerator, denominator) pairs exactly when phi(n) = 1."""
+    assert all(isinstance(c, tuple) == (n <= 2) for _, c in rule)
+    if n > 2:
+        return rule
+    assert all(c[1] > 0 and gcd(*c) == 1 for _, c in rule)
+    return tuple((u, CycNum.rational(Fraction(*c), n)) for u, c in rule)
+
+
 def assert_trie_matches_slice_scan(gb, words):
     lengths = sorted({len(w) for w in gb.lead_map})
+    n = gb.presentation.conductor
     for w in words:
         found = list(gbasis._matches(w, gb._trie))
         assert [m[:2] for m in found] == list(
@@ -490,8 +502,8 @@ def assert_trie_matches_slice_scan(gb, words):
         assert gbasis._first_match(w, gb._trie) == (found[0] if found else None)
         for pos, length, rule in found:
             lead = w[pos:pos + length]
-            assert rule == tuple((u, c) for u, c in gb.lead_map[lead].terms.items()
-                                 if u != lead)
+            assert _rule_cycnums(rule, n) == tuple(
+                (u, c) for u, c in gb.lead_map[lead].terms.items() if u != lead)
     assert gb.normal_words_by_degree() == _slice_normal_words(gb)
 
 
@@ -579,3 +591,90 @@ def test_alphabet_beyond_one_byte():
     assert str(nf) == "8*g255^2*g256^2 + 3*g256*g0*g255 - 2*g0*g255*g256"
     assert normal_form(p, gb, chooser=random.Random(3).choice) == nf
     assert hilbert_coeffs(pres, 2) == (1, 257, 257 ** 2 - 1)
+
+
+# ---------------------------------------------------------------------------
+# the rewrite loop's scalars against a CycNum-only reference
+# ---------------------------------------------------------------------------
+
+KLEIN_STANDARD = os.path.join(os.path.dirname(__file__), "golden",
+                              "klein-standard.json")
+
+
+def _reference_reduce(p, gb):
+    """The rewrite loop on CycNum values and operators only: rewrite the
+    deglex-largest reducible word at its leftmost, shortest match, found by
+    the slice scan, until no word is reducible."""
+    gens, n = p.gens, p.conductor
+    lengths = sorted({len(w) for w in gb.lead_map})
+    first = {}                       # word -> its first match, or None
+    terms = dict(p.terms)
+    while True:
+        for w in terms:
+            if w not in first:
+                first[w] = next(_slice_matches(w, gb.lead_map, lengths), None)
+        matches = {w: first[w] for w in terms if first[w] is not None}
+        if not matches:
+            return NcPoly(gens, n, terms)
+        word = max(matches, key=lambda w: deglex_key(w, gens))
+        pos, length = matches[word]
+        lead = word[pos:pos + length]
+        coeff = terms.pop(word)
+        for u, c in gb.lead_map[lead].terms.items():
+            if u == lead:
+                continue
+            new_word = word[:pos] + u + word[pos + length:]
+            s = terms.get(new_word, CycNum.zero(n)) - coeff * c
+            if s.is_zero():
+                terms.pop(new_word, None)
+            else:
+                terms[new_word] = s
+
+
+def _kernel_cases(sklyanin):
+    cases = _trie_cases(sklyanin)
+    xyz = make_alphabet([("x", 1), ("y", 1), ("z", 1)])
+    cases["degree-1 relations over Q"] = make_presentation(1, xyz, [
+        parse_ncpoly(r, xyz, 1) for r in ("z - x + 2/3*y", "y*x - 3*x*y")])
+    # conductor 2: the standard duality on C2 x C2
+    with open(KLEIN_STANDARD, encoding="utf-8") as handle:
+        bundle = spec_bundle_from_dict(json.load(handle))
+    cases["conductor 2"] = bundle.presentation
+    cases["conductor 2 twisted"] = twist_presentation(bundle.spec).presentation
+    return cases
+
+
+def test_pair_kernel_matches_cycnum_reference(sklyanin):
+    rng = random.Random(53)
+    conductors = set()
+    for name, pres in _kernel_cases(sklyanin).items():
+        gb = truncated_gb(pres, 6, use_cache=False)
+        gens, n = pres.generators, pres.conductor
+        conductors.add(n)
+        polys = [NcPoly.from_word(gens, n, w) for w in all_words(pres, 3)]
+        for _ in range(12):
+            terms = {}
+            while len(terms) < 5:
+                word = tuple(rng.randrange(len(gens))
+                             for _ in range(rng.randrange(8)))
+                if word_degree(word, gens) <= 6:
+                    scalar = Fraction(rng.randrange(-7, 8), rng.randrange(1, 6))
+                    terms[word] = (CycNum.rational(scalar, n)
+                                   * CycNum.zeta(n, rng.randrange(n)))
+            polys.append(NcPoly(gens, n, terms))
+        default = _old_default_strategy(gens)
+        for p in polys:
+            expected = _reference_reduce(p, gb)
+            assert normal_form(p, gb) == expected, name
+            assert normal_form(p, gb, chooser=default) == expected, name
+            if p.degree() <= 3:
+                # a random strategy on long words can take minutes
+                assert normal_form(p, gb, chooser=rng.choice) == expected, name
+    assert {1, 2, 4} <= conductors
+
+
+def test_reduction_needs_the_basis_conductor():
+    gb = truncated_gb(pres_xy("x*y - 2*y*x", conductor=1), 3)
+    with pytest.raises(ConductorMismatch):
+        normal_form(parse_ncpoly("x*y", XY, 4), gb)
+    assert str(normal_form(parse_ncpoly("3*y*x", XY, 1), gb)) == "3/2*x*y"
