@@ -6,6 +6,14 @@ and the tool never claims global completeness.  The monomial order is deglex
 over the generator order as listed in the presentation, which makes runs
 byte-deterministic.
 
+The basis is kept interreduced as it grows (T. Mora's interreduced
+completion, TCS 134, 1994).  When a new monic element h is accepted, the
+elements whose leading word contains lead(h) go back to the queue, and every
+other element with a tail word containing lead(h) gets its tail reduced
+again and its trie rule overwritten.  So the basis is reduced after every
+insertion, no final interreduction pass is needed, and no rule carries a
+reducible tail word into later rewrites.
+
 Reduction rewrites the deglex-largest reducible word at its leftmost,
 shortest match, popping words from a heap.  Matches are found in a letter
 trie of the leading words (`_lead_trie`) whose nodes hold the rewrite rules.
@@ -39,7 +47,9 @@ class DegreeStats:
     """What completion did in one N-degree.  `overlaps` counts the overlap
     S-polynomials generated, `reductions` every polynomial the completion
     loop reduced (relations, S-polynomials and re-queued basis elements),
-    `zero_reductions` those that reduced to zero; `basis_size` and
+    `zero_reductions` those that reduced to zero, `tail_reductions` the
+    basis elements of this degree whose tail was reduced again after a new
+    leading word entered the basis; `basis_size` and
     `coeff_height_bits` (the largest numerator or denominator, in bits)
     describe the final basis elements of this degree.  `normal_words`, the
     dimension of the quotient in this degree, is None until the normal
@@ -49,6 +59,7 @@ class DegreeStats:
     overlaps: int = 0
     reductions: int = 0
     zero_reductions: int = 0
+    tail_reductions: int = 0
     basis_size: int = 0
     coeff_height_bits: int = 0
     normal_words: Optional[int] = None
@@ -59,22 +70,23 @@ class TruncGB:
     each degree 0..bound to the `DegreeStats` of the completion that built
     it; the counters are deterministic, like the basis itself.
 
-    Reduction finds leading words through `_trie`, a letter trie of the
+    Reduction finds leading words through `_trie`, the letter trie of the
     leading words whose nodes hold their elements' rewrite rules (see
-    `_lead_trie`).  Products are normal-formed through a lazily built
-    right-multiplication table: `_table[w + (x,)]` is NF(w*x) for a normal
-    word w and a generator x, as a map {normal word: CycNum}.  Each entry is
-    rewritten once, by the same reduction as `normal_form`; `times_word` then
-    folds any product through the table letter by letter."""
+    `_add_lead`); it is the trie the completion kept up to date.  Products
+    are normal-formed through a lazily built right-multiplication table:
+    `_table[w + (x,)]` is NF(w*x) for a normal word w and a generator x, as
+    a map {normal word: CycNum}.  Each entry is rewritten once, by the same
+    reduction as `normal_form`; `times_word` then folds any product through
+    the table letter by letter."""
 
     def __init__(self, presentation: Presentation, bound: int,
-                 elements: Sequence[NcPoly], stats: dict):
+                 elements: Sequence[NcPoly], stats: dict, trie: dict):
         self.presentation = presentation
         self.bound = bound
         self.elements = tuple(elements)
         self.stats = stats
         self.lead_map = {g.leading_word(): g for g in self.elements}
-        self._trie = _lead_trie(self.elements)
+        self._trie = trie
         self._words_by_degree: Optional[list] = None
         self._degrees = [g.degree for g in presentation.generators]
         self._table: dict = {}
@@ -375,7 +387,14 @@ def clear_cache() -> None:
 
 def truncated_gb(presentation: Presentation, bound: int,
                  use_cache: bool = True) -> TruncGB:
-    """Reduced two-sided Groebner basis through `bound` via overlap completion."""
+    """Reduced two-sided Groebner basis through `bound` via overlap completion.
+
+    Polynomials are taken from a queue in degree order and reduced by the
+    basis so far; a nonzero result h is made monic and accepted.  Elements
+    whose leading word contains lead(h) are requeued, the overlaps of h with
+    the rest are queued, and the tails that contain lead(h) are reduced
+    again, so the basis is reduced after every insertion.  The trie the loop
+    keeps is the returned basis's `_trie`."""
     if bound < presentation.max_relation_degree():
         raise DegreeBoundExceeded(
             f"bound {bound} is below the maximum relation degree "
@@ -385,7 +404,7 @@ def truncated_gb(presentation: Presentation, bound: int,
         _GB_CACHE.move_to_end(key)
         return _GB_CACHE[key]
 
-    gens = presentation.generators
+    gens, conductor = presentation.generators, presentation.conductor
     seq = itertools.count()
     heap: list = []
     for rel in presentation.relations:
@@ -421,17 +440,23 @@ def truncated_gb(presentation: Presentation, bound: int,
                     heapq.heappush(heap, (degree, next(seq), s))
         basis.append(h)
         _add_lead(trie, h)
-
-    # interreduce tails; leading words are already an antichain
-    changed = True
-    while changed:
-        changed = False
-        for idx, g in enumerate(basis):
-            others = _lead_trie(e for e in basis if e is not g)
-            red = _reduce(g, others).monic()
-            if red != g:
-                basis[idx] = red
-                changed = True
+        # Keep every tail reduced: lead(h) is the only leading word a tail can
+        # now contain, and only in an element of h's degree or higher, as
+        # tail words are deglex-smaller than their element's lead.
+        h_degree = word_degree(lead_h, gens)
+        for idx, g in enumerate(basis[:-1]):
+            lead = g.leading_word()
+            g_degree = word_degree(lead, gens)
+            if g_degree < h_degree:
+                continue
+            # g's own leading word is kept, so it does not contain lead(h)
+            if any(_contains_subword(w, lead_h) for w in g.terms):
+                tail = {w: c for w, c in g.terms.items() if w != lead}
+                tail = _reduce(NcPoly(gens, conductor, tail), trie).terms
+                g = NcPoly(gens, conductor, {lead: g.terms[lead], **tail})
+                basis[idx] = g
+                _add_lead(trie, g)
+                stats[g_degree].tail_reductions += 1
 
     basis.sort(key=lambda g: deglex_key(g.leading_word(), gens))
     for g in basis:
@@ -439,7 +464,7 @@ def truncated_gb(presentation: Presentation, bound: int,
         record.basis_size += 1
         record.coeff_height_bits = max(
             record.coeff_height_bits, *(c.height() for c in g.terms.values()))
-    result = TruncGB(presentation, bound, basis, stats)
+    result = TruncGB(presentation, bound, basis, stats, trie)
     if use_cache:
         _GB_CACHE[key] = result
         if len(_GB_CACHE) > GB_CACHE_SIZE:

@@ -1,3 +1,6 @@
+import dataclasses
+import heapq
+import itertools
 import json
 import os
 import random
@@ -290,6 +293,8 @@ def test_sklyanin_hilbert_function_kept_by_twist(sklyanin):
 # criterion could skip.  The counts depend on the completion order, which the
 # golden snapshots fix, so a change here must come with a reason.
 SKLYANIN_ZERO_REDUCTIONS = {3: 4, 4: 5, 5: 7, 6: 16, 7: 20}
+# Basis elements whose tail a later leading word made reducible again.
+SKLYANIN_TAIL_REDUCTIONS = {2: 3, 5: 1, 7: 17}
 
 
 def test_sklyanin_completion_counters(sklyanin):
@@ -299,6 +304,8 @@ def test_sklyanin_completion_counters(sklyanin):
         assert sorted(stats) == list(range(8))
         assert {d: s.zero_reductions for d, s in stats.items()
                 if s.zero_reductions} == SKLYANIN_ZERO_REDUCTIONS
+        assert {d: s.tail_reductions for d, s in stats.items()
+                if s.tail_reductions} == SKLYANIN_TAIL_REDUCTIONS
         assert stats[2].reductions == len(pres.relations) == 6
         assert sum(s.basis_size for s in stats.values()) == len(gb.elements)
         for d, s in stats.items():
@@ -546,23 +553,28 @@ DELETING_COMPLETIONS = [
 ]
 
 
+def deleting_presentation(relations):
+    xy = make_alphabet([("x", 1), ("y", 1)])
+    return Presentation(1, xy, tuple(parse_ncpoly(r, xy, 1) for r in relations))
+
+
 @pytest.mark.parametrize("relations, elements, dims", DELETING_COMPLETIONS)
 def test_completion_that_deletes_leading_words(relations, elements, dims,
                                                monkeypatch):
-    deleted = []
-    real = gbasis._contains_subword
+    # A leading word leaves the basis only when its element is requeued, so
+    # the words entered into the trie but missing from the result were
+    # deleted.  Tail updates re-enter the leading word they keep.
+    entered = set()
+    real = gbasis._add_lead
 
-    def spy(haystack, needle):
-        hit = real(haystack, needle)
-        if hit:
-            deleted.append(haystack)
-        return hit
+    def spy(trie, g):
+        entered.add(g.leading_word())
+        real(trie, g)
 
-    monkeypatch.setattr(gbasis, "_contains_subword", spy)
-    xy = make_alphabet([("x", 1), ("y", 1)])
-    pres = Presentation(1, xy, tuple(parse_ncpoly(r, xy, 1) for r in relations))
+    monkeypatch.setattr(gbasis, "_add_lead", spy)
+    pres = deleting_presentation(relations)
     gb = truncated_gb(pres, 6, use_cache=False)
-    assert deleted
+    assert entered - set(gb.lead_map)
     assert [str(g) for g in gb.elements] == elements
     assert_trie_matches_slice_scan(gb, all_words(pres, 6))
     assert [len(level) for level in gb.normal_words_by_degree()] == dims
@@ -678,3 +690,131 @@ def test_reduction_needs_the_basis_conductor():
     with pytest.raises(ConductorMismatch):
         normal_form(parse_ncpoly("x*y", XY, 4), gb)
     assert str(normal_form(parse_ncpoly("3*y*x", XY, 1), gb)) == "3/2*x*y"
+
+
+# ---------------------------------------------------------------------------
+# interreduction at every insertion against the final interreduction pass
+# ---------------------------------------------------------------------------
+
+def _final_pass_gb(presentation, bound):
+    """The completion that left tails unreduced until one interreduction
+    loop at the end; its trie is rebuilt from the final elements."""
+    gens = presentation.generators
+    seq = itertools.count()
+    heap = []
+    for rel in presentation.relations:
+        heapq.heappush(heap, (rel.degree(), next(seq), rel))
+    basis = []
+    trie = {}
+    stats = {d: gbasis.DegreeStats() for d in range(bound + 1)}
+    while heap:
+        degree, _, p = heapq.heappop(heap)
+        h = gbasis._reduce(p, trie)
+        stats[degree].reductions += 1
+        if h.is_zero():
+            stats[degree].zero_reductions += 1
+            continue
+        h = h.monic()
+        lead_h = h.leading_word()
+        kept = []
+        for g in basis:
+            if gbasis._contains_subword(g.leading_word(), lead_h):
+                heapq.heappush(heap, (g.degree(), next(seq), g))
+            else:
+                kept.append(g)
+        if len(kept) < len(basis):
+            trie = gbasis._lead_trie(kept)
+        basis = kept
+        for g in basis + [h]:
+            pairs = [(h, g)] if g is h else [(h, g), (g, h)]
+            for left, right in pairs:
+                for degree, s in gbasis._overlap_spolys(left, right, bound):
+                    stats[degree].overlaps += 1
+                    heapq.heappush(heap, (degree, next(seq), s))
+        basis.append(h)
+        gbasis._add_lead(trie, h)
+
+    changed = True
+    while changed:
+        changed = False
+        for idx, g in enumerate(basis):
+            others = gbasis._lead_trie(e for e in basis if e is not g)
+            red = gbasis._reduce(g, others).monic()
+            if red != g:
+                basis[idx] = red
+                changed = True
+
+    basis.sort(key=lambda g: deglex_key(g.leading_word(), gens))
+    for g in basis:
+        record = stats[g.degree()]
+        record.basis_size += 1
+        record.coeff_height_bits = max(
+            record.coeff_height_bits, *(c.height() for c in g.terms.values()))
+    return gbasis.TruncGB(presentation, bound, basis, stats,
+                          gbasis._lead_trie(basis))
+
+
+@pytest.fixture(scope="module")
+def completion_cases(sklyanin):
+    """(presentation, bound) by name: the presets and their twists, the
+    Sklyanin algebra and its twist through degree 7, weighted alphabets,
+    degree-1 relations over Q(i) and Q, conductor 2, 257 generators and the
+    completions that delete leading words."""
+    cases = {name: (pres, 6) for name, pres in _kernel_cases(sklyanin).items()}
+    cases["sklyanin"] = (sklyanin[0], 7)
+    cases["sklyanin twisted"] = (sklyanin[1], 7)
+    gens = make_alphabet([(f"g{k}", 1) for k in range(257)])
+    cases["257 generators"] = (make_presentation(1, gens, [
+        parse_ncpoly(r, gens, 1) for r in
+        ("g256^2 - g256*g255 + 3*g0*g255", "g256*g255 - 2*g255*g256")]), 4)
+    for k, (relations, _, _) in enumerate(DELETING_COMPLETIONS):
+        cases[f"deleting {k}"] = (deleting_presentation(relations), 6)
+    return cases
+
+
+def test_completion_matches_the_final_interreduction_pass(completion_cases):
+    for name, (pres, bound) in completion_cases.items():
+        old = _final_pass_gb(pres, bound)
+        new = truncated_gb(pres, bound, use_cache=False)
+        assert [str(g) for g in new.elements] == [
+            str(g) for g in old.elements], name
+        assert list(new.lead_map) == list(old.lead_map), name
+        assert _trie_rules(new._trie) == _trie_rules(old._trie), name
+        # the final pass kept no count of tail reductions
+        assert {d: dataclasses.replace(s, tail_reductions=0)
+                for d, s in new.stats.items()} == old.stats, name
+
+
+def _trie_rules(trie, path=()):
+    """{leading word: rule} of every rule in `trie`."""
+    rules = {}
+    for key, value in trie.items():
+        if key == gbasis._RULE:
+            rules[path] = value
+        elif key != gbasis._CONDUCTOR:
+            rules.update(_trie_rules(value, path + (key,)))
+    return rules
+
+
+def test_completion_leaves_a_reduced_basis(completion_cases):
+    for name, (pres, bound) in completion_cases.items():
+        gb = truncated_gb(pres, bound, use_cache=False)
+        n = pres.conductor
+        leads = list(gb.lead_map)
+        assert len(leads) == len(gb.elements), name
+        assert all(g.leading_coeff().is_one() for g in gb.elements), name
+        for u in leads:
+            assert not any(u != v and gbasis._contains_subword(u, v)
+                           for v in leads), name
+        for g in gb.elements:
+            lead = g.leading_word()
+            tail = tuple((w, c) for w, c in g.terms.items() if w != lead)
+            assert not any(gbasis._contains_subword(w, v)
+                           for w, _ in tail for v in leads), name
+        # the trie the completion kept holds exactly the elements' tails
+        rules = _trie_rules(gb._trie)
+        assert rules.keys() == gb.lead_map.keys(), name
+        for lead, rule in rules.items():
+            g = gb.lead_map[lead]
+            assert _rule_cycnums(rule, n) == tuple(
+                (w, c) for w, c in g.terms.items() if w != lead), name
