@@ -7,8 +7,8 @@ text rendering.
 
 Each command imports the layers it runs inside its own function, so a
 process loads only what its command needs: `gb` and `hilbert` on a file load
-`errors`, `cyclo`, `freealg`, `linalg`, `gbasis` and `jsonio`, and no group,
-twist or crossed-product code.  Module level holds only the I/O boundary
+`errors`, `cyclo`, `freealg`, `gbasis` and `jsonio`, and no linear algebra,
+group, twist or crossed-product code.  Module level holds only the I/O boundary
 (`jsonio`) and the error types; even `hashlib` (OpenSSL) loads only for
 `twist`'s input digest.
 """

@@ -56,8 +56,16 @@ def deglex_key(word: Word, gens: Sequence[GeneratorInfo]):
     return (word_degree(word, gens), word)
 
 
+def _check_letters(word: Word, gens: tuple) -> None:
+    if any(i < 0 or i >= len(gens) for i in word):
+        raise AlphabetMismatch(f"word {word} has letters outside the alphabet")
+
+
 class NcPoly:
-    """A noncommutative polynomial over a fixed alphabet and conductor."""
+    """A noncommutative polynomial over a fixed alphabet and conductor.
+
+    The public constructor checks every word and coefficient; polynomials
+    built from checked ones take the trusted path, `_trusted_poly`."""
 
     __slots__ = ("gens", "conductor", "terms", "_key", "_lead")
 
@@ -67,15 +75,10 @@ class NcPoly:
             if coeff.conductor != conductor:
                 raise AlphabetMismatch(
                     f"coefficient conductor {coeff.conductor} != {conductor}")
-            if any(i < 0 or i >= len(gens) for i in word):
-                raise AlphabetMismatch(f"word {word} has letters outside the alphabet")
+            _check_letters(word, gens)
             if not coeff.is_zero():
                 clean[word] = coeff
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_lead", None)
+        _fill(self, gens, conductor, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("NcPoly is immutable")
@@ -175,22 +178,23 @@ class NcPoly:
                     terms[w] = s
             else:
                 terms[w] = c
-        return NcPoly(self.gens, self.conductor, terms)
+        return _trusted_poly(self.gens, self.conductor, terms)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         return self + (-other)
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly(self.gens, self.conductor,
-                      {w: -c for w, c in self.terms.items()})
+        return _trusted_poly(self.gens, self.conductor,
+                             {w: -c for w, c in self.terms.items()})
 
     def scale(self, scalar: CycNum) -> "NcPoly":
         if scalar.conductor != self.conductor:
             raise AlphabetMismatch("scalar conductor mismatch")
         if scalar.is_zero():
             return NcPoly.zero(self.gens, self.conductor)
-        return NcPoly(self.gens, self.conductor,
-                      {w: c * scalar for w, c in self.terms.items()})
+        # a product of nonzero field elements is nonzero
+        return _trusted_poly(self.gens, self.conductor,
+                             {w: c * scalar for w, c in self.terms.items()})
 
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         self._check(other)
@@ -224,12 +228,14 @@ class NcPoly:
         return self.scale(inv)
 
     def word_mul_left(self, word: Word) -> "NcPoly":
-        return NcPoly(self.gens, self.conductor,
-                      {word + w: c for w, c in self.terms.items()})
+        _check_letters(word, self.gens)
+        return _trusted_poly(self.gens, self.conductor,
+                             {word + w: c for w, c in self.terms.items()})
 
     def word_mul_right(self, word: Word) -> "NcPoly":
-        return NcPoly(self.gens, self.conductor,
-                      {w + word: c for w, c in self.terms.items()})
+        _check_letters(word, self.gens)
+        return _trusted_poly(self.gens, self.conductor,
+                             {w + word: c for w, c in self.terms.items()})
 
     def with_conductor(self, conductor: int) -> "NcPoly":
         if conductor == self.conductor:
@@ -287,6 +293,25 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"NcPoly({self})"
+
+
+def _fill(p: NcPoly, gens: tuple, conductor: int, terms: dict) -> None:
+    # object.__setattr__ bypasses NcPoly.__setattr__, which refuses every write
+    object.__setattr__(p, "gens", gens)
+    object.__setattr__(p, "conductor", conductor)
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "_key", None)
+    object.__setattr__(p, "_lead", None)
+
+
+def _trusted_poly(gens: tuple, conductor: int, terms: dict) -> NcPoly:
+    """An NcPoly that takes `terms` as it is, unchecked and uncopied: its
+    words must lie over `gens`, its coefficients be nonzero and of this
+    conductor, and no one else may hold the dict.  For polynomials built
+    from checked ones."""
+    p = object.__new__(NcPoly)
+    _fill(p, gens, conductor, terms)
+    return p
 
 
 @dataclass(frozen=True)

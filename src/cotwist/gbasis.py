@@ -15,14 +15,23 @@ insertion, no final interreduction pass is needed, and no rule carries a
 reducible tail word into later rewrites.
 
 Reduction rewrites the deglex-largest reducible word at its leftmost,
-shortest match, popping words from a heap.  Matches are found in a letter
-trie of the leading words (`_lead_trie`) whose nodes hold the rewrite rules.
+shortest match, popping words from a heap keyed by one bytes object per word
+(`_heap_key`).  Matches are found in a letter trie of the leading words
+(`_lead_trie`) whose nodes hold the rewrite rules.
+
 Over Q (conductors 1 and 2, where phi(N) = 1) the rewrite loop holds every
-coefficient, and every rule's tail, as a (numerator, denominator) int pair
-in lowest terms, updated by `cyclo._rational_product` and
-`cyclo._rational_sum`; a CycNum is built once per surviving term, on the
-way out.  Other conductors keep CycNum coefficients, and each term update is
-one fused scalar operation (`CycNum.sub_mul`, `CycNum.neg_mul`).
+coefficient as a (numerator, denominator) int pair with a positive
+denominator, not necessarily in lowest terms, and a rule holds its tail over
+one common denominator: (L, ((word, Y), ...)) with positive L and integer
+numerators Y.  A rewrite cancels the popped coefficient x/b against L once,
+one gcd per popped word, so that every product -x*Y/(b*L) shares one
+denominator, and adds each product to its target over the lcm of the two
+denominators, with no gcd to restore lowest terms.  Lowest terms return
+when a word is popped: a reducible word's coefficient by that cancellation,
+and an irreducible one's in `_cycnum_terms`, which builds a CycNum for each
+surviving term on the way out.  Other conductors keep CycNum coefficients
+and rules, and each term update is one fused scalar operation
+(`CycNum.sub_mul`, `CycNum.neg_mul`).
 """
 
 from __future__ import annotations
@@ -31,15 +40,15 @@ import heapq
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
+from math import gcd, lcm
 from operator import neg
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cyclo import CycNum, _make, _rational_product, _rational_sum
-from .errors import ConductorMismatch, DegreeBoundExceeded, ValidationError
-from .freealg import (GenMap, NcPoly, Presentation, Word, deglex_key,
-                      word_degree)
-from .linalg import rank as mat_rank
-from .linalg import row_spaces_equal
+from .cyclo import CycNum, _reduced
+from .errors import (AlphabetMismatch, ConductorMismatch, DegreeBoundExceeded,
+                     ValidationError)
+from .freealg import (GenMap, NcPoly, Presentation, Word, _trusted_poly,
+                      deglex_key, word_degree)
 
 
 @dataclass
@@ -183,9 +192,9 @@ def _loop_terms(terms: Mapping[Word, CycNum], conductor: int) -> dict:
 
 
 def _cycnum_terms(terms: dict, conductor: int) -> dict:
-    """The inverse of `_loop_terms`."""
+    """The inverse of `_loop_terms`; pairs need not be in lowest terms."""
     if conductor <= 2:
-        return {w: _make(conductor, (x,), d) for w, (x, d) in terms.items()}
+        return {w: _reduced(conductor, (x,), d) for w, (x, d) in terms.items()}
     return terms
 
 
@@ -197,15 +206,20 @@ _CONDUCTOR = -2
 
 def _add_lead(trie: dict, g: NcPoly) -> None:
     """Enter the leading word of the monic element g into `trie`.  Its node
-    holds g's rewrite rule lead -> -tail as the (word, coeff) pairs of the
-    tail g - lead, with coeff in the rewrite loop's scalars."""
+    holds g's rewrite rule lead -> -tail, made of the (word, coeff) pairs of
+    the tail g - lead: over Q as (L, ((word, Y), ...)) with coeff = Y/L for
+    the common denominator L > 0, otherwise as a tuple of (word, CycNum)."""
     lead = g.leading_word()
     node = trie
     for letter in lead:
         node = node.setdefault(letter, {})
-    tail = _loop_terms(g.terms, g.conductor)
-    del tail[lead]
-    node[_RULE] = tuple(tail.items())
+    tail = [(w, c) for w, c in g.terms.items() if w != lead]
+    if g.conductor <= 2:
+        common = lcm(*(c.den for _, c in tail))
+        node[_RULE] = common, tuple((w, c.num[0] * (common // c.den))
+                                    for w, c in tail)
+    else:
+        node[_RULE] = tuple(tail)
     trie[_CONDUCTOR] = g.conductor
 
 
@@ -250,26 +264,39 @@ def _rewrite(terms: dict, word: Word, coeff, pos: int, length: int,
              rule: tuple) -> list:
     """Replace coeff*word in `terms` (already popped) by -coeff*left*tail*right,
     where word = left*lead*right and `rule` is the tail of the monic element
-    with that leading word; return the words this adds to `terms`.  The
-    scalars are int pairs or CycNum values, as `_loop_terms` makes them."""
+    with that leading word, as `_add_lead` holds it; return the words this
+    adds to `terms`.  The scalars are int pairs or CycNum values, as
+    `_loop_terms` makes them."""
     left, right = word[:pos], word[pos + length:]
     added = []
     if coeff.__class__ is tuple:
+        # -x/b * Y/L = t*Y/den for every tail numerator Y, where t/den is
+        # -x/(b*L) in lowest terms: one gcd per popped word, none per term
+        # but the lcm of two different denominators
         x, b = coeff
-        x = -x
-        for tw, (y, d) in rule:
+        common, tail = rule
+        den = b * common
+        g = gcd(x, den)
+        t = -x // g
+        den //= g
+        for tw, y in tail:
             new_word = left + tw + right
-            t, e = _rational_product(x, b, y, d)
             s = terms.get(new_word)
             if s is None:
-                terms[new_word] = (t, e)
+                terms[new_word] = (t * y, den)
                 added.append(new_word)
+                continue
+            u, e = s
+            if e == den:
+                u += t * y
             else:
-                t, e = _rational_sum(s[0], s[1], t, e)
-                if t:
-                    terms[new_word] = (t, e)
-                else:
-                    del terms[new_word]
+                g = gcd(e, den)
+                u = u * (den // g) + t * y * (e // g)
+                e = e // g * den
+            if u:
+                terms[new_word] = (u, e)
+            else:
+                del terms[new_word]
         return added
     for tw, tc in rule:
         new_word = left + tw + right
@@ -286,19 +313,28 @@ def _rewrite(terms: dict, word: Word, coeff, pos: int, length: int,
     return added
 
 
-# letter i -> 255 - i, so that ascending bytes order is descending lex order
+# byte i -> 255 - i, so that ascending bytes order is descending order
 _FLIP = bytes(range(255, -1, -1))
 
 
-def _heap_key(degrees: Sequence[int]) -> Callable:
-    """A key whose ascending order is descending deglex.  With generator
-    degrees >= 1, words of equal degree are never prefixes of each other,
-    so reversing the letter order reverses lex.  Alphabets of at most 256
-    letters get a bytes key, which is built and compared in C."""
+def _heap_key(degrees: Sequence[int], words) -> Callable:
+    """A key whose ascending order is descending deglex, on `words` and on
+    every word deglex-smaller than one of them.  With generator degrees
+    >= 1, words of equal degree are never prefixes of each other, so
+    reversing the letter order reverses lex.  The key is one bytes object,
+    built and compared in C: the flipped degree followed by the flipped
+    letters.  Alphabets beyond 256 letters and degrees beyond 255 do not fit
+    in a byte and get a tuple key."""
     weight = degrees.__getitem__
-    if len(degrees) > 256:
+    if max(degrees, default=1) == 1:
+        top = max(map(len, words), default=0)
+        key = lambda w: bytes((len(w),) + w).translate(_FLIP)
+    else:
+        top = max((sum(map(weight, w)) for w in words), default=0)
+        key = lambda w: bytes((sum(map(weight, w)),) + w).translate(_FLIP)
+    if len(degrees) > 256 or top > 255:
         return lambda w: (-sum(map(weight, w)), tuple(map(neg, w)))
-    return lambda w: (-sum(map(weight, w)), bytes(w).translate(_FLIP))
+    return key
 
 
 def _reduce(p: NcPoly, trie: dict,
@@ -313,8 +349,8 @@ def _reduce(p: NcPoly, trie: dict,
     # is left.  A rewrite only adds words smaller than the one it replaces, so
     # a max-heap visits words in that order and an irreducible word, once
     # popped, is final.
-    heap_key = _heap_key([g.degree for g in p.gens])
     terms = _loop_terms(p.terms, n)
+    heap_key = _heap_key([g.degree for g in p.gens], terms)
     heap = [(heap_key(w), w) for w in terms]
     heapq.heapify(heap)
     done = {}
@@ -329,7 +365,7 @@ def _reduce(p: NcPoly, trie: dict,
             continue
         for w in _rewrite(terms, word, coeff, *match):
             heapq.heappush(heap, (heap_key(w), w))
-    return NcPoly(p.gens, n, _cycnum_terms(done, n))
+    return _trusted_poly(p.gens, n, _cycnum_terms(done, n))
 
 
 def _reduce_chosen(p: NcPoly, trie: dict, chooser: Callable) -> NcPoly:
@@ -339,7 +375,7 @@ def _reduce_chosen(p: NcPoly, trie: dict, chooser: Callable) -> NcPoly:
         rules = {(word, (pos, length)): rule for word in terms
                  for pos, length, rule in _matches(word, trie)}
         if not rules:
-            return NcPoly(p.gens, n, _cycnum_terms(terms, n))
+            return _trusted_poly(p.gens, n, _cycnum_terms(terms, n))
         word, match = chooser(sorted(rules))
         _rewrite(terms, word, terms.pop(word), *match, rules[word, match])
 
@@ -351,6 +387,8 @@ def normal_form(p: NcPoly, gb: TruncGB,
     `chooser` overrides the deterministic reduction strategy (used by the
     confluence tests); it receives the sorted candidate list of
     (word, (position, lead length)) rewrites and picks one."""
+    if p.gens != gb.presentation.generators:
+        raise AlphabetMismatch("polynomial and basis over different alphabets")
     deg = p.degree()
     if deg is not None and deg > gb.bound:
         raise DegreeBoundExceeded(
@@ -452,8 +490,8 @@ def truncated_gb(presentation: Presentation, bound: int,
             # g's own leading word is kept, so it does not contain lead(h)
             if any(_contains_subword(w, lead_h) for w in g.terms):
                 tail = {w: c for w, c in g.terms.items() if w != lead}
-                tail = _reduce(NcPoly(gens, conductor, tail), trie).terms
-                g = NcPoly(gens, conductor, {lead: g.terms[lead], **tail})
+                tail = _reduce(_trusted_poly(gens, conductor, tail), trie).terms
+                g = _trusted_poly(gens, conductor, {lead: g.terms[lead], **tail})
                 basis[idx] = g
                 _add_lead(trie, g)
                 stats[g_degree].tail_reductions += 1
@@ -531,6 +569,7 @@ def is_regular_to_degree(a: NcPoly, presentation: Presentation,
                          bound: int) -> tuple:
     """(left-regular, right-regular) through `bound`: multiplication by a is
     injective on every component of degree <= bound - deg(a)."""
+    from .linalg import rank as mat_rank
     deg_a = a.homogeneous_degree()
     if deg_a is None or a.is_zero():
         raise ValidationError("regularity check needs a homogeneous nonzero element")
@@ -552,6 +591,7 @@ def is_regular_to_degree(a: NcPoly, presentation: Presentation,
 def is_normal_to_degree(a: NcPoly, presentation: Presentation,
                         bound: int) -> bool:
     """True iff a*A_d and A_d*a span the same subspace for every d <= bound - deg(a)."""
+    from .linalg import row_spaces_equal
     deg_a = a.homogeneous_degree()
     if deg_a is None or a.is_zero():
         raise ValidationError("normality check needs a homogeneous nonzero element")

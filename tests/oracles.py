@@ -298,6 +298,49 @@ def quotient_dims(presentation, bound: int):
 
 
 # ---------------------------------------------------------------------------
+# reduction over Q by slice scan, independent of the rewrite loop
+# ---------------------------------------------------------------------------
+
+def fraction_normal_form(terms, rules, weights):
+    """The normal form of sum c*w over `terms` ({word: Fraction}) by the rules
+    `rules` ({leading word: {tail word: Fraction}}, each rewriting its
+    leading word to minus its tail).  It rewrites the deglex-largest
+    reducible word at its leftmost, then shortest, match, found by slicing
+    every word against the leading words, until no word is reducible."""
+    lengths = sorted({len(u) for u in rules})
+
+    def first_match(w):
+        for pos in range(len(w)):
+            for n in lengths:
+                if pos + n <= len(w) and w[pos:pos + n] in rules:
+                    return pos, n
+        return None
+
+    def deglex(w):
+        return sum(weights[i] for i in w), w
+
+    terms = {w: Fraction(c) for w, c in terms.items() if c}
+    matches = {}
+    while True:
+        for w in terms:
+            if w not in matches:
+                matches[w] = first_match(w)
+        reducible = [w for w in terms if matches[w] is not None]
+        if not reducible:
+            return terms
+        word = max(reducible, key=deglex)
+        pos, n = matches[word]
+        coeff = terms.pop(word)
+        for u, c in rules[word[pos:pos + n]].items():
+            target = word[:pos] + u + word[pos + n:]
+            value = terms.get(target, 0) - coeff * c
+            if value:
+                terms[target] = value
+            else:
+                terms.pop(target, None)
+
+
+# ---------------------------------------------------------------------------
 # free-algebra expansion oracle for basis changes
 # ---------------------------------------------------------------------------
 

@@ -47,6 +47,32 @@ def test_alphabet_mismatch_raises():
         poly("x1") * NcPoly.gen(other, 4, 0)
 
 
+def test_word_products_check_the_word():
+    p = poly("x1 - 2*x2*x3")
+    assert p.word_mul_left((2,)) == poly("x3*x1 - 2*x3*x2*x3")
+    assert p.word_mul_right((0, 1)) == poly("x1^2*x2 - 2*x2*x3*x1*x2")
+    for word in ((3,), (0, -1)):
+        with pytest.raises(AlphabetMismatch):
+            p.word_mul_left(word)
+        with pytest.raises(AlphabetMismatch):
+            p.word_mul_right(word)
+
+
+def test_derived_polynomials_equal_checked_ones():
+    # sums, negatives, scalings and word products skip the constructor's
+    # checks; they must still be what the constructor would build
+    rng = random.Random(11)
+    half = CycNum.rational(Fraction(1, 2), 4) + CycNum.i()
+    for _ in range(25):
+        a, b = random_poly(rng), random_poly(rng)
+        for derived in (a + b, a - b, -a, a.scale(half), a.monic(),
+                        a.word_mul_left((1, 2)), a.word_mul_right((0,))):
+            rebuilt = NcPoly(X3, 4, derived.terms)
+            assert derived == rebuilt and derived.terms == rebuilt.terms
+            assert all(not c.is_zero() and c.conductor == 4
+                       for c in derived.terms.values())
+
+
 def test_mul_associates_and_distributes():
     rng = random.Random(7)
     for _ in range(25):

@@ -8,11 +8,13 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotwist import gbasis
 from cotwist.cyclo import CycNum
-from cotwist.errors import (ConductorMismatch, DegreeBoundExceeded,
-                            ValidationError)
+from cotwist.errors import (AlphabetMismatch, ConductorMismatch,
+                            DegreeBoundExceeded, ValidationError)
 from cotwist.freealg import (GenMap, NcPoly, Presentation, deglex_key,
                              make_alphabet, make_presentation, parse_ncpoly,
                              word_degree)
@@ -22,7 +24,7 @@ from cotwist.gbasis import (clear_cache, hilbert_coeffs, ideal_contains,
 from cotwist.jsonio import spec_bundle_from_dict
 from cotwist.presets import PRESET_NAMES, a_family_xbasis, preset
 from cotwist.twist import twist_presentation
-from oracles import quotient_dims, words_of_degree
+from oracles import fraction_normal_form, quotient_dims, words_of_degree
 
 XY = make_alphabet([("x", 1), ("y", 1)])
 
@@ -490,13 +492,17 @@ def _slice_normal_words(gb):
 
 
 def _rule_cycnums(rule, n):
-    """A trie rule's tail with its scalars as CycNum: the rewrite loop holds
-    them as (numerator, denominator) pairs exactly when phi(n) = 1."""
-    assert all(isinstance(c, tuple) == (n <= 2) for _, c in rule)
+    """A trie rule's tail with its scalars as CycNum: when phi(n) = 1 the
+    rewrite loop holds it as (L, ((word, Y), ...)), integer numerators Y over
+    one positive common denominator L, and otherwise as (word, CycNum)
+    pairs."""
     if n > 2:
+        assert all(isinstance(c, CycNum) for _, c in rule)
         return rule
-    assert all(c[1] > 0 and gcd(*c) == 1 for _, c in rule)
-    return tuple((u, CycNum.rational(Fraction(*c), n)) for u, c in rule)
+    common, tail = rule
+    assert type(common) is int and common > 0
+    assert all(type(y) is int for _, y in tail)
+    return tuple((u, CycNum.rational(Fraction(y, common), n)) for u, y in tail)
 
 
 def assert_trie_matches_slice_scan(gb, words):
@@ -586,9 +592,49 @@ def test_heap_key_orders_by_descending_deglex(degrees):
     rng = random.Random(7)
     words = {tuple(rng.randrange(len(degrees)) for _ in range(rng.randrange(7)))
              for _ in range(500)}
-    key = gbasis._heap_key([g.degree for g in gens])
+    key = gbasis._heap_key([g.degree for g in gens], words)
     assert sorted(words, key=key) == sorted(
         words, key=lambda w: deglex_key(w, gens), reverse=True)
+
+
+def _word_lists(alphabet_size, max_length):
+    return st.lists(st.lists(st.integers(0, alphabet_size - 1),
+                             max_size=max_length).map(tuple), max_size=30)
+
+
+@st.composite
+def _alphabets_and_words(draw):
+    """(generator degrees, words): unit-degree and weighted alphabets, the
+    257-letter alphabet, and words of degree 256 or more."""
+    kind = draw(st.sampled_from(["unit", "weighted", "257 letters", "long"]))
+    if kind == "unit":
+        degrees = [1] * draw(st.integers(1, 256))
+    elif kind == "weighted":
+        degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=256))
+    elif kind == "257 letters":
+        degrees = draw(st.lists(st.integers(1, 2), min_size=257,
+                                max_size=257))
+    else:
+        degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    words = draw(_word_lists(len(degrees), 8))
+    if kind == "long":
+        # words of degree 256 and more, some equal up to their last letters
+        stem = draw(st.lists(st.integers(0, len(degrees) - 1),
+                             min_size=256, max_size=300))
+        words += [tuple(stem) + w for w in words] + [tuple(stem)]
+    return degrees, words
+
+
+@settings(max_examples=150, deadline=None)
+@given(_alphabets_and_words())
+def test_heap_key_sorts_as_descending_deglex(case):
+    degrees, words = case
+    key = gbasis._heap_key(degrees, words)
+    assert sorted(words, key=key) == sorted(
+        words, key=lambda w: (sum(degrees[i] for i in w), w), reverse=True)
+    top = max((sum(degrees[i] for i in w) for w in words), default=0)
+    fits = len(degrees) <= 256 and top <= 255
+    assert all(isinstance(key(w), bytes if fits else tuple) for w in words)
 
 
 def test_alphabet_beyond_one_byte():
@@ -683,6 +729,100 @@ def test_pair_kernel_matches_cycnum_reference(sklyanin):
                 # a random strategy on long words can take minutes
                 assert normal_form(p, gb, chooser=rng.choice) == expected, name
     assert {1, 2, 4} <= conductors
+
+
+# ---------------------------------------------------------------------------
+# the rewrite loop over Q against a Fraction-only reduction
+# ---------------------------------------------------------------------------
+
+def _over_q(pres):
+    """`pres` at conductor 1; its coefficients must be rational."""
+    gens = pres.generators
+    return make_presentation(1, gens, [
+        NcPoly(gens, 1, {w: CycNum.rational(c.as_fraction())
+                         for w, c in r.terms.items()})
+        for r in pres.relations])
+
+
+def _rational_cases(sklyanin):
+    """Presentations over Q, at conductors 1 and 2, where the rewrite loop
+    holds int pairs."""
+    cases = {name: pres for name, pres in _kernel_cases(sklyanin).items()
+             if pres.conductor <= 2}
+    for name in PRESET_NAMES:
+        source = preset(name)
+        twisted = twist_presentation(source.twist_spec()).presentation
+        for label, pres in ((name, source.presentation),
+                            (name + " twisted", twisted)):
+            if all(c.is_rational() for r in pres.relations
+                   for c in r.terms.values()):
+                cases[label + " over Q"] = _over_q(pres)
+    return cases
+
+
+def _big_rational(rng):
+    """A random nonzero rational whose numerator and denominator have more
+    than 64 bits."""
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(2 ** 64, 2 ** 96),
+                    rng.randrange(2 ** 64, 2 ** 80))
+
+
+def test_rewrite_loop_over_q_matches_fraction_oracle(sklyanin, monkeypatch):
+    # Every product a rewrite adds is t*Y/den for a tail numerator Y of its
+    # rule, where t/den must be -x/(b*L) in lowest terms: the popped
+    # coefficient x/b cancelled against the rule's common denominator L.
+    cases = _rational_cases(sklyanin)
+    assert {"sklyanin", "sklyanin twisted", "weighted", "weighted linear",
+            "conductor 2", "A(1,-1) over Q", "D(1,1) twisted over Q"} <= set(cases)
+    real_rewrite = gbasis._rewrite
+    checked = []
+
+    def spy(terms, word, coeff, pos, length, rule):
+        added = real_rewrite(terms, word, coeff, pos, length, rule)
+        numerators = dict(rule[1])
+        left, right = word[:pos], word[pos + length:]
+        for tw, y in numerators.items():
+            new_word = left + tw + right
+            if new_word in added:
+                num, den = terms[new_word]
+                assert num % y == 0 and gcd(num // y, den) == 1
+                checked.append(new_word)
+        return added
+
+    monkeypatch.setattr(gbasis, "_rewrite", spy)
+    rng = random.Random(61)
+    for name, pres in cases.items():
+        gb = truncated_gb(pres, 6, use_cache=False)
+        gens, n = pres.generators, pres.conductor
+        weights = [g.degree for g in gens]
+        rules = {lead: {w: c.as_fraction() for w, c in g.terms.items()
+                        if w != lead}
+                 for lead, g in gb.lead_map.items()}
+        default = _old_default_strategy(gens)
+        for _ in range(6):
+            terms = {}
+            while len(terms) < 5:
+                word = tuple(rng.randrange(len(gens))
+                             for _ in range(rng.randrange(7)))
+                if word_degree(word, gens) <= 6:
+                    terms[word] = _big_rational(rng)
+            p = NcPoly(gens, n, {w: CycNum.rational(c, n)
+                                 for w, c in terms.items()})
+            expected = NcPoly(gens, n, {
+                w: CycNum.rational(c, n)
+                for w, c in fraction_normal_form(terms, rules, weights).items()})
+            assert normal_form(p, gb) == expected, name
+            assert normal_form(p, gb, chooser=default) == expected, name
+    assert checked
+
+
+def test_reduction_needs_the_basis_alphabet():
+    gb = truncated_gb(pres_xy("x*y - 2*y*x", conductor=1), 3)
+    xyz = make_alphabet([("x", 1), ("y", 1), ("z", 1)])
+    with pytest.raises(AlphabetMismatch):
+        normal_form(parse_ncpoly("y*x", xyz, 1), gb)
+    with pytest.raises(AlphabetMismatch):
+        normal_form(parse_ncpoly("x", make_alphabet([("x", 1)]), 1), gb)
 
 
 def test_reduction_needs_the_basis_conductor():
