@@ -19,7 +19,7 @@ _EXPORTS = {
     "groups": ("AbGroup", "Cocycle", "Duality", "GroupAut",
                "all_automorphisms", "coboundary", "cocycle_from_formula",
                "cocycle_from_scalars", "cocycle_inverse", "cocycle_product",
-               "cocycle_pullback", "cohomologous", "is_coboundary",
+               "cocycle_pullback", "commutator_radical", "is_coboundary",
                "klein_duality", "klein_mu", "make_duality", "make_group_aut",
                "schur_order", "standard_duality", "trivial_cocycle",
                "validate_cocycle"),
@@ -32,11 +32,9 @@ _EXPORTS = {
     "gbasis": ("TruncGB", "hilbert_coeffs", "ideal_contains",
                "is_normal_to_degree", "is_regular_to_degree", "normal_form",
                "truncated_gb", "verify_iso"),
-    "crossed": ("CrossedElement", "CrossedModel", "FinDimAlg",
-                "build_crossed_model", "center_basis", "diagonal_invariants",
-                "is_full_matrix_algebra", "isotypic_component",
-                "twisted_group_algebra", "verify_bimodule_component",
-                "verify_invariant_ring"),
+    "crossed": ("CrossedElement", "CrossedModel", "build_crossed_model",
+                "diagonal_invariants", "isotypic_component",
+                "verify_bimodule_component", "verify_invariant_ring"),
     "presets": ("CHECKS", "PRESET_NAMES", "Preset", "a_family_xbasis",
                 "full_report", "preset"),
 }

@@ -203,9 +203,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_kgmu(args) -> int:
-    from .crossed import (center_basis, is_full_matrix_algebra,
-                          trace_form_rank, twisted_group_algebra)
-    from .groups import AbGroup
+    from .cyclo import root_of_unity
+    from .groups import AbGroup, commutator_radical
     group = AbGroup(args.group)
     spec = args.cocycle
     if spec in ("klein", "trivial"):
@@ -215,31 +214,27 @@ def _cmd_kgmu(args) -> int:
     else:
         data = {"cocycle": {"formula": spec}}
     mu, conductor = cocycle_from_dict(data, group)
-    alg = twisted_group_algebra(group, mu, conductor)
+    elements = group.elements()
+    labels = [f"u[{group.describe(g)}]" for g in elements]
     structure = {}
-    for a, la in enumerate(alg.labels):
-        for b, lb in enumerate(alg.labels):
-            coords = alg.table[a][b]
-            terms = []
-            for d in range(alg.dim):
-                if coords[d].is_zero():
-                    continue
-                if coords[d].is_one():
-                    terms.append(alg.labels[d])
-                elif (-coords[d]).is_one():
-                    terms.append(f"-{alg.labels[d]}")
-                else:
-                    terms.append(f"({coords[d]})*{alg.labels[d]}")
-            structure[f"{la}*{lb}"] = " + ".join(terms) if terms else "0"
-    center_dim = len(center_basis(alg))
-    trace_rank = trace_form_rank(alg)
+    for g, lg in zip(elements, labels):
+        for h, lh in zip(elements, labels):
+            c = root_of_unity(mu.value(g, h), mu.modulus, conductor)
+            label = labels[group.index(group.mul(g, h))]
+            if c.is_one():
+                term = label
+            elif (-c).is_one():
+                term = f"-{label}"
+            else:
+                term = f"({c})*{label}"
+            structure[f"{lg}*{lh}"] = term
+    radical = commutator_radical(mu)
     out = {
-        "dimension": alg.dim,
+        "dimension": group.order,
         "structure_constants": structure,
-        "center_dimension": center_dim,
-        "trace_form_rank": trace_rank,
-        "is_full_matrix_algebra": is_full_matrix_algebra(alg, trace_rank,
-                                                         center_dim),
+        "center_dimension": len(radical),
+        "trace_form_rank": group.order,
+        "is_full_matrix_algebra": len(radical) == 1,
         "cocycle": cocycle_to_dict(mu, conductor),
     }
     _emit(out, args.human)

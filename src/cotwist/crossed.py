@@ -1,4 +1,5 @@
-"""Twisted group algebras kG_mu and the crossed product A (x) kG_mu.
+"""The crossed product A (x) kG_mu of a graded algebra and a twisted group
+algebra.
 
 The crossed product is modeled degreewise on Groebner normal-word bases of
 the base algebra rather than as a presentation of its own: every check made
@@ -14,160 +15,16 @@ are computed by solving the (diagonal) eigenvalue conditions exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .cyclo import CycNum, root_of_unity
-from .errors import DegreeBoundExceeded, ValidationError
+from .errors import DegreeBoundExceeded
 from .freealg import Word, word_degree
 from .gbasis import TruncGB, truncated_gb
-from .groups import AbGroup, Cocycle, Element
+from .groups import AbGroup, Element
 from .linalg import rank as mat_rank
 from .linalg import row_spaces_equal
 from .twist import TwistSpec
-
-
-# ---------------------------------------------------------------------------
-# finite-dimensional algebras with exact structure constants
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FinDimAlg:
-    """A finite-dimensional algebra by structure constants: table[i][j] is
-    the coordinate vector of (basis i) * (basis j)."""
-
-    labels: tuple
-    conductor: int
-    table: tuple
-    unit: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def mul_coords(self, x: Sequence[CycNum], y: Sequence[CycNum]) -> list:
-        zero = CycNum.zero(self.conductor)
-        out = [zero] * self.dim
-        for a, xa in enumerate(x):
-            if xa.is_zero():
-                continue
-            for b, yb in enumerate(y):
-                if yb.is_zero():
-                    continue
-                coeff = xa * yb
-                row = self.table[a][b]
-                for d in range(self.dim):
-                    if not row[d].is_zero():
-                        out[d] = out[d] + coeff * row[d]
-        return out
-
-    def basis_vector(self, idx: int) -> list:
-        zero = CycNum.zero(self.conductor)
-        out = [zero] * self.dim
-        out[idx] = CycNum.one(self.conductor)
-        return out
-
-
-def make_findim_algebra(labels: Sequence[str], conductor: int,
-                        table, unit) -> FinDimAlg:
-    alg = FinDimAlg(tuple(labels), conductor,
-                    tuple(tuple(tuple(v for v in row) for row in plane)
-                          for plane in table),
-                    tuple(unit))
-    n = alg.dim
-    for i in range(n):
-        e_i = alg.basis_vector(i)
-        if alg.mul_coords(list(alg.unit), e_i) != e_i \
-                or alg.mul_coords(e_i, list(alg.unit)) != e_i:
-            raise ValidationError(f"unit fails on basis element {labels[i]}")
-    for i in range(n):
-        for j in range(n):
-            ij = list(alg.table[i][j])
-            for k in range(n):
-                lhs = alg.mul_coords(ij, alg.basis_vector(k))
-                rhs = alg.mul_coords(alg.basis_vector(i),
-                                     list(alg.table[j][k]))
-                if lhs != rhs:
-                    raise ValidationError(
-                        f"associativity fails on ({labels[i]},{labels[j]},{labels[k]})")
-    return alg
-
-
-def twisted_group_algebra(group: AbGroup, mu: Cocycle,
-                          conductor: int) -> FinDimAlg:
-    """kG_mu over Q(zeta_conductor): basis u_g with u_g u_h = mu(g,h) u_{gh}."""
-    group.require_table_order()
-    elements = group.elements()
-    zero = CycNum.zero(conductor)
-    n = len(elements)
-    index = {g: i for i, g in enumerate(elements)}
-    table = []
-    for g in elements:
-        plane = []
-        for h in elements:
-            row = [zero] * n
-            row[index[group.mul(g, h)]] = root_of_unity(
-                mu.value(g, h), mu.modulus, conductor)
-            plane.append(tuple(row))
-        table.append(tuple(plane))
-    unit = [zero] * n
-    unit[index[group.identity()]] = CycNum.one(conductor)
-    labels = [f"u[{group.describe(g)}]" for g in elements]
-    return make_findim_algebra(labels, conductor, table, unit)
-
-
-def center_basis(alg: FinDimAlg) -> list:
-    """Exact basis of the center, from the commutant linear system."""
-    from .linalg import kernel_basis
-    n = alg.dim
-    rows = []
-    for b in range(n):
-        e_b = alg.basis_vector(b)
-        # row block for [z, u_b] = 0, coordinates of z as unknowns
-        for d in range(n):
-            row = []
-            for a in range(n):
-                left = alg.table[a][b][d]
-                right = alg.table[b][a][d]
-                row.append(left - right)
-            rows.append(row)
-    return kernel_basis(rows, n, alg.conductor)
-
-
-def trace_of_left_mult(alg: FinDimAlg, x: Sequence[CycNum]) -> CycNum:
-    total = CycNum.zero(alg.conductor)
-    for d in range(alg.dim):
-        prod = alg.mul_coords(list(x), alg.basis_vector(d))
-        total = total + prod[d]
-    return total
-
-
-def trace_form_rank(alg: FinDimAlg) -> int:
-    gram = []
-    for i in range(alg.dim):
-        row = []
-        for j in range(alg.dim):
-            prod = alg.mul_coords(alg.basis_vector(i), alg.basis_vector(j))
-            row.append(trace_of_left_mult(alg, prod))
-        gram.append(row)
-    return mat_rank(gram)
-
-
-def is_full_matrix_algebra(alg: FinDimAlg, trace_rank: Optional[int] = None,
-                           center_dim: Optional[int] = None) -> bool:
-    """Characteristic-zero recognition of M_n(k): dimension n^2, semisimple
-    (nondegenerate trace form) and one-dimensional center.  A caller that
-    has already computed the trace form rank or the center dimension passes
-    it in, so neither is computed twice."""
-    n = round(alg.dim ** 0.5)
-    if n * n != alg.dim:
-        return False
-    if trace_rank is None:
-        trace_rank = trace_form_rank(alg)
-    if trace_rank != alg.dim:
-        return False
-    if center_dim is None:
-        center_dim = len(center_basis(alg))
-    return center_dim == 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,13 @@ from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .cyclo import CycNum, common_conductor, parse_scalar, root_exponent
-from .errors import FalsificationError, ValidationError
-from .linalg import solve_mod
+from .errors import ValidationError
 
 Element = tuple
 
-# The largest group order for which a cocycle table (|G|^2 entries) or the
-# twisted group algebra kG_mu (|G|^3 structure constants) is built; at this
-# bound `kgmu` stays under about 60 MB, and the paper's examples have order
+# The largest group order for which a table indexed by G x G is built: a
+# cocycle table, its validation (|G|^3 identity checks) and the |G|^2
+# structure constants that `kgmu` prints.  The paper's examples have order
 # <= 16.  Computations that never enumerate G x G, such as `schur_order`,
 # take any order.
 MAX_GROUP_ORDER = 64
@@ -290,52 +289,72 @@ def cocycle_pullback(mu: Cocycle, sigma: "GroupAut") -> Cocycle:
     return validate_cocycle(mu.group, mu.modulus, table)
 
 
+def commutator_radical(mu: Cocycle) -> list:
+    """The radical {g : beta(g, .) = 0} of the alternating bicharacter
+    beta(g,h) = mu(g,h) - mu(h,g) (in exponents), in enumeration order.
+
+    It fixes the twisted group algebra kG_mu, with basis u_g and
+    u_g u_h = mu(g,h) u_gh, in characteristic 0: the center is spanned by
+    the u_g with g in the radical; the trace form is |G| mu(g,g^-1) on the
+    g <-> g^-1 antidiagonal, so its rank is |G|; and kG_mu is a full matrix
+    algebra exactly when the radical is trivial."""
+    mu.group.require_table_order()
+    rows = mu.values
+    return [g for a, g in enumerate(mu.group.elements())
+            if all(rows[a][b] == rows[b][a] for b in range(len(rows)))]
+
+
 def is_coboundary(mu: Cocycle):
     """Decide whether mu is a coboundary; returns (flag, witness-or-None).
 
     A cocycle on a finite abelian group is a coboundary exactly when its
-    alternating bicharacter beta(g,h) = mu(g,h)/mu(h,g) is trivial.  The
-    witness rho, an exponent map g -> k meaning zeta_M^k with
-    M = mu.modulus * exp(G), is recovered by solving rho(g) + rho(h) -
-    rho(gh) = mu(g,h) over residues mod M: any witness of a mu_m-valued
-    coboundary takes values in mu_{m * exp(G)}, so the system is finite.
-    The equations with h a group generator suffice (the cocycle identity
-    propagates them to every h); the witness is checked on every pair, and
-    cocycles in lowest terms are equal exactly when their values are."""
+    alternating bicharacter is trivial, that is when mu is symmetric.  The
+    witness rho is an exponent map g -> k meaning zeta_M^k with
+    M = mu.modulus * exp(G), in closed form (`_exponent_witness`).  It is
+    checked on every pair, and cocycles in lowest terms are equal exactly
+    when their values are; a mismatch is a program fault, not a
+    falsification, so it raises RuntimeError (an internal error)."""
     group = mu.group
-    rows = mu.values
-    if any(rows[a][b] != rows[b][a]
-           for a in range(len(rows)) for b in range(a)):
+    if len(commutator_radical(mu)) < group.order:
         return False, None
-    scale = group.exponent()
-    modulus = mu.modulus * scale
-    elements = group.elements()
-    identity = group.identity()
-    unknowns = elements[1:]
-    col = {g: j for j, g in enumerate(unknowns)}
-    matrix, rhs = [], []
-    for g in elements:
-        for h in (group.generator(j) for j in range(group.rank)):
-            row = [0] * len(unknowns)
-            for el, sign in ((g, 1), (h, 1), (group.mul(g, h), -1)):
-                if el != identity:
-                    row[col[el]] += sign
-            matrix.append(row)
-            rhs.append(mu.value(g, h) * scale)
-    solution = solve_mod(matrix, rhs, modulus)
-    if solution is None:
-        raise FalsificationError(
-            "symmetric cocycle admitted no exponent witness; this contradicts "
-            "the coboundary criterion")
-    rho = {identity: 0, **dict(zip(unknowns, solution))}
-    if coboundary(group, modulus, rho) != mu:
-        raise FalsificationError("witness failed to reproduce the cocycle")
+    rho = _exponent_witness(mu)
+    if coboundary(group, mu.modulus * group.exponent(), rho) != mu:
+        raise RuntimeError("coboundary witness failed to reproduce the cocycle")
     return True, rho
 
 
-def cohomologous(a: Cocycle, b: Cocycle) -> bool:
-    """True iff a and b differ by a coboundary."""
-    return is_coboundary(cocycle_product(a, cocycle_inverse(b)))[0]
+def _exponent_witness(mu: Cocycle) -> dict:
+    """rho with delta(rho) = mu for a symmetric mu, base zeta_M, M = m * E
+    with m = mu.modulus and E = exp(G).
+
+    kG_mu is commutative.  The left-associated product
+    u_{e_1}^{a_1} ... u_{e_r}^{a_r} is zeta_m^{s(g)} u_g, where s(g) sums mu
+    along that word, and u_{e_i}^{n_i} = zeta_m^{c_i} with
+    c_i = sum_{k=1}^{n_i-1} mu(k e_i, e_i).  Scaling u_{e_i} by zeta_M^{tau_i},
+    tau_i = -(E/n_i) c_i, gives it order n_i, so the basis
+    zeta_M^{sum_i a_i tau_i + E s(g)} u_g is multiplicative and rho(g) is
+    minus that exponent."""
+    group = mu.group
+    exponent = group.exponent()
+    modulus = mu.modulus * exponent
+    tau = []
+    for j, n in enumerate(group.factors):
+        e_j, power, c = group.generator(j), group.identity(), 0
+        for _ in range(n - 1):
+            power = group.mul(power, e_j)
+            c += mu.value(power, e_j)
+        tau.append(-(exponent // n) * c)
+    s, rho = {}, {}
+    # in enumeration order g minus its last generator comes before g
+    for g in group.elements():
+        last = max((j for j, x in enumerate(g) if x), default=None)
+        if last is None:
+            s[g] = 0
+        else:
+            prev = g[:last] + (g[last] - 1,) + g[last + 1:]
+            s[g] = s[prev] + mu.value(prev, group.generator(last))
+        rho[g] = -(sum(a * t for a, t in zip(g, tau)) + exponent * s[g]) % modulus
+    return rho
 
 
 def schur_order(group: AbGroup) -> int:

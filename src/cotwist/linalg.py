@@ -1,5 +1,4 @@
-"""Exact linear algebra over cyclotomic scalars, plus the small integer
-Smith-form solver used for coboundary witnesses.
+"""Exact linear algebra over cyclotomic scalars.
 
 Matrices are lists of row lists.  Row reduction works on sparse rows
 {column: CycNum}, because the matrices built here (multiplication maps on
@@ -8,9 +7,6 @@ are small (at most a few hundred rows).
 """
 
 from __future__ import annotations
-
-from math import gcd
-from typing import Optional, Sequence
 
 from .cyclo import CycNum
 from .errors import CotwistError
@@ -51,18 +47,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc if acc is not None else zero)
         out.append(row)
     return out
-
-
-def mat_vec(a: Matrix, v: Sequence[CycNum]) -> list:
-    return [row_dot(row, v) for row in a]
-
-
-def row_dot(row: Sequence[CycNum], v: Sequence[CycNum]) -> CycNum:
-    acc = CycNum.zero(row[0].conductor)
-    for x, y in zip(row, v):
-        if not (x.is_zero() or y.is_zero()):
-            acc = acc + x * y
-    return acc
 
 
 def mat_pow(a: Matrix, e: int, conductor: int) -> Matrix:
@@ -181,92 +165,3 @@ def mat_inverse(matrix: Matrix) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in rows[:n]]
-
-
-# ---------------------------------------------------------------------------
-# integer linear algebra: Smith normal form and modular solving
-# ---------------------------------------------------------------------------
-
-def smith_normal_form(matrix: list) -> tuple[list, list, list]:
-    """Return (U, S, V) with U*A*V == S diagonal (nonnegative entries)."""
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        for k in range(n):
-            a[dst][k] += q * a[src][k]
-        for k in range(m):
-            u[dst][k] += q * u[src][k]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # find a smallest-magnitude nonzero pivot in the submatrix
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t] % a[t][t] != 0:
-                dirty = True
-            add_row(t, i, -(a[i][t] // a[t][t]))
-        for j in range(t + 1, n):
-            if a[t][j] % a[t][t] != 0:
-                dirty = True
-            add_col(t, j, -(a[t][j] // a[t][t]))
-        if dirty or any(a[i][t] for i in range(t + 1, m)) \
-                or any(a[t][j] for j in range(t + 1, n)):
-            continue
-        if a[t][t] < 0:
-            for k in range(n):
-                a[t][k] = -a[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
-        t += 1
-    return u, a, v
-
-
-def solve_mod(matrix: list, rhs: list, modulus: int) -> Optional[list]:
-    """One solution x of A*x == rhs (mod modulus), or None."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    u, s, v = smith_normal_form(matrix)
-    c = [sum(u[i][k] * rhs[k] for k in range(m)) % modulus for i in range(m)]
-    y = [0] * n
-    for i in range(m):
-        d = s[i][i] if i < n else 0
-        if d == 0:
-            if c[i] % modulus != 0:
-                return None
-            continue
-        g = gcd(d, modulus)
-        if c[i] % g != 0:
-            return None
-        md = modulus // g
-        y[i] = ((c[i] // g) * pow(d // g, -1, md)) % md
-    x = [sum(v[i][k] * y[k] for k in range(n)) % modulus for i in range(n)]
-    return x

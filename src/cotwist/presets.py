@@ -18,15 +18,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .action import GGrading, GradedAction, diagonal_action, grading_from_degrees
-from .crossed import (center_basis, is_full_matrix_algebra, trace_form_rank,
-                      twisted_group_algebra, verify_bimodule_component,
-                      verify_invariant_ring)
+from .crossed import verify_bimodule_component, verify_invariant_ring
 from .cyclo import CycNum
 from .errors import CotwistError
 from .freealg import GenMap, NcPoly, Presentation, make_alphabet, make_presentation, parse_ncpoly
 from .gbasis import hilbert_coeffs, is_regular_to_degree, verify_iso
-from .groups import (AbGroup, Cocycle, Duality, all_automorphisms, klein_duality,
-                     klein_mu, schur_order, standard_duality, trivial_cocycle)
+from .groups import (AbGroup, Cocycle, Duality, all_automorphisms,
+                     commutator_radical, klein_duality, klein_mu, schur_order,
+                     standard_duality, trivial_cocycle)
 from .twist import (TwistSpec, coboundary_rescale_matches, double_twist,
                     twist_poly, twist_presentation, verify_duality_benign,
                     verify_regrade_compat)
@@ -230,16 +229,12 @@ def _bimodule_components(bound: int) -> dict:
 
 def _twisted_group_algebra(bound: int) -> dict:
     group = preset("A(1,-1)").group
-    alg = twisted_group_algebra(group, klein_mu(), CONDUCTOR)
-    plain = twisted_group_algebra(group, trivial_cocycle(group), CONDUCTOR)
-    center_dim = len(center_basis(alg))
-    trace_rank = trace_form_rank(alg)
+    radical = commutator_radical(klein_mu())
     out = {
-        "twisted_center_dim": center_dim,
-        "twisted_trace_rank": trace_rank,
-        "is_full_matrix_algebra": is_full_matrix_algebra(alg, trace_rank,
-                                                         center_dim),
-        "plain_center_dim": len(center_basis(plain)),
+        "twisted_center_dim": len(radical),
+        "twisted_trace_rank": group.order,
+        "is_full_matrix_algebra": len(radical) == 1,
+        "plain_center_dim": len(commutator_radical(trivial_cocycle(group))),
     }
     out["pass"] = (out["twisted_center_dim"] == 1
                    and out["is_full_matrix_algebra"]

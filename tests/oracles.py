@@ -1,9 +1,10 @@
 """Independent brute-force oracles for the test suite.
 
 Nothing here reuses the package's Groebner reduction, coboundary criterion
-or Schur formula: cohomology oracles work on integer exponent tables, and
-the quotient-dimension oracle spans ideal consequences with its own sparse
-elimination.  These stay deliberately separate from the code paths they
+or Schur formula: cohomology oracles work on integer exponent tables, the
+quotient-dimension oracle spans ideal consequences with its own sparse
+elimination, and twisted group algebras are dense structure-constant tables
+over the oracle's own cyclotomic fields.  These stay deliberately separate from the code paths they
 check.
 """
 
@@ -488,7 +489,8 @@ def frac_is_zero(x: FracCyclo) -> bool:
 
 def dense_rref(matrix, n: int):
     """(rows, pivots) of the reduced row echelon form of a matrix of
-    FracCyclo entries in Q(zeta_n), by textbook elimination on full rows."""
+    FracCyclo entries in Q(zeta_n), by textbook elimination on full rows
+    (skipping the products with a zero factor)."""
     rows = [list(r) for r in matrix]
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -500,11 +502,12 @@ def dense_rref(matrix, n: int):
             continue
         rows[r], rows[hit] = rows[hit], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x if frac_is_zero(x) else x * inv for x in rows[r]]
         for i in range(len(rows)):
-            if i != r:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+            factor = rows[i][c]
+            if i != r and not frac_is_zero(factor):
+                rows[i] = [x if frac_is_zero(y) else x - factor * y
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -523,7 +526,8 @@ def dense_kernel(matrix, ncols: int, n: int):
             vec[p] = -rows[r][f]
         first = next(i for i, x in enumerate(vec) if not frac_is_zero(x))
         scale = vec[first].inverse()
-        out.append((first, [x * scale for x in vec]))
+        out.append((first, [x if frac_is_zero(x) else x * scale
+                            for x in vec]))
     return [vec for _, vec in sorted(out, key=lambda pair: pair[0])]
 
 
@@ -536,3 +540,66 @@ def dense_inverse(matrix, n: int):
     if pivots[:size] != list(range(size)):
         return None
     return [row[size:] for row in rows[:size]]
+
+
+# ---------------------------------------------------------------------------
+# twisted group algebras kG_mu by dense structure constants
+# ---------------------------------------------------------------------------
+
+def dense_kgmu(group: ExpGroup, table, m: int):
+    """Structure constants of kG_mu over Q(zeta_m): entry [a][b] is the
+    coordinate vector of u_{g_a} u_{g_b} = zeta_m^table[a][b] u_{g_a g_b}."""
+    zero = FracCyclo(m, [0])
+    powers = [FracCyclo(m, [0] * k + [1]) for k in range(m)]
+    out = []
+    for a in range(group.n):
+        plane = []
+        for b in range(group.n):
+            vec = [zero] * group.n
+            vec[group.mul[a][b]] = powers[table[a][b] % m]
+            plane.append(vec)
+        out.append(plane)
+    return out
+
+
+def dense_center_basis(structure, m: int):
+    """A basis of the center: the kernel of the commutant system
+    sum_a z_a ([u_a, u_b])_d = 0 over every basis element u_b and coordinate
+    d."""
+    n = len(structure)
+    zero = FracCyclo(m, [0])
+    rows = []
+    for b in range(n):
+        for d in range(n):
+            row = [structure[a][b][d] - structure[b][a][d]
+                   if not (frac_is_zero(structure[a][b][d])
+                           and frac_is_zero(structure[b][a][d])) else zero
+                   for a in range(n)]
+            if not all(frac_is_zero(x) for x in row):
+                rows.append(row)
+    return dense_kernel(rows, n, m)
+
+
+def dense_trace_form_rank(structure, m: int) -> int:
+    """The rank of the Gram matrix tr(L_{u_a u_b}) of the trace form, with
+    tr(L_x) = sum_c x_c tr(L_{u_c}) and tr(L_{u_c}) = sum_d (u_c u_d)_d."""
+    n = len(structure)
+    zero = FracCyclo(m, [0])
+    traces = []
+    for c in range(n):
+        t = zero
+        for d in range(n):
+            if not frac_is_zero(structure[c][d][d]):
+                t = t + structure[c][d][d]
+        traces.append(t)
+    gram = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            t = zero
+            for c, x in enumerate(structure[a][b]):
+                if not (frac_is_zero(x) or frac_is_zero(traces[c])):
+                    t = t + x * traces[c]
+            row.append(t)
+        gram.append(row)
+    return len(dense_rref(gram, m)[1])

@@ -7,11 +7,14 @@ from cotwist.cyclo import CycNum, root_of_unity
 from cotwist.errors import ValidationError
 from cotwist.freealg import change_basis, make_alphabet, make_presentation, parse_ncpoly
 from cotwist.groups import AbGroup, klein_duality
-from cotwist.linalg import mat_vec
 from cotwist.presets import a_family_xbasis, preset
 
 KLEIN = AbGroup((2, 2))
 E, G2, G1 = (0, 0), (0, 1), (1, 0)
+
+
+def mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), CycNum.zero(4)) for row in a]
 
 
 def klein_action_on_xbasis():

@@ -6,10 +6,9 @@ import sys
 import pytest
 
 from cotwist.cli import MAX_DEGREE, main
-from cotwist.crossed import twisted_group_algebra
 from cotwist.cyclo import CycNum, parse_scalar
 from cotwist.errors import ValidationError
-from cotwist.groups import AbGroup, Cocycle, cocycle_from_formula
+from cotwist.groups import AbGroup, Cocycle, cocycle_from_formula, commutator_radical
 from cotwist.presets import CHECKS
 
 SPEC_XBASIS = {
@@ -137,26 +136,6 @@ def test_kgmu_command(capsys):
     assert json.loads(out)["center_dimension"] == 4
 
 
-def test_kgmu_computes_center_and_trace_rank_once(capsys, monkeypatch):
-    # `kgmu` imports these from `crossed` when it runs, so patching the
-    # module is enough
-    from cotwist import crossed
-    calls = {"center_basis": 0, "trace_form_rank": 0}
-    for name in calls:
-        real = getattr(crossed, name)
-
-        def counted(alg, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(alg)
-
-        monkeypatch.setattr(crossed, name, counted)
-    # Klein: a square dimension and a nondegenerate trace form, so the
-    # matrix-algebra test needs both values
-    code, out, _ = run(capsys, ["kgmu", "--group", "2,2", "--cocycle", "klein"])
-    assert code == 0 and json.loads(out)["is_full_matrix_algebra"] is True
-    assert calls == {"center_basis": 1, "trace_form_rank": 1}
-
-
 def test_kgmu_formula_cocycle(capsys):
     code, out, _ = run(capsys, ["kgmu", "--group", "2,2",
                                 "--cocycle", "(-1)^(p*s)"])
@@ -225,7 +204,7 @@ def test_resource_bounds_are_inclusive():
 def test_twisted_group_algebra_checks_group_order():
     group = AbGroup((5, 13))
     with pytest.raises(ValidationError, match="group order 65 exceeds the limit 64"):
-        twisted_group_algebra(group, Cocycle(group, 1, ()), 1)
+        commutator_radical(Cocycle(group, 1, ()))
 
 
 def test_invariants_command(capsys):
@@ -517,6 +496,14 @@ def test_twist_loads_no_crossed_product_or_presets(spec_file):
     assert not loaded & {"crossed", "presets"}
 
 
+def test_kgmu_loads_only_the_group_layer():
+    loaded = loaded_modules(["kgmu", "--group", "6,6",
+                             "--cocycle", "zeta(6)^(a1*b2)"])
+    # `jsonio` imports `freealg` for the presentation readers
+    assert loaded & LAYERS == {"cli", "cyclo", "errors", "freealg", "groups",
+                               "jsonio"}
+
+
 # every name the package re-exported when `import cotwist` loaded every layer
 PACKAGE_NAMES = [
     "CycNum", "parse_scalar", "AlphabetMismatch", "ConductorMismatch",
@@ -526,7 +513,7 @@ PACKAGE_NAMES = [
     "parse_ncpoly", "AbGroup", "Cocycle", "Duality", "GroupAut",
     "all_automorphisms", "coboundary", "cocycle_from_formula",
     "cocycle_from_scalars", "cocycle_inverse", "cocycle_product",
-    "cocycle_pullback", "cohomologous", "is_coboundary", "klein_duality",
+    "cocycle_pullback", "commutator_radical", "is_coboundary", "klein_duality",
     "klein_mu", "make_duality", "make_group_aut", "schur_order",
     "standard_duality", "trivial_cocycle", "validate_cocycle", "GGrading",
     "GradedAction", "HomogBasis", "diagonal_action", "grading_from_degrees",
@@ -536,8 +523,7 @@ PACKAGE_NAMES = [
     "word_twist_scalar", "TruncGB", "hilbert_coeffs", "ideal_contains",
     "is_normal_to_degree", "is_regular_to_degree", "normal_form",
     "truncated_gb", "verify_iso", "CrossedElement", "CrossedModel",
-    "FinDimAlg", "build_crossed_model", "center_basis", "diagonal_invariants",
-    "is_full_matrix_algebra", "isotypic_component", "twisted_group_algebra",
+    "build_crossed_model", "diagonal_invariants", "isotypic_component",
     "verify_bimodule_component", "verify_invariant_ring", "CHECKS",
     "PRESET_NAMES", "Preset", "a_family_xbasis", "full_report", "preset"]
 

@@ -3,16 +3,15 @@ import random
 
 import pytest
 
-from cotwist.crossed import (CrossedElement, build_crossed_model, center_basis,
-                             crossed_basis, diagonal_invariants,
-                             is_full_matrix_algebra, isotypic_component,
-                             trace_form_rank, twisted_group_algebra,
+from cotwist.crossed import (CrossedElement, build_crossed_model, crossed_basis,
+                             diagonal_invariants, isotypic_component,
                              verify_bimodule_component, verify_invariant_ring)
 from cotwist.cyclo import CycNum, root_of_unity
 from cotwist.errors import DegreeBoundExceeded, ValidationError
 from cotwist.freealg import NcPoly
 from cotwist.gbasis import normal_form
-from cotwist.groups import AbGroup, klein_mu, trivial_cocycle, validate_cocycle
+from cotwist.groups import (AbGroup, commutator_radical, klein_mu,
+                            trivial_cocycle, validate_cocycle)
 from cotwist.presets import preset
 from cotwist.twist import TwistSpec
 
@@ -20,41 +19,37 @@ KLEIN = AbGroup((2, 2))
 E, G2, G1, G12 = (0, 0), (0, 1), (1, 0), (1, 1)
 
 
+# kG_mu has basis u_g with u_g u_h = mu(g,h) u_gh; `commutator_radical` fixes
+# its center and its matrix-algebra verdict
+
 def test_twisted_group_algebra_anticommuting_pair():
-    alg = twisted_group_algebra(KLEIN, klein_mu(), 4)
-    idx = {g: i for i, g in enumerate(KLEIN.elements())}
-    u = alg.mul_coords(alg.basis_vector(idx[G1]), alg.basis_vector(idx[G2]))
-    v = alg.mul_coords(alg.basis_vector(idx[G2]), alg.basis_vector(idx[G1]))
-    assert u[idx[G12]] == CycNum.rational(-1, 4)
-    assert v[idx[G12]] == CycNum.one(4)
+    mu = klein_mu()
+    # u_g1 u_g2 = -u_g1g2 and u_g2 u_g1 = u_g1g2
+    assert root_of_unity(mu.value(G1, G2), mu.modulus, 4) == CycNum.rational(-1, 4)
+    assert root_of_unity(mu.value(G2, G1), mu.modulus, 4) == CycNum.one(4)
+    assert G1 not in commutator_radical(mu) and G2 not in commutator_radical(mu)
 
 
 def test_trivial_cocycle_group_algebra_is_commutative():
-    alg = twisted_group_algebra(KLEIN, trivial_cocycle(KLEIN), 4)
-    assert len(center_basis(alg)) == 4
+    assert commutator_radical(trivial_cocycle(KLEIN)) == KLEIN.elements()
 
 
 def test_basis_elements_invertible():
-    alg = twisted_group_algebra(KLEIN, klein_mu(), 4)
-    idx = {g: i for i, g in enumerate(KLEIN.elements())}
+    # u_g u_(g^-1) = mu(g, g^-1) u_e, a root of unity
+    mu = klein_mu()
     for g in KLEIN.elements():
-        prod = alg.mul_coords(alg.basis_vector(idx[g]),
-                              alg.basis_vector(idx[KLEIN.inv(g)]))
-        assert not prod[idx[E]].is_zero()
+        assert KLEIN.mul(g, KLEIN.inv(g)) == E
+        assert not root_of_unity(mu.value(g, KLEIN.inv(g)), mu.modulus,
+                                 4).is_zero()
 
 
 def test_klein_twist_is_two_by_two_matrix_algebra():
-    alg = twisted_group_algebra(KLEIN, klein_mu(), 4)
-    assert len(center_basis(alg)) == 1
-    assert trace_form_rank(alg) == 4
-    assert is_full_matrix_algebra(alg)
+    assert commutator_radical(klein_mu()) == [E]
 
 
 def test_cyclic_group_algebra_not_matrix_algebra():
     c4 = AbGroup((4,))
-    alg = twisted_group_algebra(c4, trivial_cocycle(c4), 4)
-    assert len(center_basis(alg)) == 4
-    assert not is_full_matrix_algebra(alg)
+    assert commutator_radical(trivial_cocycle(c4)) == c4.elements()
 
 
 def test_corrupted_cocycle_rejected_upstream():

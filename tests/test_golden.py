@@ -40,6 +40,8 @@ CASES = {
     # the radical of the commutator bicharacter is {e, g2^2}: center of
     # dimension 2, not a matrix algebra
     "kgmu-c2c4": ["kgmu", "--group", "2,4", "--cocycle", "(-1)^(a1*b2)"],
+    # a trivial radical on order 36: center of dimension 1, M_6
+    "kgmu-c6c6": ["kgmu", "--group", "6,6", "--cocycle", "zeta(6)^(a1*b2)"],
     # degree 7 reaches the multiplicative check's longest products
     "invariants-A7": ["invariants", "--degree", "7",
                       "--input", "preset:A(1,-1)"],

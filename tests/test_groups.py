@@ -1,18 +1,22 @@
 import random
+from math import gcd
 
 import pytest
 
+from cotwist import groups
 from cotwist.cyclo import CycNum
 from cotwist.errors import ValidationError
 from cotwist.groups import (AbGroup, all_automorphisms, coboundary,
                             cocycle_from_formula, cocycle_from_scalars,
                             cocycle_inverse,
-                            cocycle_product, cocycle_pullback, cohomologous,
-                            is_coboundary, klein_duality,
+                            cocycle_product, cocycle_pullback,
+                            commutator_radical, is_coboundary, klein_duality,
                             klein_mu, make_duality, make_group_aut,
                             schur_order, standard_duality, trivial_cocycle,
                             validate_cocycle)
-from oracles import ExpGroup, brute_force_is_coboundary, cocycle_class_count
+from oracles import (ExpGroup, brute_force_is_coboundary, cocycle_class_count,
+                     coboundary_table, dense_center_basis, dense_kgmu,
+                     dense_trace_form_rank, frac_is_zero)
 
 KLEIN = AbGroup((2, 2))
 E, G2, G1, G12 = (0, 0), (0, 1), (1, 0), (1, 1)
@@ -190,6 +194,10 @@ def test_exponent_form_cocycles_coboundary_iff_symmetric(n):
     assert cocycle_from_formula(group, f"zeta({n})^({terms})") == mu
 
 
+def cohomologous(a, b):
+    return is_coboundary(cocycle_product(a, cocycle_inverse(b)))[0]
+
+
 def test_cohomologous_examples():
     mu = klein_mu()
     assert cohomologous(mu, mu)
@@ -197,6 +205,83 @@ def test_cohomologous_examples():
     # rho = (1, i, -1, i) as exponents base zeta_4
     rho = {E: 0, G1: 1, G2: 2, G12: 1}
     assert cohomologous(mu, cocycle_product(mu, coboundary(KLEIN, 4, rho)))
+
+
+def test_wrong_witness_is_an_internal_error(monkeypatch):
+    mu = coboundary(KLEIN, 4, {E: 0, G1: 1, G2: 2, G12: 1})
+    real = groups._exponent_witness
+
+    def off_by_one(cocycle):
+        rho = real(cocycle)
+        rho[G1] += 1
+        return rho
+
+    monkeypatch.setattr(groups, "_exponent_witness", off_by_one)
+    # not a CotwistError: the CLI maps those to exit 1 or 2, not 3
+    with pytest.raises(RuntimeError, match="witness failed"):
+        is_coboundary(mu)
+
+
+# every finite abelian group of order <= 16, one decomposition each
+SMALL_GROUPS = [(n,) for n in range(2, 17)] + [
+    (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 4),
+    (2, 2, 2, 2)]
+
+
+def bilinear_times_coboundary(group, rng, symmetric):
+    """The exponent table base zeta_m, m = 2 exp(G), of the bilinear cocycle
+    zeta_E^(sum_jk f_jk (E / gcd(n_j, n_k)) g_j h_k), E = exp(G), times the
+    coboundary of a random rho with values in mu_m; f is symmetric, or
+    breaks symmetry at (1, 2)."""
+    factors, r, m = group.factors, len(group.factors), 2 * group.exponent
+    form = [[rng.randrange(m) for _ in range(r)] for _ in range(r)]
+    for j in range(r):
+        for k in range(j):
+            form[j][k] = form[k][j]
+    if not symmetric:
+        form[0][1] = form[1][0] + 1
+    rho = [0] + [rng.randrange(m) for _ in range(group.n - 1)]
+    delta = coboundary_table(group, rho, m)
+    return [[(sum(form[j][k] * (m // gcd(factors[j], factors[k])) * g[j] * h[k]
+                  for j in range(r) for k in range(r)) + delta[a][b]) % m
+             for b, h in enumerate(group.elements)]
+            for a, g in enumerate(group.elements)]
+
+
+def test_closed_forms_match_dense_kgmu_on_small_groups():
+    rng = random.Random(16)
+    for factors in SMALL_GROUPS:
+        oracle_group, group = ExpGroup(factors), AbGroup(factors)
+        m = 2 * group.exponent()
+        # every cocycle on a cyclic group is symmetric
+        for symmetric in (True,) if len(factors) == 1 else (True, False):
+            table = bilinear_times_coboundary(oracle_group, rng, symmetric)
+            mu = validate_cocycle(group, m, {
+                (g, h): table[a][b]
+                for a, g in enumerate(oracle_group.elements)
+                for b, h in enumerate(oracle_group.elements)})
+            structure = dense_kgmu(oracle_group, table, m)
+            center = dense_center_basis(structure, m)
+            support = {oracle_group.elements[i] for vec in center
+                       for i, x in enumerate(vec) if not frac_is_zero(x)}
+            trace_rank = dense_trace_form_rank(structure, m)
+            radical = commutator_radical(mu)
+            assert len(center) == len(radical) and support == set(radical)
+            assert trace_rank == group.order
+            is_matrix_algebra = (round(group.order ** 0.5) ** 2 == group.order
+                                 and trace_rank == group.order
+                                 and len(center) == 1)
+            assert is_matrix_algebra == (len(radical) == 1)
+            flag, rho = is_coboundary(mu)
+            assert flag == symmetric == (len(center) == group.order)
+            if flag:
+                # rho is base zeta_M, M = mu.modulus * exp(G)
+                modulus = mu.modulus * group.exponent()
+                lifted = tuple(tuple(x * modulus // m % modulus for x in row)
+                               for row in table)
+                witness = [rho[g] for g in oracle_group.elements]
+                assert coboundary_table(oracle_group, witness,
+                                        modulus) == lifted
 
 
 def test_cocycle_group_structure():

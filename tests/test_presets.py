@@ -169,8 +169,9 @@ FALSIFIERS = {
     "bimodule_components": ("verify_bimodule_component",
                             lambda: _replacing("verify_bimodule_component",
                                                scaling_multiplicative=False)),
-    "twisted_group_algebra": ("is_full_matrix_algebra",
-                              lambda: lambda alg, *rest: False),
+    # a radical of the whole group: a commutative kG_mu
+    "twisted_group_algebra": ("commutator_radical",
+                              lambda: lambda mu: mu.group.elements()),
     "schur": ("schur_order", lambda: lambda group: 1),
     "regrade_compat": ("verify_regrade_compat", lambda: lambda spec, sigma: False),
     "duality_compat": ("verify_duality_benign", lambda: _raising),
