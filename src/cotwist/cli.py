@@ -9,8 +9,8 @@ Each command imports the layers it runs inside its own function, so a
 process loads only what its command needs: `gb` and `hilbert` on a file load
 `errors`, `cyclo`, `freealg`, `gbasis` and `jsonio`, and no linear algebra,
 group, twist or crossed-product code.  Module level holds only the I/O boundary
-(`jsonio`) and the error types; even `hashlib` (OpenSSL) loads only for
-`twist`'s input digest.
+(`jsonio`) and the error types; `twist`'s input digest uses CPython's own
+SHA-256, so that no command maps OpenSSL.
 """
 
 from __future__ import annotations
@@ -51,11 +51,14 @@ def _load_bundle(arg: str, conductor: Optional[int]) -> SpecBundle:
 
 
 def _input_digest(arg: str) -> str:
-    import hashlib
+    try:        # CPython's own SHA-256; hashlib's maps OpenSSL, about 4 MB
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     if arg.startswith(_PRESET_SCHEME):
-        return hashlib.sha256(arg.encode("utf-8")).hexdigest()
+        return sha256(arg.encode("utf-8")).hexdigest()
     with open(arg, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+        return sha256(handle.read()).hexdigest()
 
 
 def _emit(data: dict, human: bool) -> None:

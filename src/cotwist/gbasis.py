@@ -14,10 +14,12 @@ again and its trie rule overwritten.  So the basis is reduced after every
 insertion, no final interreduction pass is needed, and no rule carries a
 reducible tail word into later rewrites.
 
-Reduction rewrites the deglex-largest reducible word at its leftmost,
-shortest match, popping words from a heap keyed by one bytes object per word
-(`_heap_key`).  Matches are found in a letter trie of the leading words
-(`_lead_trie`) whose nodes hold the rewrite rules.
+Reduction pops words from a heap keyed by one bytes object per word
+(`_heap_key`) and rewrites the deglex-largest reducible one at its leftmost
+match, found in one pass of the Aho-Corasick automaton (`_automaton`) of the
+letter trie of leading words (`_lead_trie`), whose nodes hold the rules.
+The automaton also extends normal words letter by letter and counts them
+without building any.
 
 Over Q (conductors 1 and 2, where phi(N) = 1) the rewrite loop holds every
 coefficient as a (numerator, denominator) int pair with a positive
@@ -61,9 +63,8 @@ class DegreeStats:
     leading word entered the basis; `basis_size` and
     `coeff_height_bits` (the largest numerator or denominator, in bits)
     describe the final basis elements of this degree.  `normal_words`, the
-    dimension of the quotient in this degree, is None until the normal
-    words are enumerated (`TruncGB.normal_words_by_degree`): with many
-    generators there are too many of them to count on every completion."""
+    dimension of the quotient in this degree, is counted on the leading-word
+    automaton when the `TruncGB` is made, without building a word."""
 
     overlaps: int = 0
     reductions: int = 0
@@ -79,9 +80,9 @@ class TruncGB:
     each degree 0..bound to the `DegreeStats` of the completion that built
     it; the counters are deterministic, like the basis itself.
 
-    Reduction finds leading words through `_trie`, the letter trie of the
-    leading words whose nodes hold their elements' rewrite rules (see
-    `_add_lead`); it is the trie the completion kept up to date.  Products
+    Reduction finds leading words with the automaton of `_trie`, the letter
+    trie of the leading words whose nodes hold their elements' rewrite rules
+    (`_add_lead`, `_automaton`), as the completion kept it.  Products
     are normal-formed through a lazily built right-multiplication table:
     `_table[w + (x,)]` is NF(w*x) for a normal word w and a generator x, as
     a map {normal word: CycNum}.  Each entry is rewritten once, by the same
@@ -99,6 +100,8 @@ class TruncGB:
         self._words_by_degree: Optional[list] = None
         self._degrees = [g.degree for g in presentation.generators]
         self._table: dict = {}
+        for d, count in enumerate(_normal_word_counts(trie, self._degrees, bound)):
+            stats[d].normal_words = count
 
     def __repr__(self) -> str:
         return f"TruncGB(bound={self.bound}, elements={len(self.elements)})"
@@ -106,31 +109,29 @@ class TruncGB:
     # -- normal words --------------------------------------------------------
 
     def normal_words_by_degree(self) -> list:
-        """Irreducible words grouped by N-degree, degrees 0..bound."""
+        """Irreducible words grouped by N-degree, degrees 0..bound, extended
+        along the automaton; more than `MAX_NORMAL_WORDS` in all are refused."""
         if self._words_by_degree is not None:
             return self._words_by_degree
-        gens = self.presentation.generators
-        depth = max(map(len, self.lead_map), default=0)
-        levels: list = [[()]]
+        total = sum(s.normal_words for s in self.stats.values())
+        if total > MAX_NORMAL_WORDS:
+            raise DegreeBoundExceeded(
+                f"there are {total} normal words through degree {self.bound}, "
+                f"more than the {MAX_NORMAL_WORDS} this tool enumerates")
+        goto, out = _automaton(self._trie)
+        levels: list = [[((), 0)]]
         for d in range(1, self.bound + 1):
             level = []
-            for gen in gens:
-                prev = d - gen.degree
-                if prev < 0:
-                    continue
-                for w in levels[prev]:
-                    # w is normal, so a match in cand is a suffix: it
-                    # starts at most `depth` letters before the end
-                    cand = w + (gen.index,)
-                    start = max(len(cand) - depth, 0)
-                    if _first_match(cand, self._trie, start) is None:
-                        level.append(cand)
+            for x, weight in enumerate(self._degrees):
+                if weight <= d:
+                    for w, state in levels[d - weight]:
+                        t = goto[state].get(x, 0)
+                        if out[t] is None:
+                            level.append((w + (x,), t))
             level.sort()
             levels.append(level)
-        for d, level in enumerate(levels):
-            self.stats[d].normal_words = len(level)
-        self._words_by_degree = levels
-        return levels
+        self._words_by_degree = [[w for w, _ in level] for level in levels]
+        return self._words_by_degree
 
     def normal_words(self, degree: int) -> list:
         if degree > self.bound:
@@ -199,20 +200,24 @@ def _cycnum_terms(terms: dict, conductor: int) -> dict:
 
 
 # The trie keys of a leading word's rewrite rule and, at the root, of the
-# conductor of the rules' scalars; letters are >= 0.
+# rules' conductor and of the automaton; letters are >= 0.
 _RULE = -1
 _CONDUCTOR = -2
+_AUTOMATON = -3
 
 
 def _add_lead(trie: dict, g: NcPoly) -> None:
     """Enter the leading word of the monic element g into `trie`.  Its node
     holds g's rewrite rule lead -> -tail, made of the (word, coeff) pairs of
     the tail g - lead: over Q as (L, ((word, Y), ...)) with coeff = Y/L for
-    the common denominator L > 0, otherwise as a tuple of (word, CycNum)."""
+    the common denominator L > 0, otherwise as a tuple of (word, CycNum).
+    Only a new leading word drops the trie's automaton (`_automaton`)."""
     lead = g.leading_word()
     node = trie
     for letter in lead:
         node = node.setdefault(letter, {})
+    if _RULE not in node:
+        trie.pop(_AUTOMATON, None)
     tail = [(w, c) for w, c in g.terms.items() if w != lead]
     if g.conductor <= 2:
         common = lcm(*(c.den for _, c in tail))
@@ -230,34 +235,53 @@ def _lead_trie(elements) -> dict:
     return trie
 
 
-def _first_match(word: Word, trie: dict, start: int = 0):
-    """(position, length, rule) of the leftmost, then shortest, leading word
-    inside `word` that starts at `start` or later; None if there is none."""
-    n = len(word)
-    for pos in range(start, n):
-        node = trie
-        i = pos
-        while True:
-            rule = node.get(_RULE)
-            if rule is not None:
-                return pos, i - pos, rule
-            if i == n:
-                break
-            node = node.get(word[i])
-            if node is None:
-                break
-            i += 1
-    return None
+def _automaton(trie: dict) -> tuple:
+    """The Aho-Corasick automaton (goto, out) of the trie's nodes, state 0
+    the root, built on first use and kept at the root.  goto[s] maps letters
+    of leading words to states, any other letter going to the root; out[s]
+    is (length, node) if s spells a leading word, its rule node[_RULE].  The
+    leading words form an antichain under the subword order, so a state's
+    only output is its own, the match that ends first is the leftmost, and a
+    leaf shares its failure state's row."""
+    if _AUTOMATON in trie:
+        return trie[_AUTOMATON]
+    goto, out, queue = [], [], [(trie, 0, 0)]     # (node, failure state, depth)
+    for state, (node, fail, depth) in enumerate(queue):
+        children = [(k, v) for k, v in node.items() if k >= 0]
+        row = goto[fail] if state else {}
+        if children:
+            row = dict(row)
+            for letter, child in children:
+                queue.append((child, row.get(letter, 0), depth + 1))
+                row[letter] = len(queue) - 1
+        goto.append(row)
+        out.append((depth, node) if _RULE in node else None)
+    automaton = trie[_AUTOMATON] = goto, out
+    return automaton
 
 
-def _matches(word: Word, trie: dict):
-    """Every (position, length, rule) match in `word`, leftmost first.  The
-    leading words of a basis form an antichain under the subword order, so
-    at most one of them starts at each position."""
-    match = _first_match(word, trie)
-    while match is not None:
-        yield match
-        match = _first_match(word, trie, match[0] + 1)
+def _matches(word: Word, goto: list, out: list):
+    """Every (position, length, rule) match in `word`, leftmost first."""
+    state = 0
+    for end, letter in enumerate(word, 1):
+        state = goto[state].get(letter, 0)
+        if out[state] is not None:
+            length, node = out[state]
+            yield end - length, length, node[_RULE]
+
+
+def _normal_word_counts(trie: dict, degrees: Sequence[int], bound: int) -> list:
+    """Normal words per degree 0..bound, by a dynamic programme over (degree,
+    automaton state) that builds no word (Ufnarovski's graph of normal words)."""
+    goto, out = _automaton(trie)
+    counts: list = [{0: 1}] + [{} for _ in range(bound)]
+    for d, here in enumerate(counts):
+        for state, c in here.items():
+            for x, w in enumerate(degrees):
+                t = goto[state].get(x, 0)
+                if d + w <= bound and out[t] is None:
+                    counts[d + w][t] = counts[d + w].get(t, 0) + c
+    return [sum(here.values()) for here in counts]
 
 
 def _rewrite(terms: dict, word: Word, coeff, pos: int, length: int,
@@ -349,6 +373,7 @@ def _reduce(p: NcPoly, trie: dict,
     # is left.  A rewrite only adds words smaller than the one it replaces, so
     # a max-heap visits words in that order and an irreducible word, once
     # popped, is final.
+    goto, out = _automaton(trie)
     terms = _loop_terms(p.terms, n)
     heap_key = _heap_key([g.degree for g in p.gens], terms)
     heap = [(heap_key(w), w) for w in terms]
@@ -359,11 +384,16 @@ def _reduce(p: NcPoly, trie: dict,
         coeff = terms.pop(word, None)
         if coeff is None:            # cancelled, or a repeated heap entry
             continue
-        match = _first_match(word, trie)
-        if match is None:
+        state = 0                    # one pass; the first match is the leftmost
+        for end, letter in enumerate(word, 1):
+            state = goto[state].get(letter, 0)
+            if out[state] is not None:
+                break
+        else:
             done[word] = coeff
             continue
-        for w in _rewrite(terms, word, coeff, *match):
+        length, node = out[state]
+        for w in _rewrite(terms, word, coeff, end - length, length, node[_RULE]):
             heapq.heappush(heap, (heap_key(w), w))
     return _trusted_poly(p.gens, n, _cycnum_terms(done, n))
 
@@ -373,7 +403,7 @@ def _reduce_chosen(p: NcPoly, trie: dict, chooser: Callable) -> NcPoly:
     terms = _loop_terms(p.terms, n)
     while True:
         rules = {(word, (pos, length)): rule for word in terms
-                 for pos, length, rule in _matches(word, trie)}
+                 for pos, length, rule in _matches(word, *_automaton(trie))}
         if not rules:
             return _trusted_poly(p.gens, n, _cycnum_terms(terms, n))
         word, match = chooser(sorted(rules))
@@ -412,6 +442,8 @@ def _overlap_spolys(p: NcPoly, q: NcPoly, bound: int) -> list:
     return out
 
 
+# The most normal words, over all degrees, `TruncGB.normal_words_by_degree` builds
+MAX_NORMAL_WORDS = 100_000
 # Bases by (presentation key, bound), least recently used first.  A cached
 # basis keeps the multiplication table it has grown, so the cache is bounded;
 # `report` uses 24 distinct keys.
@@ -511,10 +543,9 @@ def truncated_gb(presentation: Presentation, bound: int,
 
 
 def hilbert_coeffs(presentation: Presentation, bound: int) -> tuple:
-    """dim A_0 .. dim A_bound, counted on Groebner normal words."""
+    """dim A_0 .. dim A_bound, the normal words counted by the completion."""
     gb = truncated_gb(presentation, max(bound, presentation.max_relation_degree()))
-    levels = gb.normal_words_by_degree()
-    return tuple(len(levels[d]) for d in range(bound + 1))
+    return tuple(gb.stats[d].normal_words for d in range(bound + 1))
 
 
 def ideal_contains(p: NcPoly, presentation: Presentation, bound: int) -> bool:

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -494,6 +496,9 @@ def test_twist_loads_no_crossed_product_or_presets(spec_file):
     loaded = loaded_modules(["twist", "--input", spec_file])
     assert {"twist", "groups", "action"} <= loaded
     assert not loaded & {"crossed", "presets"}
+    # the input digest maps no OpenSSL where CPython has its own SHA-256
+    if importlib.util.find_spec("_sha256") is not None:
+        assert "hashlib" not in loaded
 
 
 def test_kgmu_loads_only_the_group_layer():
@@ -556,6 +561,28 @@ def test_huge_degree_is_refused_promptly():
     assert proc.returncode == 2
     assert f"argument --degree: must be at most {MAX_DEGREE}, got 1000000" \
         in proc.stderr
+
+
+def test_enumeration_above_the_work_bound_is_refused(capsys, tmp_path):
+    # completion on six generators is instant, and `hilbert` counts the
+    # normal words without building them; `invariants` would enumerate more
+    # than a million of them through degree 8, so it exits 2 before it starts
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "generators": list("abcdef"),
+        "relations": ["a*b - b*a", "c*d - d*c - e*f"],
+        "group": [2, 2], "cocycle": {"builtin": "klein"},
+        "g_degrees": [[0, 0]] * 6}))
+    code, out, _ = run(capsys, ["hilbert", "--degree", "8", "--input", str(path)])
+    assert code == 0
+    assert json.loads(out)["hilbert"] == [1, 6, 34, 192, 1084, 6120, 34552,
+                                          195072, 1101328]
+    start = time.perf_counter()
+    proc = run_fresh(["invariants", "--degree", "8", "--input", str(path)],
+                     timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert time.perf_counter() - start < 1
+    assert "1338389 normal words through degree 8" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

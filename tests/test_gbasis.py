@@ -316,9 +316,8 @@ def test_sklyanin_completion_counters(sklyanin):
             assert s.zero_reductions <= s.reductions
         heights = [s.coeff_height_bits for s in stats.values()]
         assert heights[2] > 0 and max(heights) == heights[7]
-        # normal words are counted when they are enumerated
-        assert all(s.normal_words is None for s in stats.values())
-        gb.normal_words_by_degree()
+        # every completion counts its normal words, before any is built
+        assert gb._words_by_degree is None
         assert [s.normal_words for s in stats.values()] == [
             comb(d + 3, 3) for d in range(8)]
 
@@ -505,19 +504,57 @@ def _rule_cycnums(rule, n):
     return tuple((u, CycNum.rational(Fraction(y, common), n)) for u, y in tail)
 
 
+def _slice_counts(leads, degrees, bound):
+    """Normal words per degree through `bound` by the slice scan, on an
+    alphabet where the letters in no leading word are merged into one letter
+    per degree that stands for all of them: such a letter is in no match, so
+    words that differ only in those letters are all normal or all
+    reducible."""
+    used = {x for w in leads for x in w}
+    weight = dict.fromkeys(used, 1)
+    merged = {}
+    for x, d in enumerate(degrees):
+        if x not in used:
+            stand_in = merged.setdefault(d, x)
+            weight[stand_in] = weight.get(stand_in, 0) + 1
+    lengths = sorted({len(w) for w in leads})
+    levels = [{(): 1}]               # word -> how many words it stands for
+    for d in range(1, bound + 1):
+        level = {}
+        for x in sorted(weight):
+            if degrees[x] > d:
+                continue
+            for w, k in levels[d - degrees[x]].items():
+                cand = w + (x,)
+                if not any(n <= len(cand) and cand[len(cand) - n:] in leads
+                           for n in lengths):
+                    level[cand] = k * weight[x]
+        levels.append(level)
+    return [sum(level.values()) for level in levels]
+
+
 def assert_trie_matches_slice_scan(gb, words):
+    """The automaton's matches, rules, counts and normal words against the
+    slice scan; the words are enumerated when there are
+    at most `gbasis.MAX_NORMAL_WORDS` of them."""
     lengths = sorted({len(w) for w in gb.lead_map})
     n = gb.presentation.conductor
+    automaton = gbasis._automaton(gb._trie)
     for w in words:
-        found = list(gbasis._matches(w, gb._trie))
+        found = list(gbasis._matches(w, *automaton))
         assert [m[:2] for m in found] == list(
             _slice_matches(w, gb.lead_map, lengths))
-        assert gbasis._first_match(w, gb._trie) == (found[0] if found else None)
         for pos, length, rule in found:
             lead = w[pos:pos + length]
             assert _rule_cycnums(rule, n) == tuple(
                 (u, c) for u, c in gb.lead_map[lead].terms.items() if u != lead)
-    assert gb.normal_words_by_degree() == _slice_normal_words(gb)
+    counts = [s.normal_words for s in gb.stats.values()]
+    degrees = [g.degree for g in gb.presentation.generators]
+    assert counts == _slice_counts(gb.lead_map, degrees, gb.bound)
+    if sum(counts) <= gbasis.MAX_NORMAL_WORDS:
+        levels = gb.normal_words_by_degree()
+        assert levels == _slice_normal_words(gb)
+        assert list(map(len, levels)) == counts
 
 
 def _trie_cases(sklyanin):
@@ -538,10 +575,127 @@ def _trie_cases(sklyanin):
     return cases
 
 
-def test_trie_matches_slice_scan_through_degree_6(sklyanin):
-    for pres in _trie_cases(sklyanin).values():
-        gb = truncated_gb(pres, 6, use_cache=False)
-        assert_trie_matches_slice_scan(gb, all_words(pres, 6))
+def _scan_words(pres, bound):
+    """Every word through `bound`, or on a wide alphabet every word over the
+    leading words' letters and two letters in none."""
+    gens = pres.generators
+    if len(gens) <= 8:
+        return all_words(pres, bound)
+    lead = {x for r in pres.relations for x in r.leading_word()}
+    letters = sorted(lead | {0, 1})
+    weights = [gens[x].degree for x in letters]
+    return [tuple(letters[i] for i in w) for d in range(bound + 1)
+            for w in words_of_degree(len(letters), weights, d)]
+
+
+def test_automaton_matches_slice_scan(completion_cases):
+    for name, (pres, bound) in completion_cases.items():
+        gb = truncated_gb(pres, bound, use_cache=False)
+        assert_trie_matches_slice_scan(gb, _scan_words(pres, bound))
+
+
+def test_normal_word_counts_match_quotient_dims(sklyanin):
+    for name, pres in _kernel_cases(sklyanin).items():
+        gb = truncated_gb(pres, 6)
+        counts = [gb.stats[d].normal_words for d in range(5)]
+        assert tuple(counts) == quotient_dims(pres, 4), name
+
+
+def test_sklyanin_counts_through_degree_8(sklyanin):
+    # Smith-Stafford: dim A_d = binom(d+3, 3); the twist is checked through
+    # degree 7 by `test_sklyanin_completion_counters`
+    gb = truncated_gb(sklyanin[0], 8, use_cache=False)
+    counts = [s.normal_words for s in gb.stats.values()]
+    assert counts == [comb(d + 3, 3) for d in range(9)] == _slice_counts(
+        gb.lead_map, [1] * 4, 8)
+    assert list(map(len, gb.normal_words_by_degree())) == counts
+
+
+def _word_trie(leads):
+    """A trie of `leads` whose rules are the leading words themselves, with
+    a conductor record at the root as `_add_lead` leaves one."""
+    trie = {gbasis._CONDUCTOR: 1}
+    for lead in leads:
+        node = trie
+        for letter in lead:
+            node = node.setdefault(letter, {})
+        node[gbasis._RULE] = lead
+    return trie
+
+
+@st.composite
+def _antichains(draw):
+    """(generator degrees, an antichain of nonempty leading words, words to
+    scan) over at most four letters of degrees 1 to 3."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    letters = st.integers(0, len(degrees) - 1)
+    candidates = draw(st.lists(st.lists(letters, min_size=1, max_size=4)
+                               .map(tuple), max_size=8))
+    leads = []
+    for w in sorted(set(candidates), key=len):
+        if not any(gbasis._contains_subword(w, v) for v in leads):
+            leads.append(w)
+    words = draw(st.lists(st.lists(letters, max_size=10).map(tuple),
+                          max_size=20))
+    return degrees, leads, words
+
+
+@settings(max_examples=200, deadline=None)
+@given(_antichains())
+def test_automaton_of_an_antichain_matches_slice_scan(case):
+    degrees, leads, words = case
+    trie = _word_trie(leads)
+    goto, out = gbasis._automaton(trie)
+    lead_set = set(leads)
+    lengths = sorted({len(w) for w in leads})
+    for w in words:
+        found = list(gbasis._matches(w, goto, out))
+        assert [m[:2] for m in found] == list(_slice_matches(w, lead_set, lengths))
+        assert all(rule == w[pos:pos + length] for pos, length, rule in found)
+    # one state per prefix of a leading word, the conductor record being no
+    # letter; rows hold only letters of leading words, so any other letter
+    # goes back to the root
+    assert len(goto) == len({w[:k] for w in leads for k in range(len(w) + 1)} | {()})
+    assert set().union(*goto) == {x for w in leads for x in w}
+    assert gbasis._normal_word_counts(trie, degrees, 6) == _slice_counts(
+        lead_set, degrees, 6)
+    # the rewrite loop's own pass: over the monomial ideal of the leading
+    # words, a word reduces to zero exactly when the slice scan finds a match
+    gens = make_alphabet([(f"g{k}", d) for k, d in enumerate(degrees)])
+    monomials = gbasis._lead_trie(NcPoly.from_word(gens, 1, u) for u in leads)
+    p = NcPoly(gens, 1, {w: CycNum.one(1) for w in words})
+    assert set(gbasis._reduce(p, monomials).terms) == {
+        w for w in words if next(_slice_matches(w, lead_set, lengths), None) is None}
+
+
+def test_tail_update_keeps_the_automaton():
+    # a new tail overwrites the rule its leading word's state outputs, and
+    # only a new leading word rebuilds the automaton
+    trie = gbasis._lead_trie([parse_ncpoly("y*x - 2*x*y", XY, 1)])
+    automaton = gbasis._automaton(trie)
+    gbasis._add_lead(trie, parse_ncpoly("y*x - 3*x^2", XY, 1))
+    assert gbasis._automaton(trie) is automaton
+    assert list(gbasis._matches((0, 1, 0), *automaton)) == [(1, 2, (1, (((0, 0), -3),)))]
+    gbasis._add_lead(trie, parse_ncpoly("y^2 - x^2", XY, 1))
+    assert gbasis._automaton(trie) is not automaton
+    assert len(gbasis._automaton(trie)[0]) == 4
+
+
+def test_enumeration_is_bounded_by_its_exact_count():
+    # completion is instant, but the normal words through degree 8 number
+    # more than a million; counting them builds none
+    gens = make_alphabet([(x, 1) for x in "abcdef"])
+    pres = make_presentation(1, gens, [parse_ncpoly(r, gens, 1) for r in
+                                       ("a*b - b*a", "c*d - d*c - e*f")])
+    dims = (1, 6, 34, 192, 1084, 6120, 34552, 195072, 1101328)
+    assert hilbert_coeffs(pres, 8) == dims
+    gb = truncated_gb(pres, 8)
+    with pytest.raises(DegreeBoundExceeded, match=f"{sum(dims)} normal words "
+                       "through degree 8"):
+        gb.normal_words(1)
+    assert gb._words_by_degree is None
+    assert sum(dims[:7]) <= gbasis.MAX_NORMAL_WORDS < sum(dims)
+    assert len(truncated_gb(pres, 6).normal_words(6)) == dims[6]
 
 
 # Relations whose leading words a later, lower-degree element divides; only
@@ -925,14 +1079,26 @@ def test_completion_matches_the_final_interreduction_pass(completion_cases):
                 for d, s in new.stats.items()} == old.stats, name
 
 
-def _trie_rules(trie, path=()):
-    """{leading word: rule} of every rule in `trie`."""
+def _trie_rules(trie):
+    """{leading word: rule} of every output of the automaton of `trie`.  A
+    state's word is the shortest path to it from the root, found
+    breadth-first; every state must be reached, and a state's output length
+    must be its word's."""
+    goto, out = gbasis._automaton(trie)
+    words = {0: ()}
+    queue = [0]
+    for state in queue:
+        for letter, target in sorted(goto[state].items()):
+            if target not in words:
+                words[target] = words[state] + (letter,)
+                queue.append(target)
+    assert sorted(words) == list(range(len(goto)))
     rules = {}
-    for key, value in trie.items():
-        if key == gbasis._RULE:
-            rules[path] = value
-        elif key != gbasis._CONDUCTOR:
-            rules.update(_trie_rules(value, path + (key,)))
+    for state, hit in enumerate(out):
+        if hit is not None:
+            length, node = hit
+            assert length == len(words[state])
+            rules[words[state]] = node[gbasis._RULE]
     return rules
 
 
