@@ -14,8 +14,8 @@ _EXPORTS = {
                "DegreeBoundExceeded", "FalsificationError", "ParseError",
                "ValidationError"),
     "freealg": ("GeneratorInfo", "GenMap", "NcPoly", "Presentation",
-                "change_basis", "embed_presentation", "make_alphabet",
-                "make_presentation", "parse_ncpoly"),
+                "embed_presentation", "make_alphabet", "make_presentation",
+                "parse_ncpoly"),
     "groups": ("AbGroup", "Cocycle", "Duality", "GroupAut",
                "all_automorphisms", "coboundary", "cocycle_from_formula",
                "cocycle_from_scalars", "cocycle_inverse", "cocycle_product",
@@ -33,10 +33,9 @@ _EXPORTS = {
                "is_normal_to_degree", "is_regular_to_degree", "normal_form",
                "truncated_gb", "verify_iso"),
     "crossed": ("CrossedElement", "CrossedModel", "build_crossed_model",
-                "diagonal_invariants", "isotypic_component",
-                "verify_bimodule_component", "verify_invariant_ring"),
-    "presets": ("CHECKS", "PRESET_NAMES", "Preset", "a_family_xbasis",
-                "full_report", "preset"),
+                "isotypic_component", "verify_bimodule_component",
+                "verify_invariant_ring"),
+    "presets": ("CHECKS", "PRESET_NAMES", "Preset", "full_report", "preset"),
 }
 _LAYERS = ("action", "cli", "crossed", "cyclo", "errors", "freealg", "gbasis",
            "groups", "jsonio", "linalg", "presets", "twist")

@@ -35,15 +35,6 @@ class GradedAction:
                                   self.presentation.conductor,
                                   self.matrices[j])
 
-    def element_matrix(self, g: Element):
-        n = len(self.presentation.generators)
-        m = identity(n, self.presentation.conductor)
-        for j, power in enumerate(g):
-            if power:
-                m = mat_mul(m, mat_pow(self.matrices[j], power,
-                                       self.presentation.conductor))
-        return m
-
 
 def action_violations(presentation: Presentation, group: AbGroup,
                       matrices: Sequence) -> list:

@@ -45,8 +45,7 @@ def _load_bundle(arg: str, conductor: Optional[int]) -> SpecBundle:
     if arg.startswith(_PRESET_SCHEME):
         from .presets import preset
         p = preset(arg[len(_PRESET_SCHEME):])
-        return SpecBundle(p.presentation, p.group, p.duality, p.cocycle,
-                          p.action, None, p.grading(), p.twist_spec())
+        return SpecBundle(p.presentation, None, p.twist_spec())
     return spec_bundle_from_dict(load_json(arg), conductor)
 
 
@@ -106,13 +105,14 @@ def _cmd_validate(args) -> int:
             violations = [str(exc)]
     out: dict = {"valid": not violations, "violations": violations}
     if bundle is not None:
-        out["grading"] = grading_to_dict(bundle.grading)
-        out["presentation"] = presentation_to_dict(bundle.grading.presentation)
+        spec = bundle.spec
+        out["grading"] = grading_to_dict(spec.grading)
+        out["presentation"] = presentation_to_dict(spec.presentation)
         if bundle.basis is not None:
-            out["basis"] = basis_to_dict(bundle.basis, bundle.group)
+            out["basis"] = basis_to_dict(bundle.basis, spec.group)
         out["relation_degrees"] = [
-            bundle.group.describe(bundle.grading.poly_degree(r))
-            for r in bundle.grading.presentation.relations]
+            spec.group.describe(spec.grading.poly_degree(r))
+            for r in spec.presentation.relations]
     _emit(out, args.human)
     return 0 if not violations else 1
 
@@ -121,19 +121,20 @@ def _cmd_twist(args) -> int:
     from .cyclo import root_of_unity
     from .twist import twist_presentation
     bundle = _load_bundle(args.input, args.conductor)
-    twisted = twist_presentation(bundle.spec)
+    spec = bundle.spec
+    twisted = twist_presentation(spec)
     conductor = twisted.presentation.conductor
-    exponent = bundle.group.exponent()
+    exponent = spec.group.exponent()
     out = {
         "presentation": presentation_to_dict(twisted.presentation),
         "grading": grading_to_dict(twisted),
         "provenance": {
             "input_sha256": _input_digest(args.input),
-            "cocycle": cocycle_to_dict(bundle.cocycle, conductor),
-            "basis_matrix": (basis_to_dict(bundle.basis, bundle.group)["matrix"]
+            "cocycle": cocycle_to_dict(spec.cocycle, conductor),
+            "basis_matrix": (basis_to_dict(bundle.basis, spec.group)["matrix"]
                              if bundle.basis is not None else None),
             "duality": [[str(root_of_unity(k, exponent, conductor)) for k in row]
-                        for row in bundle.duality.table],
+                        for row in spec.duality.table],
         },
     }
     text = dump_json(out)

@@ -168,28 +168,17 @@ def _eigenvalue(model: CrossedModel, w: Word, g: Element, h: Element) -> int:
             + duality.char_eval(g, h)) % group.exponent()
 
 
-def diagonal_invariants(model: CrossedModel, degree: int) -> list:
-    """Exact basis of the fixed subspace of the degree-d component under the
-    diagonal action.  The |G| operators are diagonal on the monomial basis,
-    so the fixed space is spanned by the monomials with all eigenvalues 1."""
-    group = model.group
-    generators = [group.generator(j) for j in range(group.rank)]
-    out = []
-    for w, g in crossed_basis(model, degree):
-        if not any(_eigenvalue(model, w, g, h) for h in generators):
-            out.append(CrossedElement.monomial(model, w, g))
-    return out
-
-
 def isotypic_component(model: CrossedModel, g: Element, degree: int) -> list:
-    """Monomial basis of the chi_g isotypic component in degree d."""
+    """Monomial basis of the chi_g isotypic component in degree d.  The |G|
+    operators of the diagonal action are diagonal on the monomial basis, so
+    the component is spanned by the monomials whose eigenvalues are chi_g's;
+    for g = e it is the fixed subspace, the invariants."""
     group = model.group
-    duality = model.spec.duality
     generators = [group.generator(j) for j in range(group.rank)]
+    targets = [(e, model.spec.duality.char_eval(g, e)) for e in generators]
     out = []
     for w, h in crossed_basis(model, degree):
-        if all(_eigenvalue(model, w, h, e) == duality.char_eval(g, e)
-               for e in generators):
+        if all(_eigenvalue(model, w, h, e) == t for e, t in targets):
             out.append(CrossedElement.monomial(model, w, h))
     return out
 
@@ -252,11 +241,12 @@ def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
                            for r in twisted.presentation.relations)
 
     group_gens = [model.group.generator(j) for j in range(model.group.rank)]
+    identity_el = model.group.identity()
     dims_match = []
     embedding_injective = True
     images_invariant = True
     for d in range(bound + 1):
-        inv_dim = len(diagonal_invariants(model, d))
+        inv_dim = len(isotypic_component(model, identity_el, d))
         alg_dim = len(model.gb.normal_words(d))
         tw_words = tw_gb.normal_words(d)
         index = {key: i for i, key in enumerate(crossed_basis(model, d))}
@@ -329,9 +319,8 @@ def verify_bimodule_component(spec: TwistSpec, g: Element,
                for h in group.elements()}
 
     scaling_multiplicative = True
-    invariants = []
-    for d in range(bound + 1):
-        invariants.append(diagonal_invariants(model, d))
+    invariants = [isotypic_component(model, identity_el, d)
+                  for d in range(bound + 1)]
     for d1 in range(0, bound + 1):
         for d2 in range(0, bound - d1 + 1):
             for x in invariants[d1]:

@@ -330,7 +330,7 @@ class Presentation:
         return NcPoly.gen(self.generators, self.conductor, index)
 
     def max_relation_degree(self) -> int:
-        return max((r.degree() for r in self.relations), default=0)
+        return max((r.degree() for r in self.relations if r.terms), default=0)
 
     def parse(self, text: str) -> NcPoly:
         return parse_ncpoly(text, self.generators, self.conductor)
@@ -347,17 +347,23 @@ def make_presentation(conductor: int, generators: tuple,
         if rel.conductor != conductor:
             raise ValidationError(
                 f"relation {k} needs conductor {rel.conductor}, got {conductor}")
-        if rel.is_zero():
-            raise ValidationError(f"relation {k} is zero")
-        degree = rel.homogeneous_degree()
-        if degree is None:
-            raise ValidationError(
-                f"relation {k} is not homogeneous: {rel}")
-        if degree == 0:
-            raise ValidationError(
-                f"relation {k} is a nonzero constant, so the quotient is zero")
+        _check_relation(k, rel)
         rels.append(rel.monic())
     return Presentation(conductor, generators, tuple(rels))
+
+
+def _check_relation(k: int, rel: NcPoly) -> None:
+    """Refuse relation k unless it is nonzero, homogeneous and of positive
+    degree, as a connected graded algebra needs."""
+    if rel.is_zero():
+        raise ValidationError(f"relation {k} is zero")
+    degree = rel.homogeneous_degree()
+    if degree is None:
+        raise ValidationError(
+            f"relation {k} is not homogeneous: {rel}")
+    if degree == 0:
+        raise ValidationError(
+            f"relation {k} is a nonzero constant, so the quotient is zero")
 
 
 def embed_presentation(p: Presentation, conductor: int) -> Presentation:
@@ -404,10 +410,6 @@ class GenMap:
             out = out + factor.scale(coeff.embed(self.conductor))
         return out
 
-    def compose(self, inner: "GenMap") -> "GenMap":
-        """self after inner: source of inner, images mapped through self."""
-        return GenMap(inner.source, tuple(self.apply(img) for img in inner.images))
-
     @staticmethod
     def from_matrix(source: tuple, target: tuple, conductor: int,
                     matrix) -> "GenMap":
@@ -437,27 +439,6 @@ class GenMap:
         return GenMap(gens, tuple(
             NcPoly.gen(gens, conductor, j).scale(s.embed(conductor))
             for j, s in enumerate(scalars)))
-
-
-def change_basis(p: NcPoly, matrix, new_names: Optional[Sequence[str]] = None) -> NcPoly:
-    """Rewrite p in the alphabet defined by an invertible change of generators.
-
-    Column k of the matrix gives the old coordinates of new generator k, so
-    the substitution applied here uses the matrix inverse."""
-    from .linalg import mat_inverse
-    gens = p.gens
-    if new_names is None:
-        new_gens = gens
-    else:
-        new_gens = make_alphabet([(n, g.degree) for n, g in zip(new_names, gens)])
-    conductor = p.conductor
-    inv = mat_inverse([[x.embed(conductor) for x in row] for row in matrix])
-    # x_i = sum_k inv[k][i] v_k
-    images = []
-    for i in range(len(gens)):
-        terms = {(k,): inv[k][i] for k in range(len(gens)) if not inv[k][i].is_zero()}
-        images.append(NcPoly(new_gens, conductor, terms))
-    return GenMap(gens, tuple(images)).apply(p)
 
 
 # ---------------------------------------------------------------------------

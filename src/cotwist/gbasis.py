@@ -49,8 +49,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from .cyclo import CycNum, _reduced
 from .errors import (AlphabetMismatch, ConductorMismatch, DegreeBoundExceeded,
                      ValidationError)
-from .freealg import (GenMap, NcPoly, Presentation, Word, _trusted_poly,
-                      deglex_key, word_degree)
+from .freealg import (GenMap, NcPoly, Presentation, Word, _check_relation,
+                      _trusted_poly, deglex_key, word_degree)
 
 
 @dataclass
@@ -260,16 +260,6 @@ def _automaton(trie: dict) -> tuple:
     return automaton
 
 
-def _matches(word: Word, goto: list, out: list):
-    """Every (position, length, rule) match in `word`, leftmost first."""
-    state = 0
-    for end, letter in enumerate(word, 1):
-        state = goto[state].get(letter, 0)
-        if out[state] is not None:
-            length, node = out[state]
-            yield end - length, length, node[_RULE]
-
-
 def _normal_word_counts(trie: dict, degrees: Sequence[int], bound: int) -> list:
     """Normal words per degree 0..bound, by a dynamic programme over (degree,
     automaton state) that builds no word (Ufnarovski's graph of normal words)."""
@@ -361,14 +351,11 @@ def _heap_key(degrees: Sequence[int], words) -> Callable:
     return key
 
 
-def _reduce(p: NcPoly, trie: dict,
-            chooser: Optional[Callable] = None) -> NcPoly:
+def _reduce(p: NcPoly, trie: dict) -> NcPoly:
     n = p.conductor
     if trie.get(_CONDUCTOR, n) != n:
         raise ConductorMismatch(
             f"conductor {n} vs {trie[_CONDUCTOR]}; embed first")
-    if chooser is not None:
-        return _reduce_chosen(p, trie, chooser)
     # Rewrite the deglex-largest reducible word at its first match until none
     # is left.  A rewrite only adds words smaller than the one it replaces, so
     # a max-heap visits words in that order and an irreducible word, once
@@ -398,32 +385,15 @@ def _reduce(p: NcPoly, trie: dict,
     return _trusted_poly(p.gens, n, _cycnum_terms(done, n))
 
 
-def _reduce_chosen(p: NcPoly, trie: dict, chooser: Callable) -> NcPoly:
-    n = p.conductor
-    terms = _loop_terms(p.terms, n)
-    while True:
-        rules = {(word, (pos, length)): rule for word in terms
-                 for pos, length, rule in _matches(word, *_automaton(trie))}
-        if not rules:
-            return _trusted_poly(p.gens, n, _cycnum_terms(terms, n))
-        word, match = chooser(sorted(rules))
-        _rewrite(terms, word, terms.pop(word), *match, rules[word, match])
-
-
-def normal_form(p: NcPoly, gb: TruncGB,
-                chooser: Optional[Callable] = None) -> NcPoly:
-    """Fully reduce p; zero iff p lies in the ideal through the bound.
-
-    `chooser` overrides the deterministic reduction strategy (used by the
-    confluence tests); it receives the sorted candidate list of
-    (word, (position, lead length)) rewrites and picks one."""
+def normal_form(p: NcPoly, gb: TruncGB) -> NcPoly:
+    """Fully reduce p; zero iff p lies in the ideal through the bound."""
     if p.gens != gb.presentation.generators:
         raise AlphabetMismatch("polynomial and basis over different alphabets")
     deg = p.degree()
     if deg is not None and deg > gb.bound:
         raise DegreeBoundExceeded(
             f"polynomial degree {deg} exceeds the truncation bound {gb.bound}")
-    return _reduce(p, gb._trie, chooser)
+    return _reduce(p, gb._trie)
 
 
 def _overlap_spolys(p: NcPoly, q: NcPoly, bound: int) -> list:
@@ -451,13 +421,29 @@ GB_CACHE_SIZE = 64
 _GB_CACHE: OrderedDict = OrderedDict()
 
 
-def clear_cache() -> None:
-    _GB_CACHE.clear()
+def truncated_gb(presentation: Presentation, bound: int) -> TruncGB:
+    """Reduced two-sided Groebner basis through `bound`, cached by
+    (presentation, bound).  A basis not in the cache is completed only when
+    every relation is one `make_presentation` accepts: nonzero, homogeneous
+    and of positive degree, so the quotient is connected graded."""
+    key = (presentation.canonical_key(), bound)
+    if key in _GB_CACHE:
+        _GB_CACHE.move_to_end(key)
+        return _GB_CACHE[key]
+    for k, rel in enumerate(presentation.relations):
+        _check_relation(k, rel)
+    if bound < presentation.max_relation_degree():
+        raise DegreeBoundExceeded(
+            f"bound {bound} is below the maximum relation degree "
+            f"{presentation.max_relation_degree()}")
+    result = _GB_CACHE[key] = _complete(presentation, bound)
+    if len(_GB_CACHE) > GB_CACHE_SIZE:
+        _GB_CACHE.popitem(last=False)
+    return result
 
 
-def truncated_gb(presentation: Presentation, bound: int,
-                 use_cache: bool = True) -> TruncGB:
-    """Reduced two-sided Groebner basis through `bound` via overlap completion.
+def _complete(presentation: Presentation, bound: int) -> TruncGB:
+    """The overlap completion behind `truncated_gb`, uncached and unchecked.
 
     Polynomials are taken from a queue in degree order and reduced by the
     basis so far; a nonzero result h is made monic and accepted.  Elements
@@ -465,15 +451,6 @@ def truncated_gb(presentation: Presentation, bound: int,
     the rest are queued, and the tails that contain lead(h) are reduced
     again, so the basis is reduced after every insertion.  The trie the loop
     keeps is the returned basis's `_trie`."""
-    if bound < presentation.max_relation_degree():
-        raise DegreeBoundExceeded(
-            f"bound {bound} is below the maximum relation degree "
-            f"{presentation.max_relation_degree()}")
-    key = (presentation.canonical_key(), bound)
-    if use_cache and key in _GB_CACHE:
-        _GB_CACHE.move_to_end(key)
-        return _GB_CACHE[key]
-
     gens, conductor = presentation.generators, presentation.conductor
     seq = itertools.count()
     heap: list = []
@@ -534,12 +511,7 @@ def truncated_gb(presentation: Presentation, bound: int,
         record.basis_size += 1
         record.coeff_height_bits = max(
             record.coeff_height_bits, *(c.height() for c in g.terms.values()))
-    result = TruncGB(presentation, bound, basis, stats, trie)
-    if use_cache:
-        _GB_CACHE[key] = result
-        if len(_GB_CACHE) > GB_CACHE_SIZE:
-            _GB_CACHE.popitem(last=False)
-    return result
+    return TruncGB(presentation, bound, basis, stats, trie)
 
 
 def hilbert_coeffs(presentation: Presentation, bound: int) -> tuple:

@@ -32,9 +32,9 @@ from .freealg import (GenMap, NcPoly, Presentation, make_alphabet,
                       make_presentation, parse_ncpoly)
 
 if TYPE_CHECKING:
-    from .action import GGrading, GradedAction, HomogBasis
+    from .action import GGrading, HomogBasis
     from .gbasis import IsoVerdict, TruncGB
-    from .groups import AbGroup, Cocycle, Duality
+    from .groups import AbGroup, Cocycle
     from .twist import TwistSpec
 
 
@@ -63,6 +63,7 @@ def _check(ok: bool, where: str, what: str) -> None:
 
 
 def _require(data: dict, key: str, where: str = ""):
+    _check(isinstance(data, dict), where or "the top level", "an object")
     if key not in data:
         raise ParseError(f"{where}.{key} is missing" if where else f"{key} is missing")
     return data[key]
@@ -178,21 +179,21 @@ def _group_element(vec, group: AbGroup, where: str) -> tuple:
 
 @dataclass
 class SpecBundle:
-    """Everything loaded from a full spec file, at one shared conductor."""
+    """Everything loaded from a full spec file, at one shared conductor; the
+    group, duality, cocycle and the grading over the homogeneous generators
+    are `spec`'s."""
 
     presentation: Presentation        # as given in the file
-    group: AbGroup
-    duality: Duality
-    cocycle: Cocycle
-    action: GradedAction
     basis: Optional[HomogBasis]       # None when g_degrees were declared
-    grading: GGrading                 # over the homogeneous generators
     spec: TwistSpec
 
 
 def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBundle:
-    from .action import (diagonal_action, grading_from_degrees,
-                         isotypic_basis, regrade_presentation, validate_action)
+    """Declared g_degrees need no action check: `grading_from_degrees`
+    refuses relations that are not G-homogeneous, and G-homogeneous
+    relations make the diagonal action preserve the ideal."""
+    from .action import (grading_from_degrees, isotypic_basis,
+                         regrade_presentation, validate_action)
     from .twist import TwistSpec
     group = group_from_dict(data)
     duality, duality_conductor = duality_from_dict(data, group)
@@ -228,14 +229,11 @@ def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBu
                    for i, vec in enumerate(raw)]
         if len(degrees) != len(presentation.generators):
             raise ParseError("g_degrees must list one group element per generator")
-        action = diagonal_action(presentation, group, duality, degrees)
         basis = None
         grading = grading_from_degrees(presentation, group, degrees)
     else:
         raise ParseError("spec needs either an action block or g_degrees")
-    spec = TwistSpec(grading, duality, cocycle)
-    return SpecBundle(presentation, group, duality, cocycle, action, basis,
-                      grading, spec)
+    return SpecBundle(presentation, basis, TwistSpec(grading, duality, cocycle))
 
 
 def genmap_from_dict(data: dict, source: Presentation,

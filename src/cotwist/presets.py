@@ -21,7 +21,7 @@ from .action import GGrading, GradedAction, diagonal_action, grading_from_degree
 from .crossed import verify_bimodule_component, verify_invariant_ring
 from .cyclo import CycNum
 from .errors import CotwistError
-from .freealg import GenMap, NcPoly, Presentation, make_alphabet, make_presentation, parse_ncpoly
+from .freealg import GenMap, Presentation, make_alphabet, make_presentation, parse_ncpoly
 from .gbasis import hilbert_coeffs, is_regular_to_degree, verify_iso
 from .groups import (AbGroup, Cocycle, Duality, all_automorphisms,
                      commutator_radical, klein_duality, klein_mu, schur_order,
@@ -90,29 +90,6 @@ def preset(name: str) -> Preset:
     degrees = ((0, 0), (0, 1), (1, 0))
     act = diagonal_action(pres, group, duality, degrees)
     return Preset(name, pres, display, group, duality, mu, degrees, act)
-
-
-def a_family_xbasis() -> tuple:
-    """The A(1,-1) preset rewritten to the non-diagonal x-basis together with
-    the swap/negate action matrices; a demonstration input for the
-    diagonalization pipeline (w1 = x1 + x2, w2 = x1 - x2, w3 = x3)."""
-    src = preset("A(1,-1)")
-    gens = make_alphabet([("x1", 1), ("x2", 1), ("x3", 1)])
-    one = CycNum.one(CONDUCTOR)
-    zero = CycNum.zero(CONDUCTOR)
-    # column k of the basis matrix holds w_{k+1} in x-coordinates
-    basis_matrix = [[one, one, zero], [one, -one, zero], [zero, zero, one]]
-    images = []
-    for k in range(3):
-        terms = {(j,): basis_matrix[j][k] for j in range(3)
-                 if not basis_matrix[j][k].is_zero()}
-        images.append(NcPoly(gens, CONDUCTOR, terms))
-    to_x = GenMap(src.presentation.generators, tuple(images))
-    relations = [to_x.apply(r) for r in src.presentation.relations]
-    pres = make_presentation(CONDUCTOR, gens, relations)
-    swap = [[zero, one, zero], [one, zero, zero], [zero, zero, one]]
-    negate = [[one, zero, zero], [zero, one, zero], [zero, zero, -one]]
-    return pres, (swap, negate)
 
 
 # ---------------------------------------------------------------------------

@@ -342,31 +342,6 @@ def fraction_normal_form(terms, rules, weights):
 
 
 # ---------------------------------------------------------------------------
-# free-algebra expansion oracle for basis changes
-# ---------------------------------------------------------------------------
-
-def expand_product(factors_list):
-    """Multiply linear forms given as {letter: Fraction} dicts, returning a
-    {word: Fraction} dict by direct distribution."""
-    acc = {(): Fraction(1)}
-    for form in factors_list:
-        nxt = {}
-        for word, c in acc.items():
-            for letter, v in form.items():
-                key = word + (letter,)
-                nxt[key] = nxt.get(key, Fraction(0)) + c * v
-        acc = nxt
-    return {w: c for w, c in acc.items() if c != 0}
-
-
-def add_expanded(a, b, sign=1):
-    out = dict(a)
-    for w, c in b.items():
-        out[w] = out.get(w, Fraction(0)) + sign * c
-    return {w: c for w, c in out.items() if c != 0}
-
-
-# ---------------------------------------------------------------------------
 # Q(zeta_N) as Fraction tuples, independent of cotwist.cyclo
 #
 # Polynomials are Fraction lists, low degree first.  The cyclotomic

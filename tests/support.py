@@ -1,0 +1,74 @@
+"""Scaffolding shared by the tests, built on the package's own internals
+(unlike `oracles`, which stays independent of them).
+
+- `fresh_gb`: a completion that does not come from the Groebner cache.
+- `matches` and `strategy_normal_form`: every leading-word match of a word,
+  and a reduction that rewrites whichever match a strategy picks; the normal
+  form modulo a reduced basis does not depend on the strategy, which the
+  confluence and differential tests check against `normal_form`.
+- `a_family_xbasis`: the A(1,-1) preset in a basis where its action is not
+  diagonal, input for the diagonalization tests.
+"""
+
+from __future__ import annotations
+
+from cotwist import gbasis
+from cotwist.cyclo import CycNum
+from cotwist.freealg import GenMap, NcPoly, make_alphabet, make_presentation
+from cotwist.presets import preset
+
+
+def fresh_gb(presentation, bound):
+    """`truncated_gb(presentation, bound)` completed anew: its cache entry
+    is dropped first, and the new basis takes its place."""
+    gbasis._GB_CACHE.pop((presentation.canonical_key(), bound), None)
+    return gbasis.truncated_gb(presentation, bound)
+
+
+def matches(word, goto, out):
+    """Every (position, length, rule) match of a leading word in `word`,
+    leftmost first, read off the automaton (goto, out) of `gbasis._automaton`."""
+    state = 0
+    for end, letter in enumerate(word, 1):
+        state = goto[state].get(letter, 0)
+        if out[state] is not None:
+            length, node = out[state]
+            yield end - length, length, node[gbasis._RULE]
+
+
+def strategy_normal_form(p, gb, chooser):
+    """The normal form of p modulo `gb`, rewriting one match at a time:
+    `chooser` receives the sorted list of candidate rewrites (word,
+    (position, lead length)) and picks one.  Each rewrite goes through
+    `gbasis._rewrite`, looked up at call time, so a test that wraps it sees
+    these rewrites too."""
+    n = p.conductor
+    goto, out = gbasis._automaton(gb._trie)
+    terms = gbasis._loop_terms(p.terms, n)
+    while True:
+        rules = {(word, (pos, length)): rule for word in terms
+                 for pos, length, rule in matches(word, goto, out)}
+        if not rules:
+            return NcPoly(p.gens, n, gbasis._cycnum_terms(terms, n))
+        word, match = chooser(sorted(rules))
+        gbasis._rewrite(terms, word, terms.pop(word), *match, rules[word, match])
+
+
+def a_family_xbasis():
+    """The A(1,-1) preset rewritten to the x-basis w1 = x1 + x2,
+    w2 = x1 - x2, w3 = x3, with the swap and negate matrices of the Klein
+    action there."""
+    source = preset("A(1,-1)")
+    n = source.presentation.conductor
+    gens = make_alphabet([("x1", 1), ("x2", 1), ("x3", 1)])
+    one = CycNum.one(n)
+    zero = CycNum.zero(n)
+    # column k holds w_{k+1} in x-coordinates
+    basis_matrix = [[one, one, zero], [one, -one, zero], [zero, zero, one]]
+    to_x = GenMap.from_matrix(source.presentation.generators, gens, n,
+                              basis_matrix)
+    pres = make_presentation(n, gens, [to_x.apply(r)
+                                       for r in source.presentation.relations])
+    swap = [[zero, one, zero], [one, zero, zero], [zero, zero, one]]
+    negate = [[one, zero, zero], [zero, one, zero], [zero, zero, -one]]
+    return pres, (swap, negate)

@@ -5,9 +5,11 @@ from cotwist.action import (diagonal_action, grading_from_degrees,
                             validate_action)
 from cotwist.cyclo import CycNum, root_of_unity
 from cotwist.errors import ValidationError
-from cotwist.freealg import change_basis, make_alphabet, make_presentation, parse_ncpoly
+from cotwist.freealg import GenMap, make_alphabet, make_presentation, parse_ncpoly
 from cotwist.groups import AbGroup, klein_duality
-from cotwist.presets import a_family_xbasis, preset
+from cotwist.linalg import identity, mat_mul, mat_pow
+from cotwist.presets import preset
+from support import a_family_xbasis
 
 KLEIN = AbGroup((2, 2))
 E, G2, G1 = (0, 0), (0, 1), (1, 0)
@@ -102,7 +104,10 @@ def test_eigen_relation_for_every_group_element():
     duality = klein_duality()
     basis = isotypic_basis(action, duality)
     for h in KLEIN.elements():
-        m = action.element_matrix(h)
+        # the matrix of h = g1^a g2^b is M1^a M2^b
+        m = identity(3, 4)
+        for matrix, power in zip(action.matrices, h):
+            m = mat_mul(m, mat_pow(matrix, power, 4))
         for k, g_deg in enumerate(basis.g_degrees):
             column = [basis.matrix[i][k] for i in range(3)]
             scaled = mat_vec(m, column)
@@ -123,8 +128,10 @@ def test_regrade_round_trip_to_original_relations():
     pres, action = klein_action_on_xbasis()
     basis = isotypic_basis(action, klein_duality())
     grading = regrade_presentation(pres, basis, KLEIN)
-    back = [change_basis(r, basis.matrix, new_names=[g.name for g in pres.generators])
-            for r in grading.presentation.relations]
+    # w_k goes back to its x-coordinates, column k of the basis matrix
+    to_x = GenMap.from_matrix(grading.presentation.generators, pres.generators,
+                              4, basis.matrix)
+    back = [to_x.apply(r) for r in grading.presentation.relations]
     rebuilt = make_presentation(4, pres.generators, back)
     assert rebuilt == pres
 

@@ -1,11 +1,16 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotwist.cli import MAX_DEGREE, main
 from cotwist.cyclo import CycNum, parse_scalar
@@ -514,7 +519,7 @@ PACKAGE_NAMES = [
     "CycNum", "parse_scalar", "AlphabetMismatch", "ConductorMismatch",
     "CotwistError", "DegreeBoundExceeded", "FalsificationError", "ParseError",
     "ValidationError", "GeneratorInfo", "GenMap", "NcPoly", "Presentation",
-    "change_basis", "embed_presentation", "make_alphabet", "make_presentation",
+    "embed_presentation", "make_alphabet", "make_presentation",
     "parse_ncpoly", "AbGroup", "Cocycle", "Duality", "GroupAut",
     "all_automorphisms", "coboundary", "cocycle_from_formula",
     "cocycle_from_scalars", "cocycle_inverse", "cocycle_product",
@@ -528,9 +533,9 @@ PACKAGE_NAMES = [
     "word_twist_scalar", "TruncGB", "hilbert_coeffs", "ideal_contains",
     "is_normal_to_degree", "is_regular_to_degree", "normal_form",
     "truncated_gb", "verify_iso", "CrossedElement", "CrossedModel",
-    "build_crossed_model", "diagonal_invariants", "isotypic_component",
+    "build_crossed_model", "isotypic_component",
     "verify_bimodule_component", "verify_invariant_ring", "CHECKS",
-    "PRESET_NAMES", "Preset", "a_family_xbasis", "full_report", "preset"]
+    "PRESET_NAMES", "Preset", "full_report", "preset"]
 
 
 def test_package_names_resolve_on_first_use():
@@ -596,3 +601,138 @@ def test_every_degree_flag_is_bounded(capsys, argv):
         main(argv + ["--degree", str(MAX_DEGREE + 1)])
     assert exc.value.code == 2
     assert "argument --degree: must be at most" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under random input
+# ---------------------------------------------------------------------------
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
+                  st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+                  st.dictionaries(st.sampled_from(["a", "name", "table"]),
+                                  st.integers(0, 2), max_size=2))
+_SCALARS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "i", "-i", "2", "1/2", "zeta(3)",
+                     "zeta(0)", "x", "", "1/0", "i^2"]),
+    st.integers(-2, 2), st.none())
+_TOKENS = ["x", "y", "z", "*", "+", "-", "^", "2", "3", "i", "(", ")", "/0",
+           "[x,y]", "[x,y]_+", "zeta(4)", "1/2", "x*y", "y*x", " ", "**", ","]
+_RELATIONS = st.lists(st.one_of(
+    st.sampled_from(["x*y - y*x", "x*y + y*x", "x^2 - y^2", "x*y - i*y*x",
+                     "x^2", "1", "x - x", "x + x^2", "x*y*x - y"]),
+    st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=6).map("".join),
+    _JUNK), max_size=3)
+_GROUPS = st.one_of(st.lists(st.integers(1, 4), min_size=1, max_size=2),
+                    st.lists(st.one_of(st.integers(-1, 3),
+                                       st.sampled_from(["2", 2.5, None])),
+                             max_size=3),
+                    _JUNK)
+_MATRICES = st.one_of(st.lists(st.lists(_SCALARS, max_size=3), max_size=3),
+                      _JUNK)
+_SPECS = st.fixed_dictionaries({}, optional={
+    "conductor": st.sampled_from([1, 2, 4, 0, -1, "4", 2.5]),
+    "generators": st.one_of(
+        st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=2,
+                 unique=True),
+        st.lists(st.one_of(
+            st.sampled_from(["x", "y", "i", "zeta", "1a", ""]),
+            st.fixed_dictionaries(
+                {"name": st.sampled_from(["x", "y", "i", 3])},
+                optional={"degree": st.sampled_from([1, 2, 0, -1, "1", 1.5])})),
+            max_size=3),
+        _JUNK),
+    "relations": st.one_of(_RELATIONS, _JUNK),
+    "group": _GROUPS,
+    "g_degrees": st.one_of(
+        st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=3), _JUNK),
+    "action": st.one_of(
+        st.lists(st.fixed_dictionaries({
+            "generator": st.sampled_from(["g1", "g2", "g3", 1]),
+            "matrix": _MATRICES}), max_size=3),
+        _JUNK),
+    "duality": st.one_of(
+        st.fixed_dictionaries(
+            {"builtin": st.sampled_from(["standard", "klein", "nope"])}),
+        st.lists(st.lists(_SCALARS, max_size=2), max_size=2), _JUNK),
+    "cocycle": st.one_of(
+        st.fixed_dictionaries(
+            {"builtin": st.sampled_from(["klein", "trivial", "nope"])}),
+        st.fixed_dictionaries({"formula": st.sampled_from([
+            "(-1)^(p*s)", "zeta(4)^(a1*b2)", "i^(a1*b1)", "x", "1/0",
+            "zeta(3)^(a1*b2 - a2*b1)", "2"])}),
+        st.fixed_dictionaries({"table": st.one_of(
+            st.lists(st.lists(_SCALARS, max_size=4), max_size=4), _JUNK)}),
+        _JUNK),
+    "images": st.one_of(
+        st.fixed_dictionaries({}, optional={
+            g: st.sampled_from(["x", "y", "x + y", "i*x", "x^2", "w", 5])
+            for g in ("x", "y", "w1")}),
+        st.lists(st.sampled_from(["x", "y", "w1"]), max_size=3), _JUNK),
+})
+_FILES = st.one_of(_SPECS.map(json.dumps), _JUNK.map(json.dumps),
+                   st.sampled_from(["", "{", "not json", "[1,"]))
+_SOURCES = st.sampled_from(["{file}", "{file}", "preset:A(1,-1)",
+                            "preset:B(1)", "preset:nope", "{missing}"])
+_GROUP_ARGS = st.sampled_from(["2,2", "2,4", "3", "4,4", "0", "-1,2", "a", ""])
+
+
+@st.composite
+def _argv(draw):
+    """An argument list for one subcommand, or a malformed one; "{file}"
+    stands for the drawn input file, "{missing}" for a path that does not
+    exist and "{out}" for a writable one."""
+    command = draw(st.sampled_from([
+        "validate", "twist", "gb", "hilbert", "iso-check", "invariants",
+        "kgmu", "schur", "theorem55", "report", "malformed"]))
+    if command == "malformed":
+        return draw(st.sampled_from([[], ["nope"], ["gb"], ["--help"],
+                                     ["gb", "--input"], ["schur", "--group"],
+                                     ["kgmu", "--group", "2", "--bogus"]]))
+    argv = [command]
+    if command in ("kgmu", "schur"):
+        argv += ["--group", draw(_GROUP_ARGS)]
+        if command == "kgmu" and draw(st.booleans()):
+            argv += ["--cocycle", draw(st.sampled_from([
+                "klein", "trivial", "(-1)^(p*s)", "zeta(4)^(a1*b2)", "x",
+                "{file}", "{missing}"]))]
+    else:
+        if command == "iso-check":
+            argv += ["--lhs", draw(_SOURCES), "--rhs", draw(_SOURCES)]
+            if draw(st.booleans()):
+                argv += ["--map", draw(st.sampled_from(["{file}", "{missing}"]))]
+        elif command not in ("theorem55", "report"):
+            argv += ["--input", draw(_SOURCES)]
+        if command == "twist" and draw(st.booleans()):
+            argv += ["--output", "{out}"]
+        if command != "twist" and draw(st.booleans()):
+            argv += ["--degree", draw(st.sampled_from(
+                ["0", "1", "2", "3", "4", "-1", "65", "x"]))]
+        if draw(st.booleans()):
+            argv += ["--conductor", draw(st.sampled_from(
+                ["1", "2", "4", "0", "-2", "x"]))]
+    if draw(st.booleans()):
+        argv.append("--human")
+    return argv
+
+
+@settings(max_examples=60, deadline=5000, derandomize=True)
+@given(_FILES, _argv())
+def test_exit_code_contract_under_random_input(content, argv):
+    # exit 3 is an internal error and exit 1 a falsification, so no input,
+    # however malformed, may crash the command or exit 3
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"{file}": os.path.join(tmp, "input.json"),
+                 "{missing}": os.path.join(tmp, "missing.json"),
+                 "{out}": os.path.join(tmp, "out.json")}
+        with open(paths["{file}"], "w", encoding="utf-8") as handle:
+            handle.write(content)
+        argv = [paths.get(arg, arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:          # argparse: usage error or --help
+                code = exc.code
+    message = err.getvalue()
+    assert code in (0, 1, 2), (argv, content, message)
+    assert "internal error" not in message and "Traceback" not in message

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from cotwist.crossed import (CrossedElement, build_crossed_model, crossed_basis,
-                             diagonal_invariants, isotypic_component,
-                             verify_bimodule_component, verify_invariant_ring)
+                             isotypic_component, verify_bimodule_component,
+                             verify_invariant_ring)
 from cotwist.cyclo import CycNum, root_of_unity
 from cotwist.errors import DegreeBoundExceeded, ValidationError
 from cotwist.freealg import NcPoly
@@ -67,7 +67,7 @@ def model_for(name, bound=4):
 
 def test_invariants_degree_zero():
     model = model_for("A(1,-1)")
-    inv = diagonal_invariants(model, 0)
+    inv = isotypic_component(model, E, 0)
     assert len(inv) == 1
     ((word, g),) = inv[0].terms.keys()
     assert word == () and g == E
@@ -75,7 +75,7 @@ def test_invariants_degree_zero():
 
 def test_invariants_degree_one_pairing():
     model = model_for("A(1,-1)")
-    inv = diagonal_invariants(model, 1)
+    inv = isotypic_component(model, E, 1)
     keys = {key for x in inv for key in x.terms}
     assert keys == {((0,), E), ((1,), G2), ((2,), G1)}
 
@@ -83,7 +83,7 @@ def test_invariants_degree_one_pairing():
 def test_invariants_dimension_matches_algebra():
     model = model_for("A(1,-1)")
     for d in range(5):
-        assert len(diagonal_invariants(model, d)) == \
+        assert len(isotypic_component(model, E, d)) == \
             len(model.gb.normal_words(d))
 
 

@@ -5,10 +5,8 @@ import pytest
 
 from cotwist.cyclo import CycNum, parse_scalar
 from cotwist.errors import AlphabetMismatch, ParseError, ValidationError
-from cotwist.freealg import (GenMap, NcPoly, change_basis, make_alphabet,
+from cotwist.freealg import (GenMap, NcPoly, make_alphabet,
                              make_presentation, parse_ncpoly)
-from cotwist.linalg import mat_inverse
-from oracles import add_expanded, expand_product
 
 X3 = make_alphabet([("x1", 1), ("x2", 1), ("x3", 1)])
 
@@ -100,70 +98,6 @@ def test_genmap_negation_even_power():
 
 def test_genmap_fixes_symmetric_combination():
     assert swap_map().apply(poly("x1 + x2")) == poly("x1 + x2")
-
-
-def test_genmap_composition():
-    rng = random.Random(11)
-    negate = GenMap(X3, (NcPoly.gen(X3, 4, 0), -NcPoly.gen(X3, 4, 1),
-                         NcPoly.gen(X3, 4, 2)))
-    comp = swap_map().compose(negate)
-    for _ in range(10):
-        p = random_poly(rng)
-        assert comp.apply(p) == swap_map().apply(negate.apply(p))
-
-
-def w_basis_matrix():
-    one = CycNum.one(4)
-    zero = CycNum.zero(4)
-    return [[one, one, zero], [one, -one, zero], [zero, zero, one]]
-
-
-def test_change_basis_against_expansion_oracle():
-    gens = make_alphabet([("w1", 1), ("w2", 1), ("w3", 1)])
-    p = parse_ncpoly("w1^2 - w2^2", gens, 4)
-    # rewrite to the x-alphabet: w1 = x1+x2, w2 = x1-x2, w3 = x3, i.e. the
-    # matrix argument holds x-generators in w-coordinates
-    inv = mat_inverse(w_basis_matrix())
-    result = change_basis(p, inv, new_names=["x1", "x2", "x3"])
-    w1 = {0: Fraction(1), 1: Fraction(1)}
-    w2 = {0: Fraction(1), 1: Fraction(-1)}
-    expected = add_expanded(expand_product([w1, w1]),
-                            expand_product([w2, w2]), sign=-1)
-    assert {w: c.as_fraction() for w, c in result.terms.items()} == expected
-    assert result == parse_ncpoly("2*(x1*x2 + x2*x1)", result.gens, 4)
-
-
-def test_change_basis_single_generator():
-    p = poly("x3")
-    result = change_basis(p, w_basis_matrix(), new_names=["w1", "w2", "w3"])
-    assert str(result) == "w3"
-
-
-def test_change_basis_identity():
-    rng = random.Random(3)
-    one = CycNum.one(4)
-    zero = CycNum.zero(4)
-    eye = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    for _ in range(5):
-        p = random_poly(rng)
-        assert change_basis(p, eye) == p
-
-
-def test_change_basis_round_trip():
-    rng = random.Random(5)
-    m = w_basis_matrix()
-    inv = mat_inverse(m)
-    for _ in range(10):
-        p = random_poly(rng)
-        there = change_basis(p, m)
-        assert change_basis(there, inv) == p
-
-
-def test_change_basis_rejects_singular_matrix():
-    one = CycNum.one(4)
-    singular = [[one, one, one]] * 3
-    with pytest.raises(Exception):
-        change_basis(poly("x1"), singular)
 
 
 def test_presentation_canonicalization_idempotent():

@@ -18,13 +18,14 @@ from cotwist.errors import (AlphabetMismatch, ConductorMismatch,
 from cotwist.freealg import (GenMap, NcPoly, Presentation, deglex_key,
                              make_alphabet, make_presentation, parse_ncpoly,
                              word_degree)
-from cotwist.gbasis import (clear_cache, hilbert_coeffs, ideal_contains,
+from cotwist.gbasis import (hilbert_coeffs, ideal_contains,
                             is_normal_to_degree, is_regular_to_degree,
                             normal_form, truncated_gb, verify_iso)
 from cotwist.jsonio import spec_bundle_from_dict
-from cotwist.presets import PRESET_NAMES, a_family_xbasis, preset
+from cotwist.presets import PRESET_NAMES, preset
 from cotwist.twist import twist_presentation
 from oracles import fraction_normal_form, quotient_dims, words_of_degree
+from support import a_family_xbasis, fresh_gb, matches, strategy_normal_form
 
 XY = make_alphabet([("x", 1), ("y", 1)])
 
@@ -183,14 +184,14 @@ def test_gb_idempotence():
     pres = preset("A(1,-1)").presentation
     gb = truncated_gb(pres, 6)
     regenerated = make_presentation(4, pres.generators, gb.elements)
-    again = truncated_gb(regenerated, 6, use_cache=False)
+    again = fresh_gb(regenerated, 6)
     assert again.elements == gb.elements
 
 
 def test_monotone_consistency():
     pres = preset("G(1,(1+i)/2)").presentation
-    low = truncated_gb(pres, 4, use_cache=False)
-    high = truncated_gb(pres, 6, use_cache=False)
+    low = fresh_gb(pres, 4)
+    high = fresh_gb(pres, 6)
     low_set = {g for g in low.elements}
     high_low = {g for g in high.elements if g.degree() <= 4}
     assert low_set == high_low
@@ -214,18 +215,18 @@ def test_confluence_under_randomized_strategies():
         p = NcPoly(gens, 4, terms)
         deterministic = normal_form(p, gb)
         for _ in range(3):
-            randomized = normal_form(p, gb, chooser=rng.choice)
+            randomized = strategy_normal_form(p, gb, rng.choice)
             assert randomized == deterministic
 
 
 def test_bound_below_relation_degree_rejected():
     pres = preset("A(1,-1)").presentation
     with pytest.raises(DegreeBoundExceeded):
-        truncated_gb(pres, 2, use_cache=False)
+        fresh_gb(pres, 2)
 
 
 def test_cache_round_trip():
-    clear_cache()
+    gbasis._GB_CACHE.clear()
     pres = preset("C(1)").presentation
     first = truncated_gb(pres, 5)
     second = truncated_gb(pres, 5)
@@ -233,23 +234,22 @@ def test_cache_round_trip():
 
 
 def test_cache_is_bounded_and_keeps_recent_bases():
-    clear_cache()
+    gbasis._GB_CACHE.clear()
     limit = gbasis.GB_CACHE_SIZE
     presentations = [pres_xy(f"x*y - {c}*y*x") for c in range(1, limit + 11)]
     first = truncated_gb(presentations[0], 3)
     for pres in presentations[1:]:
         assert truncated_gb(presentations[0], 3) is first
         gb = truncated_gb(pres, 3)
-        assert [str(g) for g in gb.elements] == [str(g) for g in truncated_gb(
-            pres, 3, use_cache=False).elements]
+        assert [str(g) for g in gb.elements] == [str(g) for g in fresh_gb(
+            pres, 3).elements]
         assert hilbert_coeffs(pres, 3) == (1, 2, 3, 4)
         assert len(gbasis._GB_CACHE) <= limit
     # the least recently used bases were evicted and come back rebuilt
     again = truncated_gb(presentations[1], 3)
-    assert again.elements == truncated_gb(presentations[1], 3,
-                                          use_cache=False).elements
+    assert again.elements == fresh_gb(presentations[1], 3).elements
     assert len(gbasis._GB_CACHE) == limit
-    clear_cache()
+    gbasis._GB_CACHE.clear()
 
 
 def test_weighted_generators_supported():
@@ -301,7 +301,7 @@ SKLYANIN_TAIL_REDUCTIONS = {2: 3, 5: 1, 7: 17}
 
 def test_sklyanin_completion_counters(sklyanin):
     for pres in sklyanin:
-        gb = truncated_gb(pres, 7, use_cache=False)
+        gb = fresh_gb(pres, 7)
         stats = gb.stats
         assert sorted(stats) == list(range(8))
         assert {d: s.zero_reductions for d, s in stats.items()
@@ -324,16 +324,37 @@ def test_sklyanin_completion_counters(sklyanin):
 
 def test_counters_read_the_basis_heights():
     pres = pres_xy("x*y - 2/3*y*x")
-    gb = truncated_gb(pres, 3, use_cache=False)
+    gb = fresh_gb(pres, 3)
     # y*x - 3/2*x*y: numerator -3 and denominator 2 have 2 bits each
     assert gb.stats[2].basis_size == 1
     assert gb.stats[2].coeff_height_bits == 2
     assert gb.stats[3].zero_reductions == gb.stats[3].reductions == 0
-    # a constant relation is counted at degree 0; `make_presentation`
-    # rejects one, so the presentation is built without it
+    # a constant relation is refused before any reduction is counted, as
+    # `make_presentation` refuses it
     relations = (parse_ncpoly("1", XY, 4), parse_ncpoly("x*y", XY, 4))
-    constant = truncated_gb(Presentation(4, XY, relations), 2, use_cache=False)
-    assert constant.stats[0].reductions == 1
+    with pytest.raises(ValidationError, match="relation 0 is a nonzero constant"):
+        fresh_gb(Presentation(4, XY, relations), 2)
+
+
+@pytest.mark.parametrize("relations, message", [
+    # Built without `make_presentation`, this one once completed to the
+    # basis ['1'], with normal_form(1 + x) = 1 and the dimensions [1, 0, 0]
+    # through degree 2; the quotient is zero, so those are 0 and [0, 0, 0]
+    (("1", "x*y"), "relation 0 is a nonzero constant"),
+    (("x*y", "1 + x"), "relation 1 is not homogeneous"),
+    (("x*y", "x*y*x - y"), "relation 1 is not homogeneous"),
+    (("x - x", "x*y"), "relation 0 is zero"),
+], ids=["constant", "constant-term", "inhomogeneous", "zero"])
+def test_completion_refuses_what_make_presentation_refuses(relations, message):
+    pres = Presentation(1, XY, tuple(parse_ncpoly(r, XY, 1) for r in relations))
+    with pytest.raises(ValidationError, match=message):
+        make_presentation(1, XY, pres.relations)
+    for bound in (2, 3):
+        with pytest.raises(ValidationError, match=message):
+            truncated_gb(pres, bound)
+        with pytest.raises(ValidationError, match=message):
+            hilbert_coeffs(pres, bound)
+        assert (pres.canonical_key(), bound) not in gbasis._GB_CACHE
 
 
 def _old_default_strategy(gens):
@@ -378,7 +399,7 @@ def test_heap_reduction_repeats_old_rewrite_sequence(name, sklyanin,
         heap_nf = normal_form(p, gb)
         heap_rewrites = list(rewrites)
         rewrites.clear()
-        assert normal_form(p, gb, chooser=_old_default_strategy(gens)) == heap_nf
+        assert strategy_normal_form(p, gb, _old_default_strategy(gens)) == heap_nf
         assert rewrites == heap_rewrites
         rewrites.clear()
 
@@ -390,7 +411,7 @@ def test_heap_reduction_repeats_old_rewrite_sequence(name, sklyanin,
 def assert_table_matches_normal_form(pres, bound, words):
     """For every word w and every split w = u*v, the table's NF(NF(u)*v)
     equals `normal_form(w)`; the table starts empty."""
-    gb = truncated_gb(pres, bound, use_cache=False)
+    gb = fresh_gb(pres, bound)
     gens, n = pres.generators, pres.conductor
     one = CycNum.one(n)
     for w in words:
@@ -431,7 +452,7 @@ def test_table_products_match_normal_form_on_sklyanin(sklyanin):
     pres = sklyanin[0]
     assert_table_matches_normal_form(pres, 6, all_words(pres, 4))
     # through degree 6: every product of two normal words
-    gb = truncated_gb(pres, 6, use_cache=False)
+    gb = fresh_gb(pres, 6)
     gens, n = pres.generators, pres.conductor
     one = CycNum.one(n)
     levels = gb.normal_words_by_degree()
@@ -541,7 +562,7 @@ def assert_trie_matches_slice_scan(gb, words):
     n = gb.presentation.conductor
     automaton = gbasis._automaton(gb._trie)
     for w in words:
-        found = list(gbasis._matches(w, *automaton))
+        found = list(matches(w, *automaton))
         assert [m[:2] for m in found] == list(
             _slice_matches(w, gb.lead_map, lengths))
         for pos, length, rule in found:
@@ -590,7 +611,7 @@ def _scan_words(pres, bound):
 
 def test_automaton_matches_slice_scan(completion_cases):
     for name, (pres, bound) in completion_cases.items():
-        gb = truncated_gb(pres, bound, use_cache=False)
+        gb = gbasis._complete(pres, bound)
         assert_trie_matches_slice_scan(gb, _scan_words(pres, bound))
 
 
@@ -604,7 +625,7 @@ def test_normal_word_counts_match_quotient_dims(sklyanin):
 def test_sklyanin_counts_through_degree_8(sklyanin):
     # Smith-Stafford: dim A_d = binom(d+3, 3); the twist is checked through
     # degree 7 by `test_sklyanin_completion_counters`
-    gb = truncated_gb(sklyanin[0], 8, use_cache=False)
+    gb = fresh_gb(sklyanin[0], 8)
     counts = [s.normal_words for s in gb.stats.values()]
     assert counts == [comb(d + 3, 3) for d in range(9)] == _slice_counts(
         gb.lead_map, [1] * 4, 8)
@@ -649,7 +670,7 @@ def test_automaton_of_an_antichain_matches_slice_scan(case):
     lead_set = set(leads)
     lengths = sorted({len(w) for w in leads})
     for w in words:
-        found = list(gbasis._matches(w, goto, out))
+        found = list(matches(w, goto, out))
         assert [m[:2] for m in found] == list(_slice_matches(w, lead_set, lengths))
         assert all(rule == w[pos:pos + length] for pos, length, rule in found)
     # one state per prefix of a leading word, the conductor record being no
@@ -675,7 +696,7 @@ def test_tail_update_keeps_the_automaton():
     automaton = gbasis._automaton(trie)
     gbasis._add_lead(trie, parse_ncpoly("y*x - 3*x^2", XY, 1))
     assert gbasis._automaton(trie) is automaton
-    assert list(gbasis._matches((0, 1, 0), *automaton)) == [(1, 2, (1, (((0, 0), -3),)))]
+    assert list(matches((0, 1, 0), *automaton)) == [(1, 2, (1, (((0, 0), -3),)))]
     gbasis._add_lead(trie, parse_ncpoly("y^2 - x^2", XY, 1))
     assert gbasis._automaton(trie) is not automaton
     assert len(gbasis._automaton(trie)[0]) == 4
@@ -699,8 +720,9 @@ def test_enumeration_is_bounded_by_its_exact_count():
 
 
 # Relations whose leading words a later, lower-degree element divides; only
-# a non-homogeneous relation can do that, so `make_presentation` would
-# refuse them.  The bases were computed by the slice-scan completion.
+# a non-homogeneous relation can do that, so `make_presentation` and
+# `truncated_gb` refuse them, and the tests run the completion loop itself,
+# `gbasis._complete`.  The bases were computed by the slice-scan completion.
 DELETING_COMPLETIONS = [
     (("y*x*y", "x^3 - y^2*x", "y*x*y*x - x*y"),
      ["x*y", "y^2*x - x^3", "x^4"], [1, 2, 3, 3, 2, 1, 1]),
@@ -733,7 +755,7 @@ def test_completion_that_deletes_leading_words(relations, elements, dims,
 
     monkeypatch.setattr(gbasis, "_add_lead", spy)
     pres = deleting_presentation(relations)
-    gb = truncated_gb(pres, 6, use_cache=False)
+    gb = gbasis._complete(pres, 6)
     assert entered - set(gb.lead_map)
     assert [str(g) for g in gb.elements] == elements
     assert_trie_matches_slice_scan(gb, all_words(pres, 6))
@@ -801,7 +823,7 @@ def test_alphabet_beyond_one_byte():
                      gens, 1)
     nf = normal_form(p, gb)
     assert str(nf) == "8*g255^2*g256^2 + 3*g256*g0*g255 - 2*g0*g255*g256"
-    assert normal_form(p, gb, chooser=random.Random(3).choice) == nf
+    assert strategy_normal_form(p, gb, random.Random(3).choice) == nf
     assert hilbert_coeffs(pres, 2) == (1, 257, 257 ** 2 - 1)
 
 
@@ -860,7 +882,7 @@ def test_pair_kernel_matches_cycnum_reference(sklyanin):
     rng = random.Random(53)
     conductors = set()
     for name, pres in _kernel_cases(sklyanin).items():
-        gb = truncated_gb(pres, 6, use_cache=False)
+        gb = fresh_gb(pres, 6)
         gens, n = pres.generators, pres.conductor
         conductors.add(n)
         polys = [NcPoly.from_word(gens, n, w) for w in all_words(pres, 3)]
@@ -878,10 +900,10 @@ def test_pair_kernel_matches_cycnum_reference(sklyanin):
         for p in polys:
             expected = _reference_reduce(p, gb)
             assert normal_form(p, gb) == expected, name
-            assert normal_form(p, gb, chooser=default) == expected, name
+            assert strategy_normal_form(p, gb, default) == expected, name
             if p.degree() <= 3:
                 # a random strategy on long words can take minutes
-                assert normal_form(p, gb, chooser=rng.choice) == expected, name
+                assert strategy_normal_form(p, gb, rng.choice) == expected, name
     assert {1, 2, 4} <= conductors
 
 
@@ -946,7 +968,7 @@ def test_rewrite_loop_over_q_matches_fraction_oracle(sklyanin, monkeypatch):
     monkeypatch.setattr(gbasis, "_rewrite", spy)
     rng = random.Random(61)
     for name, pres in cases.items():
-        gb = truncated_gb(pres, 6, use_cache=False)
+        gb = fresh_gb(pres, 6)
         gens, n = pres.generators, pres.conductor
         weights = [g.degree for g in gens]
         rules = {lead: {w: c.as_fraction() for w, c in g.terms.items()
@@ -966,7 +988,7 @@ def test_rewrite_loop_over_q_matches_fraction_oracle(sklyanin, monkeypatch):
                 w: CycNum.rational(c, n)
                 for w, c in fraction_normal_form(terms, rules, weights).items()})
             assert normal_form(p, gb) == expected, name
-            assert normal_form(p, gb, chooser=default) == expected, name
+            assert strategy_normal_form(p, gb, default) == expected, name
     assert checked
 
 
@@ -1053,7 +1075,8 @@ def completion_cases(sklyanin):
     """(presentation, bound) by name: the presets and their twists, the
     Sklyanin algebra and its twist through degree 7, weighted alphabets,
     degree-1 relations over Q(i) and Q, conductor 2, 257 generators and the
-    completions that delete leading words."""
+    completions that delete leading words.  The tests that use them run the
+    completion loop, `gbasis._complete`, uncached."""
     cases = {name: (pres, 6) for name, pres in _kernel_cases(sklyanin).items()}
     cases["sklyanin"] = (sklyanin[0], 7)
     cases["sklyanin twisted"] = (sklyanin[1], 7)
@@ -1069,7 +1092,7 @@ def completion_cases(sklyanin):
 def test_completion_matches_the_final_interreduction_pass(completion_cases):
     for name, (pres, bound) in completion_cases.items():
         old = _final_pass_gb(pres, bound)
-        new = truncated_gb(pres, bound, use_cache=False)
+        new = gbasis._complete(pres, bound)
         assert [str(g) for g in new.elements] == [
             str(g) for g in old.elements], name
         assert list(new.lead_map) == list(old.lead_map), name
@@ -1104,7 +1127,7 @@ def _trie_rules(trie):
 
 def test_completion_leaves_a_reduced_basis(completion_cases):
     for name, (pres, bound) in completion_cases.items():
-        gb = truncated_gb(pres, bound, use_cache=False)
+        gb = gbasis._complete(pres, bound)
         n = pres.conductor
         leads = list(gb.lead_map)
         assert len(leads) == len(gb.elements), name

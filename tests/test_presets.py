@@ -9,9 +9,10 @@ from cotwist.errors import CotwistError, FalsificationError
 from cotwist.freealg import GenMap, make_presentation
 from cotwist.gbasis import hilbert_coeffs, verify_iso
 from cotwist.groups import AbGroup, coboundary, cocycle_product, trivial_cocycle
-from cotwist.presets import (CHECKS, PRESET_NAMES, TWIST_PAIRS,
-                             a_family_xbasis, full_report, preset, verdict)
+from cotwist.presets import (CHECKS, PRESET_NAMES, TWIST_PAIRS, full_report,
+                             preset, verdict)
 from cotwist.twist import TwistSpec, twist_presentation
+from support import a_family_xbasis
 
 KLEIN = AbGroup((2, 2))
 

@@ -1,0 +1,77 @@
+"""The library surface stays what the commands, the benchmark and the README
+use, and no module imports a name it never uses.  No linter ships with the
+tool chain, so these two checks read the sources with `ast`."""
+
+import ast
+import re
+from pathlib import Path
+
+import cotwist
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cotwist"
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree):
+    """Every identifier a module reads: names, attribute names and the names
+    it imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+    return used
+
+
+def _readme_names():
+    """The identifiers inside backtick spans of the README."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return {name for span in re.findall(r"`([^`\n]+)`", text)
+            for name in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", span)}
+
+
+def test_every_exported_name_is_used_or_documented():
+    # `__init__` lists every export, so it is no evidence of use; a name's
+    # own definition is a def or class statement, not a read
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(_used_names(_tree(p)) for p in sources))
+    documented = _readme_names()
+    unused = sorted(name for name in cotwist.__all__
+                    if name not in used and name not in documented)
+    assert unused == []
+
+
+def _module_imports(tree):
+    """(bound name, line) of every import at module level, including the
+    blocks of a module-level `if` such as `if TYPE_CHECKING:`."""
+    statements = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.If):
+            statements += node.body + node.orelse
+    out = []
+    for node in statements:
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno)
+                    for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _module_imports(tree) if name not in read]
+    assert unused == []
