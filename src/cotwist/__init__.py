@@ -11,8 +11,8 @@ import importlib
 _EXPORTS = {
     "cyclo": ("CycNum", "parse_scalar"),
     "errors": ("AlphabetMismatch", "ConductorMismatch", "CotwistError",
-               "DegreeBoundExceeded", "FalsificationError", "ParseError",
-               "ValidationError"),
+               "DegreeBoundExceeded", "FalsificationError", "LimitExceeded",
+               "ParseError", "ValidationError"),
     "freealg": ("GeneratorInfo", "GenMap", "NcPoly", "Presentation",
                 "embed_presentation", "make_alphabet", "make_presentation",
                 "parse_ncpoly"),

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 a verification was falsified, 2 input
-error, 3 internal error (any other exception).  Output is JSON with sorted
-keys (byte-deterministic given the inputs); --human switches to an indented
-text rendering.
+error (malformed input, or input past a resource limit), 3 internal error
+(any other exception).  Output is JSON with sorted keys (byte-deterministic
+given the inputs); --human switches to an indented text rendering.
 
 Each command imports the layers it runs inside its own function, so a
 process loads only what its command needs: `gb` and `hilbert` on a file load
@@ -21,7 +21,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (CotwistError, DegreeBoundExceeded, FalsificationError,
-                     ParseError, ValidationError)
+                     LimitExceeded, ParseError, ValidationError)
 from .jsonio import (SpecBundle, basis_to_dict, cocycle_from_dict,
                      cocycle_to_dict, dump_json, gb_to_dict,
                      genmap_from_dict, grading_to_dict, load_json,
@@ -380,8 +380,8 @@ def main(argv: Optional[list] = None) -> int:
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, DegreeBoundExceeded, OSError,
-            ZeroDivisionError) as exc:
+    except (ParseError, ValidationError, DegreeBoundExceeded, LimitExceeded,
+            OSError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CotwistError as exc:

@@ -10,6 +10,15 @@ sparse maps (normal word, group element) -> scalar with the multiplication
 The diagonal action (a (x) g)^h = chi_{deg(a)^-1}(h) chi_g(h) (a (x) g) is
 diagonal on this monomial basis, so fixed spaces and isotypic components
 are computed by solving the (diagonal) eigenvalue conditions exactly.
+
+The checks below do work linear in the basis.  Multiplicativity of the
+embedding of the twisted algebra is checked on (normal word, generator)
+pairs: by induction on degree that makes the image of NF(w) the image of w
+for every word w, and the crossed product is associative (mu is a
+2-cocycle), which gives every pair of normal words.  The rescaling of an
+isotypic component, h -> mu(h,g)/mu(g,h), is checked as a character of G on
+the |G|^2 pairs of group elements.  Ranks and spans are taken on the sparse
+term maps themselves (`linalg.rank`, `linalg.row_spaces_equal`).
 """
 
 from __future__ import annotations
@@ -22,8 +31,7 @@ from .errors import DegreeBoundExceeded
 from .freealg import Word, word_degree
 from .gbasis import TruncGB, truncated_gb
 from .groups import AbGroup, Element
-from .linalg import rank as mat_rank
-from .linalg import row_spaces_equal
+from .linalg import rank, row_spaces_equal
 from .twist import TwistSpec
 
 
@@ -68,10 +76,6 @@ class CrossedElement:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(model: CrossedModel) -> "CrossedElement":
-        return CrossedElement(model, {})
-
-    @staticmethod
     def monomial(model: CrossedModel, word: Word, g: Element,
                  coeff: Optional[CycNum] = None) -> "CrossedElement":
         c = coeff if coeff is not None else CycNum.one(model.conductor)
@@ -94,27 +98,7 @@ class CrossedElement:
     def __hash__(self):
         return hash(self.key())
 
-    def coords(self, basis_index: Mapping) -> list:
-        row = [CycNum.zero(self.model.conductor)] * len(basis_index)
-        for key, c in self.terms.items():
-            row[basis_index[key]] = c
-        return row
-
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "CrossedElement") -> "CrossedElement":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key)
-            terms[key] = c if s is None else s + c
-        return CrossedElement(self.model, terms)
-
-    def __sub__(self, other: "CrossedElement") -> "CrossedElement":
-        return self + other.scale(-CycNum.one(self.model.conductor))
-
-    def scale(self, scalar: CycNum) -> "CrossedElement":
-        return CrossedElement(self.model,
-                              {key: c * scalar for key, c in self.terms.items()})
 
     def __mul__(self, other: "CrossedElement") -> "CrossedElement":
         model = self.model
@@ -144,42 +128,31 @@ class CrossedElement:
                     out[key] = v if s is None else s + v
         return CrossedElement(self.model, out)
 
-    # -- the diagonal action -------------------------------------------------
-
-    def act(self, h: Element) -> "CrossedElement":
-        model = self.model
-        exponent = model.group.exponent()
-        return CrossedElement(model, {
-            (w, g): c * root_of_unity(_eigenvalue(model, w, g, h), exponent,
-                                      model.conductor)
-            for (w, g), c in self.terms.items()})
-
-
-def crossed_basis(model: CrossedModel, degree: int) -> list:
-    """Monomial basis (normal word, group element) of the degree-d component."""
-    return [(w, g) for w in model.gb.normal_words(degree)
-            for g in model.group.elements()]
-
-
-def _eigenvalue(model: CrossedModel, w: Word, g: Element, h: Element) -> int:
-    duality = model.spec.duality
-    group = model.group
-    return (duality.char_eval(group.inv(model.word_g_degree(w)), h)
-            + duality.char_eval(g, h)) % group.exponent()
-
 
 def isotypic_component(model: CrossedModel, g: Element, degree: int) -> list:
     """Monomial basis of the chi_g isotypic component in degree d.  The |G|
     operators of the diagonal action are diagonal on the monomial basis, so
-    the component is spanned by the monomials whose eigenvalues are chi_g's;
-    for g = e it is the fixed subspace, the invariants."""
+    the component is spanned by the monomials w (x) h whose eigenvalues
+    chi_{deg(w)^-1}(e) chi_h(e) at the generators e of G are chi_g's; for
+    g = e it is the fixed subspace, the invariants.  The monomials come
+    word by word, each word's group elements in enumeration order."""
     group = model.group
+    duality = model.spec.duality
+    exponent = group.exponent()
     generators = [group.generator(j) for j in range(group.rank)]
-    targets = [(e, model.spec.duality.char_eval(g, e)) for e in generators]
+    # the group elements h by their values chi_h(e) at the generators
+    by_values: dict = {}
+    for h in group.elements():
+        values = tuple(duality.char_eval(h, e) for e in generators)
+        by_values.setdefault(values, []).append(h)
+    targets = [duality.char_eval(g, e) for e in generators]
     out = []
-    for w, h in crossed_basis(model, degree):
-        if all(_eigenvalue(model, w, h, e) == t for e, t in targets):
-            out.append(CrossedElement.monomial(model, w, h))
+    for w in model.gb.normal_words(degree):
+        inverse_degree = group.inv(model.word_g_degree(w))
+        need = tuple((t - duality.char_eval(inverse_degree, e)) % exponent
+                     for e, t in zip(generators, targets))
+        out.extend(CrossedElement.monomial(model, w, h)
+                   for h in by_values.get(need, ()))
     return out
 
 
@@ -211,17 +184,22 @@ def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
     The generator embedding v_j -> (w_j (x) deg w_j) is pushed through both
     routes: the twisted presentation's relations must vanish in the crossed
     product, its normal words must land on a basis of the invariants, and
-    multiplication must commute with the embedding on all spanning pairs."""
+    multiplication must commute with the embedding.  The last is checked
+    once per twisted normal word u of degree < bound and generator x with
+    deg(u*x) <= bound: the image of NF(u*x), read from the twisted basis's
+    own multiplication table, must equal the image of u times the image of
+    x.  Induction on degree then gives image(NF(w)) = image(w) for every
+    word w through the bound, and associativity of the crossed product gives
+    image(NF(u*v)) = image(u) * image(v) for every pair."""
     from .twist import twist_presentation
     model = build_crossed_model(spec, bound)
     twisted = twist_presentation(spec)
     tw_gb = truncated_gb(twisted.presentation, bound)
     gens = twisted.presentation.generators
-    conductor = twisted.presentation.conductor
-    n = len(gens)
+    one = CycNum.one(twisted.presentation.conductor)
 
     gen_images = [CrossedElement.monomial(model, (j,), spec.grading.g_degrees[j])
-                  for j in range(n)]
+                  for j in range(len(gens))]
     images = {(): CrossedElement.monomial(model, (), model.group.identity())}
 
     def embed_word(word: Word) -> CrossedElement:
@@ -232,44 +210,42 @@ def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
         return img
 
     def embed_poly(terms: Mapping[Word, CycNum]) -> CrossedElement:
-        out = CrossedElement.zero(model)
+        out: dict = {}
         for w, c in terms.items():
-            out = out + embed_word(w).scale(c)
-        return out
+            for key, e in embed_word(w).terms.items():
+                t = e * c
+                s = out.get(key)
+                out[key] = t if s is None else s + t
+        return CrossedElement(model, out)
 
     relations_vanish = all(embed_poly(r.terms).is_zero()
                            for r in twisted.presentation.relations)
 
-    group_gens = [model.group.generator(j) for j in range(model.group.rank)]
     identity_el = model.group.identity()
     dims_match = []
     embedding_injective = True
     images_invariant = True
     for d in range(bound + 1):
-        inv_dim = len(isotypic_component(model, identity_el, d))
-        alg_dim = len(model.gb.normal_words(d))
+        invariants = {key for x in isotypic_component(model, identity_el, d)
+                      for key in x.terms}
         tw_words = tw_gb.normal_words(d)
-        index = {key: i for i, key in enumerate(crossed_basis(model, d))}
-        rows = []
-        for w in tw_words:
-            img = embed_word(w)
-            if any(img.act(h) != img for h in group_gens):
-                images_invariant = False
-            rows.append(img.coords(index))
-        if rows and mat_rank(rows) != len(tw_words):
+        rows = [embed_word(w).terms for w in tw_words]
+        if not all(invariants.issuperset(row) for row in rows):
+            images_invariant = False
+        if rank(rows) != len(tw_words):
             embedding_injective = False
-        dims_match.append((d, inv_dim, alg_dim, len(tw_words)))
+        dims_match.append((d, len(invariants), len(model.gb.normal_words(d)),
+                           len(tw_words)))
 
-    one = CycNum.one(conductor)
-    multiplicative = True
-    for d1 in range(1, bound):
-        for d2 in range(1, bound - d1 + 1):
-            for u in tw_gb.normal_words(d1):
-                pu = embed_word(u)
-                for v in tw_gb.normal_words(d2):
-                    prod_in_twist = tw_gb.times_word({u: one}, v)
-                    if embed_poly(prod_in_twist) != pu * embed_word(v):
-                        multiplicative = False
+    def image_times_generator(u: Word, x: int) -> CrossedElement:
+        # u*x need not be normal, and then its image is not kept
+        ux = u + (x,)
+        return images[ux] if ux in images else embed_word(u) * gen_images[x]
+
+    multiplicative = all(
+        embed_poly(tw_gb.times_word({u: one}, (x,))) == image_times_generator(u, x)
+        for d in range(bound) for u in tw_gb.normal_words(d)
+        for x, generator in enumerate(gens) if d + generator.degree <= bound)
     return InvariantRingReport(bound, relations_vanish, dims_match,
                                embedding_injective, multiplicative,
                                images_invariant)
@@ -307,51 +283,33 @@ def verify_bimodule_component(spec: TwistSpec, g: Element,
                               bound: int) -> BimoduleReport:
     """Check the chi_g isotypic component of the crossed product: it is the
     two-sided free rank-1 module (1 (x) g) Phi(A) = Phi(A) (1 (x) g) in every
-    degree, and the associated rescaling automorphism is multiplicative."""
+    degree, and the associated rescaling automorphism is multiplicative.
+    Conjugation by (1 (x) g) rescales the degree-h part of the invariant
+    ring by mu(h,g)/mu(g,h), so the rescaling is multiplicative exactly when
+    h -> mu(h,g)/mu(g,h) is a character of G, an identity on exponents."""
     model = build_crossed_model(spec, bound)
     group = model.group
+    modulus = spec.cocycle.modulus
     identity_el = group.identity()
+    elements = group.elements()
 
     identity_on_e = not any(component_scaling(model, identity_el, h)
-                            for h in group.elements())
-    scaling = {h: root_of_unity(component_scaling(model, g, h),
-                                spec.cocycle.modulus, model.conductor)
-               for h in group.elements()}
-
-    scaling_multiplicative = True
-    invariants = [isotypic_component(model, identity_el, d)
-                  for d in range(bound + 1)]
-    for d1 in range(0, bound + 1):
-        for d2 in range(0, bound - d1 + 1):
-            for x in invariants[d1]:
-                (wx, hx), = x.terms.keys()
-                sx = scaling[hx]
-                for y in invariants[d2]:
-                    (wy, hy), = y.terms.keys()
-                    sy = scaling[hy]
-                    prod = x * y
-                    scaled = CrossedElement(
-                        model,
-                        {(w, h): c * scaling[h]
-                         for (w, h), c in prod.terms.items()})
-                    if scaled != (x.scale(sx) * y.scale(sy)):
-                        scaling_multiplicative = False
+                            for h in elements)
+    scaling = {h: component_scaling(model, g, h) for h in elements}
+    scaling_multiplicative = all(
+        scaling[group.mul(a, b)] == (scaling[a] + scaling[b]) % modulus
+        for a in elements for b in elements)
 
     one_g = CrossedElement.monomial(model, (), g)
     component_dims = []
     left_span_matches = right_span_matches = True
     for d in range(bound + 1):
-        iso = isotypic_component(model, g, d)
-        alg_dim = len(model.gb.normal_words(d))
-        component_dims.append((d, len(iso), alg_dim))
-        index = {key: i for i, key in enumerate(crossed_basis(model, d))}
-        iso_rows = [x.coords(index) for x in iso]
-        left_rows = [(one_g * x).coords(index) for x in invariants[d]]
-        right_rows = [(x * one_g).coords(index) for x in invariants[d]]
-        if iso_rows or left_rows:
-            if not row_spaces_equal(iso_rows, left_rows):
-                left_span_matches = False
-            if not row_spaces_equal(iso_rows, right_rows):
-                right_span_matches = False
+        iso_rows = [x.terms for x in isotypic_component(model, g, d)]
+        invariants = isotypic_component(model, identity_el, d)
+        component_dims.append((d, len(iso_rows), len(model.gb.normal_words(d))))
+        if not row_spaces_equal(iso_rows, [(one_g * x).terms for x in invariants]):
+            left_span_matches = False
+        if not row_spaces_equal(iso_rows, [(x * one_g).terms for x in invariants]):
+            right_span_matches = False
     return BimoduleReport(g, bound, identity_on_e, scaling_multiplicative,
                           component_dims, left_span_matches, right_span_matches)

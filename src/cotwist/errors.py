@@ -23,6 +23,11 @@ class ValidationError(CotwistError):
     first failing check."""
 
 
+class LimitExceeded(CotwistError):
+    """Well-formed input whose computation would pass one of the tool's
+    resource limits, such as the group order of a |G| x |G| table."""
+
+
 class DegreeBoundExceeded(CotwistError):
     """A degree-truncated structure was asked about degrees above its bound."""
 

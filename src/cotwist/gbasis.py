@@ -7,17 +7,16 @@ over the generator order as listed in the presentation, which makes runs
 byte-deterministic.
 
 The basis is kept interreduced as it grows (T. Mora's interreduced
-completion, TCS 134, 1994).  When a new monic element h is accepted, the
-elements whose leading word contains lead(h) go back to the queue, and every
-other element with a tail word containing lead(h) gets its tail reduced
-again and its trie rule overwritten.  So the basis is reduced after every
+completion, TCS 134, 1994).  When a new monic element h is accepted, every
+element with a tail word containing lead(h) gets its tail reduced again and
+its trie rule overwritten.  So the basis is reduced after every
 insertion, no final interreduction pass is needed, and no rule carries a
 reducible tail word into later rewrites.
 
 Reduction pops words from a heap keyed by one bytes object per word
 (`_heap_key`) and rewrites the deglex-largest reducible one at its leftmost
 match, found in one pass of the Aho-Corasick automaton (`_automaton`) of the
-letter trie of leading words (`_lead_trie`), whose nodes hold the rules.
+letter trie of leading words (`_add_lead`), whose nodes hold the rules.
 The automaton also extends normal words letter by letter and counts them
 without building any.
 
@@ -57,7 +56,7 @@ from .freealg import (GenMap, NcPoly, Presentation, Word, _check_relation,
 class DegreeStats:
     """What completion did in one N-degree.  `overlaps` counts the overlap
     S-polynomials generated, `reductions` every polynomial the completion
-    loop reduced (relations, S-polynomials and re-queued basis elements),
+    loop reduced (relations and S-polynomials),
     `zero_reductions` those that reduced to zero, `tail_reductions` the
     basis elements of this degree whose tail was reduced again after a new
     leading word entered the basis; `basis_size` and
@@ -226,13 +225,6 @@ def _add_lead(trie: dict, g: NcPoly) -> None:
     else:
         node[_RULE] = tuple(tail)
     trie[_CONDUCTOR] = g.conductor
-
-
-def _lead_trie(elements) -> dict:
-    trie: dict = {}
-    for g in elements:
-        _add_lead(trie, g)
-    return trie
 
 
 def _automaton(trie: dict) -> tuple:
@@ -446,11 +438,14 @@ def _complete(presentation: Presentation, bound: int) -> TruncGB:
     """The overlap completion behind `truncated_gb`, uncached and unchecked.
 
     Polynomials are taken from a queue in degree order and reduced by the
-    basis so far; a nonzero result h is made monic and accepted.  Elements
-    whose leading word contains lead(h) are requeued, the overlaps of h with
-    the rest are queued, and the tails that contain lead(h) are reduced
-    again, so the basis is reduced after every insertion.  The trie the loop
-    keeps is the returned basis's `_trie`."""
+    basis so far; a nonzero result h is made monic and accepted.  The
+    overlaps of h with the basis are queued, and the tails that contain
+    lead(h) are reduced again, so the basis is reduced after every
+    insertion.  The relations are homogeneous, so the queue pops in
+    nondecreasing degree: no basis element has a degree above h's, and none
+    has a leading word that contains lead(h), since it would equal lead(h)
+    and h would not be reduced.  The trie the loop keeps is the returned
+    basis's `_trie`."""
     gens, conductor = presentation.generators, presentation.conductor
     seq = itertools.count()
     heap: list = []
@@ -470,15 +465,6 @@ def _complete(presentation: Presentation, bound: int) -> TruncGB:
             continue
         h = h.monic()
         lead_h = h.leading_word()
-        kept = []
-        for g in basis:
-            if _contains_subword(g.leading_word(), lead_h):
-                heapq.heappush(heap, (g.degree(), next(seq), g))
-            else:
-                kept.append(g)
-        if len(kept) < len(basis):
-            trie = _lead_trie(kept)
-        basis = kept
         for g in basis + [h]:
             pairs = [(h, g)] if g is h else [(h, g), (g, h)]
             for left, right in pairs:
@@ -535,13 +521,6 @@ def ideal_contains(p: NcPoly, presentation: Presentation, bound: int) -> bool:
 # regular and normal elements, checked degreewise
 # ---------------------------------------------------------------------------
 
-def _coords(terms: dict, index: dict, zero: CycNum) -> list:
-    row = [zero] * len(index)
-    for w, c in terms.items():
-        row[index[w]] = c
-    return row
-
-
 def _sum_products(gb: TruncGB, left: dict, right: Mapping[Word, CycNum]) -> dict:
     """NF(p*q) for p = `left` (normal words) and q = `right`, by the table."""
     out: dict = {}
@@ -553,39 +532,35 @@ def _sum_products(gb: TruncGB, left: dict, right: Mapping[Word, CycNum]) -> dict
     return {w: c for w, c in out.items() if not c.is_zero()}
 
 
-def _multiplication_rows(a: NcPoly, gb: TruncGB, degree: int, side: str) -> list:
-    deg_a = a.homogeneous_degree()
-    source = gb.normal_words(degree)
-    target = gb.normal_words(degree + deg_a)
-    index = {w: i for i, w in enumerate(target)}
-    zero = CycNum.zero(a.conductor)
+def _product_rows(a: NcPoly, gb: TruncGB, top: int):
+    """For each degree d = 0..top, the rows NF(a*w) and the rows NF(w*a)
+    over the normal words w of degree d, as sparse maps {normal word:
+    CycNum}.  A prefix of a normal word is normal, so NF(a*w) is one table
+    step from the row of w's prefix: NF(NF(a*w[:-1]) * w[-1])."""
     one = CycNum.one(a.conductor)
-    if side == "left":
-        nf_a = _sum_products(gb, {(): one}, a.terms)
-        products = (gb.times_word(nf_a, w) for w in source)
-    else:
-        products = (_sum_products(gb, {w: one}, a.terms) for w in source)
-    return [_coords(p, index, zero) for p in products]
+    left = {(): _sum_products(gb, {(): one}, a.terms)}
+    for d in range(top + 1):
+        words = gb.normal_words(d)
+        for w in words:
+            if w:
+                left[w] = gb.times_word(left[w[:-1]], w[-1:])
+        yield ([left[w] for w in words],
+               [_sum_products(gb, {w: one}, a.terms) for w in words])
 
 
 def is_regular_to_degree(a: NcPoly, presentation: Presentation,
                          bound: int) -> tuple:
     """(left-regular, right-regular) through `bound`: multiplication by a is
     injective on every component of degree <= bound - deg(a)."""
-    from .linalg import rank as mat_rank
+    from .linalg import rank
     deg_a = a.homogeneous_degree()
     if deg_a is None or a.is_zero():
         raise ValidationError("regularity check needs a homogeneous nonzero element")
     gb = truncated_gb(presentation, bound)
     left_ok = right_ok = True
-    for d in range(0, bound - deg_a + 1):
-        dim = len(gb.normal_words(d))
-        if dim == 0:
-            continue
-        if left_ok:
-            left_ok = mat_rank(_multiplication_rows(a, gb, d, "left")) == dim
-        if right_ok:
-            right_ok = mat_rank(_multiplication_rows(a, gb, d, "right")) == dim
+    for left, right in _product_rows(a, gb, bound - deg_a):
+        left_ok = left_ok and rank(left) == len(left)
+        right_ok = right_ok and rank(right) == len(right)
         if not (left_ok or right_ok):
             break
     return left_ok, right_ok
@@ -599,12 +574,8 @@ def is_normal_to_degree(a: NcPoly, presentation: Presentation,
     if deg_a is None or a.is_zero():
         raise ValidationError("normality check needs a homogeneous nonzero element")
     gb = truncated_gb(presentation, bound)
-    for d in range(0, bound - deg_a + 1):
-        left = _multiplication_rows(a, gb, d, "left")
-        right = _multiplication_rows(a, gb, d, "right")
-        if left and not row_spaces_equal(left, right):
-            return False
-    return True
+    return all(row_spaces_equal(left, right)
+               for left, right in _product_rows(a, gb, bound - deg_a))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .cyclo import CycNum, common_conductor, parse_scalar, root_exponent
-from .errors import ValidationError
+from .errors import LimitExceeded, ValidationError
 
 Element = tuple
 
@@ -40,10 +40,10 @@ class AbGroup:
             raise ValidationError("group factors must all be at least 2")
 
     def require_table_order(self) -> None:
-        """Raise ValidationError when |G| > MAX_GROUP_ORDER; called before a
+        """Raise LimitExceeded when |G| > MAX_GROUP_ORDER; called before a
         table indexed by G x G is built."""
         if self.order > MAX_GROUP_ORDER:
-            raise ValidationError(
+            raise LimitExceeded(
                 f"group order {self.order} exceeds the limit {MAX_GROUP_ORDER}")
 
     @property

@@ -3,7 +3,9 @@
 Matrices are lists of row lists.  Row reduction works on sparse rows
 {column: CycNum}, because the matrices built here (multiplication maps on
 normal words, crossed-product coordinates) are mostly zero; the dimensions
-are small (at most a few hundred rows).
+are small (at most a few hundred rows).  `rank` and `row_spaces_equal` take
+such sparse rows directly, keyed by whatever the caller holds (normal words,
+crossed-product monomials), and eliminate forward only.
 """
 
 from __future__ import annotations
@@ -64,6 +66,17 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def _subtract(row: dict, factor: CycNum, pivot: dict) -> None:
+    """row -= factor * pivot, in place; entries that cancel are deleted."""
+    for k, x in pivot.items():
+        y = row.get(k)
+        y = factor.neg_mul(x) if y is None else y.sub_mul(factor, x)
+        if y.is_zero():
+            del row[k]
+        else:
+            row[k] = y
+
+
 def _sparse_rref(matrix: Matrix) -> tuple[list, list[int]]:
     """Gauss-Jordan elimination on sparse rows {column: CycNum}: pivots are
     chosen column by column as in the dense algorithm, and a row operation
@@ -81,15 +94,8 @@ def _sparse_rref(matrix: Matrix) -> tuple[list, list[int]]:
         pivot = rows[r] = {k: x * inv for k, x in rows[r].items()}
         for i, row in enumerate(rows):
             factor = row.get(c)
-            if factor is None or i == r:
-                continue
-            for k, x in pivot.items():
-                y = row.get(k)
-                y = -(factor * x) if y is None else y - factor * x
-                if y.is_zero():
-                    del row[k]
-                else:
-                    row[k] = y
+            if factor is not None and i != r:
+                _subtract(row, factor, pivot)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -116,18 +122,35 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     return _dense(rows, len(matrix[0]), zero), pivots
 
 
-def rank(matrix: Matrix) -> int:
-    return len(_sparse_rref(matrix)[1])
+def _echelon(rows, pivots: dict) -> dict:
+    """Add sparse `rows` to the echelon form `pivots`, which maps a column c
+    to the row whose least column is c.  Each row is reduced only at its
+    least column until that column is no pivot's (forward elimination), and
+    then becomes a pivot itself, unscaled: most rows never eliminate one."""
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
+                break
+            _subtract(row, row[c] / pivot[c], pivot)
+    return pivots
 
 
-def row_space_rref(matrix: Matrix) -> list:
-    """Canonical basis of the row space (nonzero rows of the RREF)."""
-    rows, pivots = rref(matrix)
-    return rows[: len(pivots)]
+def rank(rows: list) -> int:
+    """The rank of sparse rows {column: CycNum}; columns are any mutually
+    comparable keys, such as normal words."""
+    return len(_echelon(rows, {}))
 
 
-def row_spaces_equal(a: Matrix, b: Matrix) -> bool:
-    return row_space_rref(a) == row_space_rref(b)
+def row_spaces_equal(a: list, b: list) -> bool:
+    """Whether sparse rows `a` and `b` span the same space: b adds no pivot
+    to the echelon form of a, and the two ranks agree."""
+    pivots = _echelon(a, {})
+    rank_a = len(pivots)
+    return len(_echelon(b, pivots)) == rank_a == rank(b)
 
 
 def kernel_basis(matrix: Matrix, ncols: int, conductor: int) -> list:

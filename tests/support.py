@@ -6,13 +6,18 @@
   and a reduction that rewrites whichever match a strategy picks; the normal
   form modulo a reduced basis does not depend on the strategy, which the
   confluence and differential tests check against `normal_form`.
+- `lead_trie`: the trie of leading words and rules of some monic elements,
+  as the completion grows it with `gbasis._add_lead`.
+- `dense_is_regular_to_degree`: the regularity check on dense rows, one
+  whole-word product per row and Gauss-Jordan ranks, which the differential
+  test holds `is_regular_to_degree` to.
 - `a_family_xbasis`: the A(1,-1) preset in a basis where its action is not
   diagonal, input for the diagonalization tests.
 """
 
 from __future__ import annotations
 
-from cotwist import gbasis
+from cotwist import gbasis, linalg
 from cotwist.cyclo import CycNum
 from cotwist.freealg import GenMap, NcPoly, make_alphabet, make_presentation
 from cotwist.presets import preset
@@ -52,6 +57,53 @@ def strategy_normal_form(p, gb, chooser):
             return NcPoly(p.gens, n, gbasis._cycnum_terms(terms, n))
         word, match = chooser(sorted(rules))
         gbasis._rewrite(terms, word, terms.pop(word), *match, rules[word, match])
+
+
+def lead_trie(elements):
+    trie = {}
+    for g in elements:
+        gbasis._add_lead(trie, g)
+    return trie
+
+
+def _dense_multiplication_rows(a, gb, degree, side):
+    source = gb.normal_words(degree)
+    target = gb.normal_words(degree + a.homogeneous_degree())
+    index = {w: i for i, w in enumerate(target)}
+    zero = CycNum.zero(a.conductor)
+    one = CycNum.one(a.conductor)
+    if side == "left":
+        nf_a = gbasis._sum_products(gb, {(): one}, a.terms)
+        products = (gb.times_word(nf_a, w) for w in source)
+    else:
+        products = (gbasis._sum_products(gb, {w: one}, a.terms) for w in source)
+    rows = []
+    for p in products:
+        row = [zero] * len(index)
+        for w, c in p.items():
+            row[index[w]] = c
+        rows.append(row)
+    return rows
+
+
+def dense_is_regular_to_degree(a, presentation, bound):
+    """(left-regular, right-regular) through `bound`, each row NF(a*w)
+    folded from the whole word w and each rank a Gauss-Jordan elimination
+    of the dense matrix."""
+    gb = gbasis.truncated_gb(presentation, bound)
+    left_ok = right_ok = True
+    for d in range(0, bound - a.homogeneous_degree() + 1):
+        dim = len(gb.normal_words(d))
+        if dim == 0:
+            continue
+        for side in ("left", "right"):
+            rows = _dense_multiplication_rows(a, gb, d, side)
+            full = len(linalg._sparse_rref(rows)[1]) == dim
+            if side == "left":
+                left_ok = left_ok and full
+            else:
+                right_ok = right_ok and full
+    return left_ok, right_ok
 
 
 def a_family_xbasis():

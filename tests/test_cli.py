@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cotwist.cli import MAX_DEGREE, main
 from cotwist.cyclo import CycNum, parse_scalar
-from cotwist.errors import ValidationError
+from cotwist.errors import LimitExceeded
 from cotwist.groups import AbGroup, Cocycle, cocycle_from_formula, commutator_radical
 from cotwist.presets import CHECKS
 
@@ -169,12 +169,29 @@ def test_resource_bounds_are_input_errors(capsys, argv, message):
 
 
 def test_group_order_bound_covers_spec_files(capsys, tmp_path):
+    # a resource limit, not a falsification: `validate` too exits 2
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(dict(SPEC_XBASIS, group=[1000, 1000],
-                                    duality={"builtin": "standard"})))
-    code, out, err = run(capsys, ["twist", "--input", str(path)])
-    assert code == 2 and out == ""
-    assert "group order 1000000 exceeds the limit 64" in err
+    for factors in ([1000, 1000], [100, 100]):
+        path.write_text(json.dumps(dict(SPEC_XBASIS, group=factors,
+                                        duality={"builtin": "standard"})))
+        order = factors[0] * factors[1]
+        for command in ("twist", "invariants", "validate"):
+            code, out, err = run(capsys, [command, "--input", str(path)])
+            assert code == 2 and out == "", command
+            assert f"input error: group order {order} exceeds the limit 64" in err
+
+
+def test_failing_cocycle_identity_is_a_validate_violation(capsys, tmp_path):
+    # mu(g2,g2) = -1 and mu = 1 elsewhere: normalized, but the identity
+    # mu(a,b) mu(ab,c) = mu(b,c) mu(a,bc) fails at (g2,g2,g1)
+    path = klein_degree_spec(tmp_path, [[1, 0], [0, 1]], cocycle={"table": [
+        ["1", "1", "1", "1"], ["1", "-1", "1", "1"],
+        ["1", "1", "1", "1"], ["1", "1", "1", "1"]]})
+    code, out, _ = run(capsys, ["validate", "--input", path])
+    assert code == 1
+    data = json.loads(out)
+    assert data["valid"] is False
+    assert data["violations"] == ["cocycle identity fails at (g2,g2,g1)"]
 
 
 # schur_order never enumerates G x G, so it takes groups past the bound
@@ -210,7 +227,7 @@ def test_resource_bounds_are_inclusive():
 
 def test_twisted_group_algebra_checks_group_order():
     group = AbGroup((5, 13))
-    with pytest.raises(ValidationError, match="group order 65 exceeds the limit 64"):
+    with pytest.raises(LimitExceeded, match="group order 65 exceeds the limit 64"):
         commutator_radical(Cocycle(group, 1, ()))
 
 
@@ -517,11 +534,11 @@ def test_kgmu_loads_only_the_group_layer():
 # every name the package re-exported when `import cotwist` loaded every layer
 PACKAGE_NAMES = [
     "CycNum", "parse_scalar", "AlphabetMismatch", "ConductorMismatch",
-    "CotwistError", "DegreeBoundExceeded", "FalsificationError", "ParseError",
-    "ValidationError", "GeneratorInfo", "GenMap", "NcPoly", "Presentation",
-    "embed_presentation", "make_alphabet", "make_presentation",
-    "parse_ncpoly", "AbGroup", "Cocycle", "Duality", "GroupAut",
-    "all_automorphisms", "coboundary", "cocycle_from_formula",
+    "CotwistError", "DegreeBoundExceeded", "FalsificationError",
+    "LimitExceeded", "ParseError", "ValidationError", "GeneratorInfo",
+    "GenMap", "NcPoly", "Presentation", "embed_presentation", "make_alphabet",
+    "make_presentation", "parse_ncpoly", "AbGroup", "Cocycle", "Duality",
+    "GroupAut", "all_automorphisms", "coboundary", "cocycle_from_formula",
     "cocycle_from_scalars", "cocycle_inverse", "cocycle_product",
     "cocycle_pullback", "commutator_radical", "is_coboundary", "klein_duality",
     "klein_mu", "make_duality", "make_group_aut", "schur_order",

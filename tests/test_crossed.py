@@ -1,19 +1,28 @@
+import dataclasses
 import itertools
+import json
+import os
 import random
 
 import pytest
 
-from cotwist.crossed import (CrossedElement, build_crossed_model, crossed_basis,
+from cotwist import twist
+from cotwist.crossed import (CrossedElement, build_crossed_model,
                              isotypic_component, verify_bimodule_component,
                              verify_invariant_ring)
 from cotwist.cyclo import CycNum, root_of_unity
 from cotwist.errors import DegreeBoundExceeded, ValidationError
 from cotwist.freealg import NcPoly
 from cotwist.gbasis import normal_form
-from cotwist.groups import (AbGroup, commutator_radical, klein_mu,
+from cotwist.groups import (AbGroup, Cocycle, commutator_radical, klein_mu,
                             trivial_cocycle, validate_cocycle)
+from cotwist.jsonio import spec_bundle_from_dict
 from cotwist.presets import preset
 from cotwist.twist import TwistSpec
+
+C3C3_SPEC = os.path.join(os.path.dirname(__file__), "golden", "c3c3.json")
+# the four twist sources of the presets, and the C3 x C3 spec
+SPEC_NAMES = ("A(1,-1)", "B(1)", "E(1,i)", "G(1,(1+i)/2)", "c3c3")
 
 KLEIN = AbGroup((2, 2))
 E, G2, G1, G12 = (0, 0), (0, 1), (1, 0), (1, 1)
@@ -61,8 +70,15 @@ def test_corrupted_cocycle_rejected_upstream():
         validate_cocycle(KLEIN, mu.modulus, table)
 
 
+def spec_for(name):
+    if name == "c3c3":
+        with open(C3C3_SPEC, encoding="utf-8") as handle:
+            return spec_bundle_from_dict(json.load(handle)).spec
+    return preset(name).twist_spec()
+
+
 def model_for(name, bound=4):
-    return build_crossed_model(preset(name).twist_spec(), bound)
+    return build_crossed_model(spec_for(name), bound)
 
 
 def test_invariants_degree_zero():
@@ -148,10 +164,10 @@ def test_crossed_associativity_random_triples():
 def test_isotypic_components_decompose_every_degree():
     model = model_for("G(1,(1+i)/2)", 3)
     for d in range(4):
-        total = sum(len(isotypic_component(model, g, d))
-                    for g in KLEIN.elements())
-        assert total == len(crossed_basis(model, d))
-        assert total == 4 * len(model.gb.normal_words(d))
+        keys = [key for g in KLEIN.elements()
+                for x in isotypic_component(model, g, d) for key in x.terms]
+        assert sorted(keys) == sorted(itertools.product(
+            model.gb.normal_words(d), KLEIN.elements()))
 
 
 def test_degree_bound_enforced():
@@ -179,3 +195,104 @@ def test_product_matches_normal_form_for_non_normal_words():
                 assert prod == CrossedElement(
                     model, {(w, KLEIN.mul(ga, gb_el)): c * scalar
                             for w, c in nf.terms.items()})
+
+
+def crossed_monomials(model, degree):
+    """The crossed basis monomials (normal word, group element) of a degree."""
+    return [(w, g) for w in model.gb.normal_words(degree)
+            for g in model.group.elements()]
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_crossed_product_is_associative_on_basis_monomials(name):
+    # (xy)z = x(yz) for all basis monomials with deg x + deg y + deg z <= 3.
+    # `CrossedElement.__mul__` makes every product of two monomials; the
+    # products of their sums with a third monomial are read off that table.
+    model = model_for(name, 3)
+    monomials = [crossed_monomials(model, d) for d in range(4)]
+    table = {}
+    for d1 in range(4):
+        for x in monomials[d1]:
+            left = CrossedElement.monomial(model, *x)
+            for d2 in range(4 - d1):
+                for y in monomials[d2]:
+                    table[x, y] = (left * CrossedElement.monomial(model, *y)).terms
+
+    def combine(pairs):
+        out = {}
+        for c, terms in pairs:
+            for key, e in terms.items():
+                out[key] = out[key] + c * e if key in out else c * e
+        return {key: c for key, c in out.items() if not c.is_zero()}
+
+    triples = 0
+    for d1, d2 in itertools.product(range(4), repeat=2):
+        for d3 in range(4 - d1 - d2):
+            for x, y in itertools.product(monomials[d1], monomials[d2]):
+                xy = table[x, y]
+                for z in monomials[d3]:
+                    assert (combine((c, table[m, z]) for m, c in xy.items())
+                            == combine((c, table[x, m])
+                                       for m, c in table[y, z].items())), (x, y, z)
+                    triples += 1
+    assert triples > 10_000
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_isotypic_component_matches_the_eigenvalue_filter(name):
+    # the component as the monomials of the crossed basis, in its order,
+    # whose eigenvalues at every group generator are chi_g's
+    model = model_for(name, 3)
+    group, duality = model.group, model.spec.duality
+    generators = [group.generator(j) for j in range(group.rank)]
+
+    def eigenvalue(w, h, e):
+        return (duality.char_eval(group.inv(model.word_g_degree(w)), e)
+                + duality.char_eval(h, e)) % group.exponent()
+
+    for g in group.elements():
+        for d in range(4):
+            expected = [(w, h) for w, h in crossed_monomials(model, d)
+                        if all(eigenvalue(w, h, e) == duality.char_eval(g, e)
+                               for e in generators)]
+            assert [key for x in isotypic_component(model, g, d)
+                    for key in x.terms] == expected
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_invariant_ring_and_components_hold(name):
+    spec = spec_for(name)
+    assert verify_invariant_ring(spec, 4).ok
+    for g in spec.group.elements():
+        assert verify_bimodule_component(spec, g, 3).ok
+
+
+def test_generator_check_refuses_another_cocycles_twist(monkeypatch):
+    # The twist by the transposed cocycle mu(h,g), which on C3 x C3 has other
+    # relations, is not the invariant ring of A (x) kG_mu: its relations do
+    # not vanish there, and its multiplication table disagrees with the
+    # crossed product on some (normal word, generator) pair.
+    spec = spec_for("c3c3")
+    mu = spec.cocycle
+    transposed = Cocycle(mu.group, mu.modulus, tuple(zip(*mu.values)))
+    real = twist.twist_presentation
+    monkeypatch.setattr(twist, "twist_presentation", lambda s: real(
+        dataclasses.replace(s, cocycle=transposed)))
+    report = verify_invariant_ring(spec, 4)
+    assert not report.relations_vanish
+    assert not report.multiplicative
+    assert not report.ok
+
+
+def test_scaling_check_refuses_a_non_character():
+    # one corrupted entry, mu((0,1),(0,2)), makes the table no cocycle; the
+    # scaling of g = (0,2) then takes (0,1) to zeta_3 and (0,2) to 1
+    spec = spec_for("c3c3")
+    mu = spec.cocycle
+    values = [list(row) for row in mu.values]
+    values[1][2] = (values[1][2] + 1) % mu.modulus
+    broken = Cocycle(mu.group, mu.modulus, tuple(map(tuple, values)))
+    g = spec.group.elements()[2]
+    report = verify_bimodule_component(
+        dataclasses.replace(spec, cocycle=broken), g, 3)
+    assert not report.scaling_multiplicative

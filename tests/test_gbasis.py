@@ -25,7 +25,8 @@ from cotwist.jsonio import spec_bundle_from_dict
 from cotwist.presets import PRESET_NAMES, preset
 from cotwist.twist import twist_presentation
 from oracles import fraction_normal_form, quotient_dims, words_of_degree
-from support import a_family_xbasis, fresh_gb, matches, strategy_normal_form
+from support import (a_family_xbasis, dense_is_regular_to_degree, fresh_gb,
+                     lead_trie, matches, strategy_normal_form)
 
 XY = make_alphabet([("x", 1), ("y", 1)])
 
@@ -145,6 +146,31 @@ def test_normal_element_check():
     assert is_normal_to_degree(x, pres, 4)
     free = make_presentation(4, XY, [])
     assert not is_normal_to_degree(x, free, 3)
+
+
+def _regularity_cases():
+    """(element, presentation, bound): every generator of the eight presets
+    and their twists at bound 5, and the zero-divisor cases above."""
+    for name in PRESET_NAMES:
+        p = preset(name)
+        for pres in (p.presentation, twist_presentation(p.twist_spec()).presentation):
+            for g in pres.generators:
+                yield pres.gen_poly(g.index), pres, 5
+    free = make_presentation(4, make_alphabet([("w1", 1), ("w2", 1)]), [])
+    yield NcPoly.gen(free.generators, 4, 0), free, 4
+    for pres in (pres_xy("x*y"), pres_xy("x*y - y*x"), pres_xy("x^2")):
+        for k in range(2):
+            yield NcPoly.gen(XY, 4, k), pres, 3
+
+
+def test_regularity_matches_dense_rows_and_gauss_jordan_ranks():
+    verdicts = set()
+    for a, pres, bound in _regularity_cases():
+        verdict = is_regular_to_degree(a, pres, bound)
+        assert verdict == dense_is_regular_to_degree(a, pres, bound), (pres, a)
+        verdicts.add(verdict)
+    assert verdicts == {(True, True), (False, True), (True, False),
+                        (False, False)}
 
 
 def test_verify_iso_syntactic_for_twist_pair():
@@ -683,7 +709,7 @@ def test_automaton_of_an_antichain_matches_slice_scan(case):
     # the rewrite loop's own pass: over the monomial ideal of the leading
     # words, a word reduces to zero exactly when the slice scan finds a match
     gens = make_alphabet([(f"g{k}", d) for k, d in enumerate(degrees)])
-    monomials = gbasis._lead_trie(NcPoly.from_word(gens, 1, u) for u in leads)
+    monomials = lead_trie(NcPoly.from_word(gens, 1, u) for u in leads)
     p = NcPoly(gens, 1, {w: CycNum.one(1) for w in words})
     assert set(gbasis._reduce(p, monomials).terms) == {
         w for w in words if next(_slice_matches(w, lead_set, lengths), None) is None}
@@ -692,7 +718,7 @@ def test_automaton_of_an_antichain_matches_slice_scan(case):
 def test_tail_update_keeps_the_automaton():
     # a new tail overwrites the rule its leading word's state outputs, and
     # only a new leading word rebuilds the automaton
-    trie = gbasis._lead_trie([parse_ncpoly("y*x - 2*x*y", XY, 1)])
+    trie = lead_trie([parse_ncpoly("y*x - 2*x*y", XY, 1)])
     automaton = gbasis._automaton(trie)
     gbasis._add_lead(trie, parse_ncpoly("y*x - 3*x^2", XY, 1))
     assert gbasis._automaton(trie) is automaton
@@ -717,49 +743,6 @@ def test_enumeration_is_bounded_by_its_exact_count():
     assert gb._words_by_degree is None
     assert sum(dims[:7]) <= gbasis.MAX_NORMAL_WORDS < sum(dims)
     assert len(truncated_gb(pres, 6).normal_words(6)) == dims[6]
-
-
-# Relations whose leading words a later, lower-degree element divides; only
-# a non-homogeneous relation can do that, so `make_presentation` and
-# `truncated_gb` refuse them, and the tests run the completion loop itself,
-# `gbasis._complete`.  The bases were computed by the slice-scan completion.
-DELETING_COMPLETIONS = [
-    (("y*x*y", "x^3 - y^2*x", "y*x*y*x - x*y"),
-     ["x*y", "y^2*x - x^3", "x^4"], [1, 2, 3, 3, 2, 1, 1]),
-    (("y^2*x*y - x^4", "y^3 - x^2*y", "y^2*x*y*x - x*y*x"),
-     ["y^3 - x^2*y", "x*y*x^2 - x^2*y*x", "x*y*x*y - x^2*y*x",
-      "y*x^2*y - x^2*y^2", "y*x*y*x - x^2*y*x", "y^2*x*y - x^4",
-      "x^5 - x*y*x", "x^3*y*x - x*y*x", "x^3*y^2 - x*y*x",
-      "x^2*y^2*x - x*y*x", "y*x^4 - x*y*x", "y^2*x^3*y - x^2*y*x"],
-     [1, 2, 4, 7, 8, 5, 2]),
-]
-
-
-def deleting_presentation(relations):
-    xy = make_alphabet([("x", 1), ("y", 1)])
-    return Presentation(1, xy, tuple(parse_ncpoly(r, xy, 1) for r in relations))
-
-
-@pytest.mark.parametrize("relations, elements, dims", DELETING_COMPLETIONS)
-def test_completion_that_deletes_leading_words(relations, elements, dims,
-                                               monkeypatch):
-    # A leading word leaves the basis only when its element is requeued, so
-    # the words entered into the trie but missing from the result were
-    # deleted.  Tail updates re-enter the leading word they keep.
-    entered = set()
-    real = gbasis._add_lead
-
-    def spy(trie, g):
-        entered.add(g.leading_word())
-        real(trie, g)
-
-    monkeypatch.setattr(gbasis, "_add_lead", spy)
-    pres = deleting_presentation(relations)
-    gb = gbasis._complete(pres, 6)
-    assert entered - set(gb.lead_map)
-    assert [str(g) for g in gb.elements] == elements
-    assert_trie_matches_slice_scan(gb, all_words(pres, 6))
-    assert [len(level) for level in gb.normal_words_by_degree()] == dims
 
 
 @pytest.mark.parametrize("degrees", [[1, 1, 1], [1, 2], [1] * 300, [1, 2] * 150])
@@ -1039,7 +1022,7 @@ def _final_pass_gb(presentation, bound):
             else:
                 kept.append(g)
         if len(kept) < len(basis):
-            trie = gbasis._lead_trie(kept)
+            trie = lead_trie(kept)
         basis = kept
         for g in basis + [h]:
             pairs = [(h, g)] if g is h else [(h, g), (g, h)]
@@ -1054,7 +1037,7 @@ def _final_pass_gb(presentation, bound):
     while changed:
         changed = False
         for idx, g in enumerate(basis):
-            others = gbasis._lead_trie(e for e in basis if e is not g)
+            others = lead_trie(e for e in basis if e is not g)
             red = gbasis._reduce(g, others).monic()
             if red != g:
                 basis[idx] = red
@@ -1067,16 +1050,16 @@ def _final_pass_gb(presentation, bound):
         record.coeff_height_bits = max(
             record.coeff_height_bits, *(c.height() for c in g.terms.values()))
     return gbasis.TruncGB(presentation, bound, basis, stats,
-                          gbasis._lead_trie(basis))
+                          lead_trie(basis))
 
 
 @pytest.fixture(scope="module")
 def completion_cases(sklyanin):
     """(presentation, bound) by name: the presets and their twists, the
     Sklyanin algebra and its twist through degree 7, weighted alphabets,
-    degree-1 relations over Q(i) and Q, conductor 2, 257 generators and the
-    completions that delete leading words.  The tests that use them run the
-    completion loop, `gbasis._complete`, uncached."""
+    degree-1 relations over Q(i) and Q, conductor 2 and 257 generators.  The
+    tests that use them run the completion loop, `gbasis._complete`,
+    uncached."""
     cases = {name: (pres, 6) for name, pres in _kernel_cases(sklyanin).items()}
     cases["sklyanin"] = (sklyanin[0], 7)
     cases["sklyanin twisted"] = (sklyanin[1], 7)
@@ -1084,8 +1067,6 @@ def completion_cases(sklyanin):
     cases["257 generators"] = (make_presentation(1, gens, [
         parse_ncpoly(r, gens, 1) for r in
         ("g256^2 - g256*g255 + 3*g0*g255", "g256*g255 - 2*g255*g256")]), 4)
-    for k, (relations, _, _) in enumerate(DELETING_COMPLETIONS):
-        cases[f"deleting {k}"] = (deleting_presentation(relations), 6)
     return cases
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from cotwist.cyclo import CycNum
 from cotwist.linalg import (SingularMatrixError, kernel_basis, mat_inverse,
-                            rank, row_space_rref, row_spaces_equal, rref)
+                            rank, row_spaces_equal, rref)
 from oracles import FracCyclo, dense_inverse, dense_kernel, dense_rref
 
 CONDUCTORS = (1, 4, 5, 6)
@@ -53,6 +53,12 @@ def as_frac(matrix):
     return [[frac(x) for x in row] for row in matrix]
 
 
+def sparse(matrix):
+    """The rows {column: entry} that `rank` and `row_spaces_equal` take."""
+    return [{c: x for c, x in enumerate(row) if not x.is_zero()}
+            for row in matrix]
+
+
 def coeffs(matrix):
     return [[tuple(x.coeffs) for x in row] for row in matrix]
 
@@ -64,8 +70,7 @@ def test_rref_and_rank_match_dense_reference(n):
         ref_rows, ref_pivots = dense_rref(as_frac(m), n)
         assert pivots == ref_pivots
         assert coeffs(rows) == coeffs(ref_rows)
-        assert rank(m) == len(ref_pivots)
-        assert coeffs(row_space_rref(m)) == coeffs(ref_rows[:len(ref_pivots)])
+        assert rank(sparse(m)) == len(ref_pivots)
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)
@@ -75,11 +80,11 @@ def test_row_spaces_equal_ignores_order_and_dependent_rows(n):
         if not m or not m[0]:
             continue
         shuffled = m[::-1] + [[x + y for x, y in zip(m[0], m[-1])]]
-        assert row_spaces_equal(m, shuffled)
-        if rank(m) < len(m[0]):
+        assert row_spaces_equal(sparse(m), sparse(shuffled))
+        if rank(sparse(m)) < len(m[0]):
             extra = [random_entry(rng, n, 1.0) for _ in m[0]]
-            assert row_spaces_equal(m, m + [extra]) == (
-                rank(m + [extra]) == rank(m))
+            assert row_spaces_equal(sparse(m), sparse(m + [extra])) == (
+                rank(sparse(m + [extra])) == rank(sparse(m)))
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)
