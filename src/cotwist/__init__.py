@@ -23,9 +23,8 @@ _EXPORTS = {
                "klein_duality", "klein_mu", "make_duality", "make_group_aut",
                "schur_order", "standard_duality", "trivial_cocycle",
                "validate_cocycle"),
-    "action": ("GGrading", "GradedAction", "HomogBasis", "diagonal_action",
-               "grading_from_degrees", "isotypic_basis",
-               "regrade_presentation", "validate_action"),
+    "action": ("GGrading", "HomogBasis", "grading_from_degrees",
+               "isotypic_basis", "regrade_presentation", "validate_action"),
     "twist": ("TwistSpec", "coboundary_rescale_matches", "double_twist",
               "twist_poly", "twist_presentation", "verify_duality_benign",
               "verify_regrade_compat", "word_twist_scalar"),

@@ -6,6 +6,11 @@ on the span of the algebra generators (block-diagonal by N-degree).  Over a
 splitting field of characteristic zero these matrices diagonalize
 simultaneously; each joint eigenvector v satisfies h.v = chi_{g^-1}(h) v for
 a unique g, and that g is the G-degree of v.
+
+An action is an input form only: the spec loader checks it
+(`validate_action`) and diagonalizes it once (`isotypic_basis`,
+`regrade_presentation`) into a `GGrading`, and every later layer reads that
+grading.
 """
 
 from __future__ import annotations
@@ -18,38 +23,25 @@ from .errors import ValidationError
 from .freealg import GenMap, NcPoly, Presentation, Word, make_alphabet, make_presentation
 from .gbasis import ideal_contains
 from .groups import AbGroup, Duality, Element
-from .linalg import (identity, kernel_basis, mat_eq, mat_inverse, mat_mul,
-                     mat_pow)
+from .linalg import kernel_basis, mat_inverse
 
 
-@dataclass(frozen=True)
-class GradedAction:
-    group: AbGroup
-    presentation: Presentation
-    matrices: tuple   # one n x n matrix per group generator
-
-    def genmap(self, j: int) -> GenMap:
-        """The algebra endomorphism induced by group generator j."""
-        return GenMap.from_matrix(self.presentation.generators,
-                                  self.presentation.generators,
-                                  self.presentation.conductor,
-                                  self.matrices[j])
+def _compose(f: GenMap, g: GenMap) -> GenMap:
+    """f after g."""
+    return GenMap(g.source, tuple(f.apply(image) for image in g.images))
 
 
 def action_violations(presentation: Presentation, group: AbGroup,
                       matrices: Sequence) -> list:
-    """All failed checks, in check order; empty means the action is valid."""
-    n = len(presentation.generators)
+    """All failed checks, in check order; empty means the action is valid.
+    `matrices` holds one n x n table per group generator, n the number of
+    algebra generators; the spec loader checks that shape."""
+    gens = presentation.generators
+    n = len(gens)
     conductor = presentation.conductor
     problems = []
-    if len(matrices) != group.rank:
-        return [f"expected {group.rank} matrices, got {len(matrices)}"]
-    mats = []
-    for j, m in enumerate(matrices):
-        if len(m) != n or any(len(row) != n for row in m):
-            return [f"matrix for g{j + 1} is not {n}x{n}"]
-        mats.append([[x.embed(conductor) for x in row] for row in m])
-    degrees = [g.degree for g in presentation.generators]
+    mats = [[[x.embed(conductor) for x in row] for row in m] for m in matrices]
+    degrees = [g.degree for g in gens]
     for j, m in enumerate(mats):
         for a in range(n):
             for b in range(n):
@@ -59,9 +51,13 @@ def action_violations(presentation: Presentation, group: AbGroup,
                         f"{degrees[b]} and {degrees[a]}")
     if problems:
         return problems
-    eye = identity(n, conductor)
-    for j, m in enumerate(mats):
-        if not mat_eq(mat_pow(m, group.factors[j], conductor), eye):
+    maps = [GenMap.from_matrix(gens, gens, conductor, m) for m in mats]
+    identity = GenMap.identity(gens, conductor)
+    for j, gm in enumerate(maps):
+        power = gm
+        for _ in range(group.factors[j] - 1):
+            power = _compose(power, gm)
+        if power != identity:
             problems.append(
                 f"matrix for g{j + 1} does not have order dividing "
                 f"{group.factors[j]}")
@@ -69,14 +65,12 @@ def action_violations(presentation: Presentation, group: AbGroup,
         return problems
     for j in range(group.rank):
         for k in range(j + 1, group.rank):
-            if not mat_eq(mat_mul(mats[j], mats[k]), mat_mul(mats[k], mats[j])):
+            if _compose(maps[j], maps[k]) != _compose(maps[k], maps[j]):
                 problems.append(f"matrices for g{j + 1} and g{k + 1} do not commute")
     if problems:
         return problems
     bound = presentation.max_relation_degree()
-    for j in range(group.rank):
-        gm = GenMap.from_matrix(presentation.generators,
-                                presentation.generators, conductor, mats[j])
+    for j, gm in enumerate(maps):
         for k, rel in enumerate(presentation.relations):
             if not ideal_contains(gm.apply(rel), presentation, bound):
                 problems.append(
@@ -86,34 +80,15 @@ def action_violations(presentation: Presentation, group: AbGroup,
 
 
 def validate_action(presentation: Presentation, group: AbGroup,
-                    matrices: Sequence) -> GradedAction:
+                    matrices: Sequence) -> tuple:
+    """The matrices at the presentation's conductor, once they pass every
+    check of `action_violations`."""
     problems = action_violations(presentation, group, matrices)
     if problems:
         raise ValidationError("; ".join(problems))
     conductor = presentation.conductor
-    mats = tuple(tuple(tuple(x.embed(conductor) for x in row) for row in m)
+    return tuple(tuple(tuple(x.embed(conductor) for x in row) for row in m)
                  for m in matrices)
-    return GradedAction(group, presentation, mats)
-
-
-def diagonal_action(presentation: Presentation, group: AbGroup,
-                    duality: Duality, g_degrees: Sequence[Element]) -> GradedAction:
-    """The action determined by declared generator G-degrees: group element h
-    scales a generator of degree g by chi_{g^-1}(h)."""
-    if len(g_degrees) != len(presentation.generators):
-        raise ValidationError("one G-degree per generator required")
-    conductor = presentation.conductor
-    zero = CycNum.zero(conductor)
-    matrices = []
-    for j in range(group.rank):
-        h = group.generator(j)
-        m = [[zero] * len(presentation.generators)
-             for _ in presentation.generators]
-        for idx, g in enumerate(g_degrees):
-            m[idx][idx] = root_of_unity(duality.char_eval(group.inv(g), h),
-                                        group.exponent(), conductor)
-        matrices.append(m)
-    return validate_action(presentation, group, matrices)
 
 
 @dataclass(frozen=True)
@@ -129,14 +104,14 @@ class HomogBasis:
     g_degrees: tuple    # one group element per new generator
 
 
-def isotypic_basis(action: GradedAction, duality: Duality) -> HomogBasis:
-    """Diagonalize the commuting action matrices into G-homogeneous generators.
+def isotypic_basis(pres: Presentation, group: AbGroup, matrices: Sequence,
+                   duality: Duality) -> HomogBasis:
+    """Diagonalize the commuting action matrices (as `validate_action`
+    returns them) into G-homogeneous generators.
 
     Output is deterministic: eigenvectors are scaled so the first nonzero
     coordinate is 1, ordered by G-degree (group enumeration order) and then
     by the index of that coordinate."""
-    pres = action.presentation
-    group = action.group
     conductor = pres.conductor
     n = len(pres.generators)
     degrees = [g.degree for g in pres.generators]
@@ -146,14 +121,12 @@ def isotypic_basis(action: GradedAction, duality: Duality) -> HomogBasis:
 
     found = []   # (g-position, first-nonzero, vector, n-degree)
     for g_pos, g in enumerate(group.elements()):
-        g_inv = group.inv(g)
-        pattern = [root_of_unity(duality.char_eval(g_inv, group.generator(j)),
-                                 group.exponent(), conductor)
-                   for j in range(group.rank)]
+        pattern = [root_of_unity(k, group.exponent(), conductor)
+                   for k in duality.values(group.inv(g))]
         for block_degree, cols in sorted(blocks.items()):
             stacked = []
             for j in range(group.rank):
-                m = action.matrices[j]
+                m = matrices[j]
                 for r in cols:
                     row = [m[r][c] - (pattern[j] if r == c else CycNum.zero(conductor))
                            for c in cols]

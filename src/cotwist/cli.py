@@ -45,7 +45,7 @@ def _load_bundle(arg: str, conductor: Optional[int]) -> SpecBundle:
     if arg.startswith(_PRESET_SCHEME):
         from .presets import preset
         p = preset(arg[len(_PRESET_SCHEME):])
-        return SpecBundle(p.presentation, None, p.twist_spec())
+        return SpecBundle(None, p.twist_spec())
     return spec_bundle_from_dict(load_json(arg), conductor)
 
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .cyclo import CycNum, root_of_unity
-from .errors import DegreeBoundExceeded
-from .freealg import Word, word_degree
+from .freealg import Word
 from .gbasis import TruncGB, truncated_gb
 from .groups import AbGroup, Element
 from .linalg import rank, row_spaces_equal
@@ -78,8 +77,13 @@ class CrossedElement:
     @staticmethod
     def monomial(model: CrossedModel, word: Word, g: Element,
                  coeff: Optional[CycNum] = None) -> "CrossedElement":
+        """coeff * (NF(word) (x) g).  The one constructor that takes any
+        word: it puts the word in normal form, so the words of every
+        element are normal."""
         c = coeff if coeff is not None else CycNum.one(model.conductor)
-        return CrossedElement(model, {(tuple(word), tuple(g)): c})
+        g = tuple(g)
+        return CrossedElement(model, {
+            (w, g): e for w, e in model.gb.times_word({(): c}, tuple(word)).items()})
 
     # -- structure -----------------------------------------------------------
 
@@ -101,31 +105,22 @@ class CrossedElement:
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "CrossedElement") -> "CrossedElement":
+        """Each pair of terms is one walk of the multiplication table,
+        NF(wa*wb) = times_word({wa: c}, wb), which needs wa normal."""
         model = self.model
         group = model.group
         mu = model.spec.cocycle
-        gens = model.spec.presentation.generators
         conductor = model.conductor
-        one = CycNum.one(conductor)
         out: dict = {}
         for (wa, ga), ca in self.terms.items():
-            left = None
             for (wb, gb_el), cb in other.terms.items():
-                deg = word_degree(wa + wb, gens)
-                if deg > model.bound:
-                    raise DegreeBoundExceeded(
-                        f"crossed product degree {deg} exceeds bound {model.bound}")
-                if left is None:
-                    left = model.gb.times_word({(): one}, wa)
-                reduced = model.gb.times_word(left, wb)
                 scalar = ca * cb * root_of_unity(mu.value(ga, gb_el),
                                                  mu.modulus, conductor)
                 gh = group.mul(ga, gb_el)
-                for w, c in reduced.items():
+                for w, c in model.gb.times_word({wa: scalar}, wb).items():
                     key = (w, gh)
                     s = out.get(key)
-                    v = scalar * c
-                    out[key] = v if s is None else s + v
+                    out[key] = c if s is None else s + c
         return CrossedElement(self.model, out)
 
 
@@ -139,19 +134,17 @@ def isotypic_component(model: CrossedModel, g: Element, degree: int) -> list:
     group = model.group
     duality = model.spec.duality
     exponent = group.exponent()
-    generators = [group.generator(j) for j in range(group.rank)]
     # the group elements h by their values chi_h(e) at the generators
     by_values: dict = {}
     for h in group.elements():
-        values = tuple(duality.char_eval(h, e) for e in generators)
-        by_values.setdefault(values, []).append(h)
-    targets = [duality.char_eval(g, e) for e in generators]
+        by_values.setdefault(duality.values(h), []).append(h)
+    targets = duality.values(g)
+    one = CycNum.one(model.conductor)
     out = []
     for w in model.gb.normal_words(degree):
-        inverse_degree = group.inv(model.word_g_degree(w))
-        need = tuple((t - duality.char_eval(inverse_degree, e)) % exponent
-                     for e, t in zip(generators, targets))
-        out.extend(CrossedElement.monomial(model, w, h)
+        need = tuple((t - v) % exponent for t, v in zip(
+            targets, duality.values(group.inv(model.word_g_degree(w)))))
+        out.extend(CrossedElement(model, {(w, h): one})
                    for h in by_values.get(need, ()))
     return out
 
@@ -198,8 +191,9 @@ def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
     gens = twisted.presentation.generators
     one = CycNum.one(twisted.presentation.conductor)
 
+    # a generator above the bound is in no word that is embedded
     gen_images = [CrossedElement.monomial(model, (j,), spec.grading.g_degrees[j])
-                  for j in range(len(gens))]
+                  if g.degree <= bound else None for j, g in enumerate(gens)]
     images = {(): CrossedElement.monomial(model, (), model.group.identity())}
 
     def embed_word(word: Word) -> CrossedElement:

@@ -108,6 +108,11 @@ class Duality:
                     total += gj * hk * t
         return total % self.group.exponent()
 
+    def values(self, g: Element) -> tuple:
+        """The exponents of chi_g at the chosen generators e_1..e_r."""
+        return tuple(self.char_eval(g, self.group.generator(k))
+                     for k in range(self.group.rank))
+
 
 def make_duality(group: AbGroup, table: Sequence[Sequence[CycNum]]) -> Duality:
     r = group.rank
@@ -127,9 +132,8 @@ def make_duality(group: AbGroup, table: Sequence[Sequence[CycNum]]) -> Duality:
             row.append(e * (exponent // order))
         rows.append(tuple(row))
     d = Duality(group, tuple(rows))
-    generators = [group.generator(k) for k in range(r)]
     for g in group.elements()[1:]:
-        if not any(d.char_eval(g, h) for h in generators):
+        if not any(d.values(g)):
             raise ValidationError(
                 f"duality is degenerate: chi trivial at {group.describe(g)}")
     return d

@@ -6,7 +6,8 @@ adds `group` (the cyclic factor list), `duality` (an r x r scalar table or
 {"builtin": "standard"|"klein"}), `cocycle` ({"table": ...}, {"formula":
 ...} or {"builtin": "klein"|"trivial"}) and either `action` (one matrix per
 group generator) or `g_degrees` (declared generator degrees, meaning the
-diagonal action).
+diagonal action).  An action is an input form: the loader checks it and
+diagonalizes it once into the G-grading that every later layer reads.
 
 The computation conductor is the lcm of every conductor appearing in the
 file (plus any --conductor override; the builtin standard duality counts as
@@ -106,8 +107,9 @@ def presentation_from_dict(data: dict, conductor: Optional[int] = None) -> Prese
 def group_from_dict(data: dict) -> AbGroup:
     from .groups import AbGroup
     factors = _require(data, "group")
-    _check(isinstance(factors, list) and all(type(n) is int for n in factors),
-           "group", "a list of cyclic orders")
+    _check(isinstance(factors, list) and factors
+           and all(type(n) is int and n >= 2 for n in factors),
+           "group", "a nonempty list of cyclic orders, each at least 2")
     return AbGroup(tuple(factors))
 
 
@@ -117,8 +119,13 @@ def _parse_scalar_table(rows, block: str) -> list:
     return [[parse_scalar(str(x)) for x in row] for row in rows]
 
 
+def _klein_only(group: AbGroup, where: str) -> None:
+    _check(group.factors == (2, 2), where, 'used with "group": [2, 2]')
+
+
 def duality_from_dict(data: dict, group: AbGroup) -> tuple:
-    """The duality and the conductor its input names."""
+    """The duality and the conductor its input names.  A table that is no
+    nondegenerate duality of the group is malformed input."""
     from .groups import klein_duality, make_duality, standard_duality
     block = data.get("duality", {"builtin": "standard"})
     if isinstance(block, dict):
@@ -126,13 +133,15 @@ def duality_from_dict(data: dict, group: AbGroup) -> tuple:
         if builtin == "standard":
             return standard_duality(group), group.exponent()
         if builtin == "klein":
-            if group.factors != (2, 2):
-                raise ValidationError("the klein duality needs the group [2,2]")
+            _klein_only(group, "the builtin klein duality")
             return klein_duality(), 1
         raise ParseError(f"unknown builtin duality {builtin!r}")
     table = _parse_scalar_table(block, "duality table")
-    return (make_duality(group, table),
-            common_conductor(*(x for row in table for x in row)))
+    try:
+        duality = make_duality(group, table)
+    except ValidationError as exc:
+        raise ParseError(f"duality: {exc}") from exc
+    return duality, common_conductor(*(x for row in table for x in row))
 
 
 def cocycle_from_dict(data: dict, group: AbGroup) -> tuple:
@@ -149,8 +158,7 @@ def cocycle_from_dict(data: dict, group: AbGroup) -> tuple:
         if name == "trivial":
             return trivial_cocycle(group), 1
         if name == "klein":
-            if group.factors != (2, 2):
-                raise ValidationError("the klein cocycle needs the group [2,2]")
+            _klein_only(group, "the builtin klein cocycle")
             return klein_mu(), 1
         raise ParseError(f"unknown builtin cocycle {name!r}")
     if "formula" in block:
@@ -183,15 +191,16 @@ class SpecBundle:
     group, duality, cocycle and the grading over the homogeneous generators
     are `spec`'s."""
 
-    presentation: Presentation        # as given in the file
     basis: Optional[HomogBasis]       # None when g_degrees were declared
     spec: TwistSpec
 
 
 def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBundle:
-    """Declared g_degrees need no action check: `grading_from_degrees`
-    refuses relations that are not G-homogeneous, and G-homogeneous
-    relations make the diagonal action preserve the ideal."""
+    """An action block is checked and diagonalized here, once, into the
+    grading; past this point only the grading is read.  Declared g_degrees
+    need no action check: `grading_from_degrees` refuses relations that are
+    not G-homogeneous, and G-homogeneous relations make the diagonal action
+    preserve the ideal."""
     from .action import (grading_from_degrees, isotypic_basis,
                          regrade_presentation, validate_action)
     from .twist import TwistSpec
@@ -218,8 +227,12 @@ def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBu
     presentation = presentation_from_dict(data, need)
 
     if matrices is not None:
-        action = validate_action(presentation, group, matrices)
-        basis = isotypic_basis(action, duality)
+        n = len(presentation.generators)
+        for name, m in zip(expected, matrices):
+            _check(len(m) == n and all(len(row) == n for row in m),
+                   f"action matrix for {name}", f"{n} x {n}")
+        matrices = validate_action(presentation, group, matrices)
+        basis = isotypic_basis(presentation, group, matrices, duality)
         grading = regrade_presentation(presentation, basis, group)
     elif "g_degrees" in data:
         raw = data["g_degrees"]
@@ -233,7 +246,7 @@ def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBu
         grading = grading_from_degrees(presentation, group, degrees)
     else:
         raise ParseError("spec needs either an action block or g_degrees")
-    return SpecBundle(presentation, basis, TwistSpec(grading, duality, cocycle))
+    return SpecBundle(basis, TwistSpec(grading, duality, cocycle))
 
 
 def genmap_from_dict(data: dict, source: Presentation,

@@ -20,50 +20,9 @@ class SingularMatrixError(CotwistError):
     pass
 
 
-def zeros(rows: int, cols: int, conductor: int) -> Matrix:
-    z = CycNum.zero(conductor)
-    return [[z] * cols for _ in range(rows)]
-
-
 def identity(n: int, conductor: int) -> Matrix:
-    m = zeros(n, n, conductor)
-    one = CycNum.one(conductor)
-    for j in range(n):
-        m[j][j] = one
-    return m
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    zero = CycNum.zero(a[0][0].conductor)
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                if a[i][k].is_zero() or b[k][j].is_zero():
-                    continue
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else zero)
-        out.append(row)
-    return out
-
-
-def mat_pow(a: Matrix, e: int, conductor: int) -> Matrix:
-    result = identity(len(a), conductor)
-    base = [list(r) for r in a]
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    zero, one = CycNum.zero(conductor), CycNum.one(conductor)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def _subtract(row: dict, factor: CycNum, pivot: dict) -> None:

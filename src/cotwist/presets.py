@@ -4,8 +4,11 @@ of the Rogalski-Zhang families, stored in the diagonal w-basis, plus
 commands.
 
 Every preset lives over conductor 4, has three degree-1 generators with
-G-degrees (e, g2, g1), carries the quasi-trivial action (g1 negates w2, g2
-negates w3) and twists by the cocycle mu(g1^p g2^q, g1^r g2^s) = (-1)^(p*s).
+G-degrees (e, g2, g1) and twists by the cocycle
+mu(g1^p g2^q, g1^r g2^s) = (-1)^(p*s).  The degrees are those the
+quasi-trivial action (g1 negates w2, g2 negates w3) induces under the Klein
+duality; a preset keeps only the grading, as the spec loader does once it
+has diagonalized an action.
 
 Per-relation twist scalars are reported against the catalog display forms of
 the target relations (the stored presentations are canonically rescaled, and
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .action import GGrading, GradedAction, diagonal_action, grading_from_degrees
+from .action import GGrading, grading_from_degrees
 from .crossed import verify_bimodule_component, verify_invariant_ring
 from .cyclo import CycNum
 from .errors import CotwistError
@@ -66,7 +69,6 @@ class Preset:
     duality: Duality
     cocycle: Cocycle
     g_degrees: tuple
-    action: GradedAction
 
     def grading(self) -> GGrading:
         return grading_from_degrees(self.presentation, self.group, self.g_degrees)
@@ -88,8 +90,7 @@ def preset(name: str) -> Preset:
     duality = klein_duality()
     mu = klein_mu()
     degrees = ((0, 0), (0, 1), (1, 0))
-    act = diagonal_action(pres, group, duality, degrees)
-    return Preset(name, pres, display, group, duality, mu, degrees, act)
+    return Preset(name, pres, display, group, duality, mu, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,7 @@ def _regrade_compat(bound: int) -> dict:
 def _duality_compat(bound: int) -> dict:
     """Raises FalsificationError when no compatible duality change exists."""
     p = preset("A(1,-1)")
-    tau = verify_duality_benign(p.action, klein_duality(),
+    tau = verify_duality_benign(p.grading(), klein_duality(),
                                 standard_duality(p.group), klein_mu())
     return {"pass": True,
             "witness": [p.group.describe(img) for img in tau.images]}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
-from .action import GGrading, GradedAction, isotypic_basis, regrade_presentation
+from .action import GGrading
 from .cyclo import root_of_unity
 from .errors import FalsificationError, ValidationError
 from .freealg import GenMap, NcPoly, Presentation, make_presentation
@@ -117,41 +117,23 @@ def verify_regrade_compat(spec: TwistSpec, sigma: GroupAut) -> bool:
     return lhs.presentation == rhs.presentation
 
 
-def regrade_under_duality(action: GradedAction, base: Duality,
-                          other: Duality) -> tuple:
-    """Gradings induced by the same action under two dualities, on one shared
-    homogeneous basis (so the twisted presentations are directly comparable).
-
-    Returns (grading under `base`, grading under `other`)."""
-    basis = isotypic_basis(action, base)
-    group = action.group
-    base_grading = regrade_presentation(action.presentation, basis, group)
-
-    def pattern(duality: Duality, g: Element) -> tuple:
-        g_inv = group.inv(g)
-        return tuple(duality.char_eval(g_inv, group.generator(j))
-                     for j in range(group.rank))
-
-    lookup = {pattern(other, g): g for g in group.elements()}
-    relabeled = []
-    for g in basis.g_degrees:
-        pat = pattern(base, g)
-        if pat not in lookup:
-            raise FalsificationError(
-                "eigenvalue pattern matches no character of the second duality")
-        relabeled.append(lookup[pat])
-    other_grading = GGrading(group, base_grading.presentation, tuple(relabeled))
-    return base_grading, other_grading
-
-
-def verify_duality_benign(action: GradedAction, phi: Duality, rho: Duality,
+def verify_duality_benign(grading: GGrading, phi: Duality, rho: Duality,
                           mu: Cocycle) -> GroupAut:
     """Search Aut(G) for tau making the twist under (phi, mu) equal to the
     twist under (rho, mu^(tau^-1)); existence is guaranteed, so an exhausted
-    search is a falsification."""
-    group = action.group
-    grading_phi, grading_rho = regrade_under_duality(action, phi, rho)
-    target = twist_presentation(TwistSpec(grading_phi, phi, mu))
+    search is a falsification.
+
+    `grading` is the one the action induces under phi.  Under rho the same
+    homogeneous generators keep their eigenvalues, so a generator of degree
+    g gets the h with chi^rho_h = chi^phi_g, compared by `Duality.values`."""
+    group = grading.group
+    under_rho = {rho.values(h): h for h in group.elements()}
+    relabeled = tuple(under_rho.get(phi.values(g)) for g in grading.g_degrees)
+    if None in relabeled:
+        raise FalsificationError(
+            "eigenvalue pattern matches no character of the second duality")
+    grading_rho = GGrading(group, grading.presentation, relabeled)
+    target = twist_presentation(TwistSpec(grading, phi, mu))
     candidates = sorted(all_automorphisms(group),
                         key=lambda aut: not aut.is_identity())
     for tau in candidates:

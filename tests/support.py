@@ -13,12 +13,14 @@
   test holds `is_regular_to_degree` to.
 - `a_family_xbasis`: the A(1,-1) preset in a basis where its action is not
   diagonal, input for the diagonalization tests.
+- `diagonal_matrices`: the action matrices that a preset's declared
+  G-degrees mean; presets keep only the degrees.
 """
 
 from __future__ import annotations
 
 from cotwist import gbasis, linalg
-from cotwist.cyclo import CycNum
+from cotwist.cyclo import CycNum, root_of_unity
 from cotwist.freealg import GenMap, NcPoly, make_alphabet, make_presentation
 from cotwist.presets import preset
 
@@ -124,3 +126,15 @@ def a_family_xbasis():
     swap = [[zero, one, zero], [one, zero, zero], [zero, zero, one]]
     negate = [[one, zero, zero], [zero, one, zero], [zero, zero, -one]]
     return pres, (swap, negate)
+
+
+def diagonal_matrices(p):
+    """One diagonal matrix per group generator h: it scales a generator of
+    degree g by chi_{g^-1}(h), read off `Duality.values`."""
+    group, n = p.group, len(p.g_degrees)
+    zero = CycNum.zero(p.presentation.conductor)
+    values = [p.duality.values(group.inv(g)) for g in p.g_degrees]
+    return [[[root_of_unity(values[a][j], group.exponent(),
+                            p.presentation.conductor) if a == b else zero
+              for b in range(n)] for a in range(n)]
+            for j in range(group.rank)]

@@ -1,15 +1,17 @@
+import itertools
+import random
+
 import pytest
 
-from cotwist.action import (diagonal_action, grading_from_degrees,
+from cotwist.action import (action_violations, grading_from_degrees,
                             isotypic_basis, regrade_presentation,
                             validate_action)
 from cotwist.cyclo import CycNum, root_of_unity
 from cotwist.errors import ValidationError
 from cotwist.freealg import GenMap, make_alphabet, make_presentation, parse_ncpoly
 from cotwist.groups import AbGroup, klein_duality
-from cotwist.linalg import identity, mat_mul, mat_pow
 from cotwist.presets import preset
-from support import a_family_xbasis
+from support import a_family_xbasis, diagonal_matrices
 
 KLEIN = AbGroup((2, 2))
 E, G2, G1 = (0, 0), (0, 1), (1, 0)
@@ -25,8 +27,8 @@ def klein_action_on_xbasis():
 
 
 def test_quasi_trivial_action_is_valid():
-    _, action = klein_action_on_xbasis()
-    assert len(action.matrices) == 2
+    _, mats = klein_action_on_xbasis()
+    assert len(mats) == 2
 
 
 def test_identity_action_is_valid_on_any_presentation():
@@ -71,8 +73,8 @@ def test_noncommuting_matrices_reported():
 
 
 def test_isotypic_basis_matches_proof_basis():
-    pres, action = klein_action_on_xbasis()
-    basis = isotypic_basis(action, klein_duality())
+    pres, mats = klein_action_on_xbasis()
+    basis = isotypic_basis(pres, KLEIN, mats, klein_duality())
     assert basis.names == ("w1", "w2", "w3")
     assert basis.g_degrees == (E, G2, G1)
     cols = [[str(basis.matrix[i][k]) for i in range(3)] for k in range(3)]
@@ -86,47 +88,48 @@ def test_isotypic_basis_trivial_action():
     one = CycNum.one(4)
     zero = CycNum.zero(4)
     eye = [[one if a == b else zero for b in range(3)] for a in range(3)]
-    action = validate_action(pres, KLEIN, [eye, eye])
-    basis = isotypic_basis(action, klein_duality())
+    mats = validate_action(pres, KLEIN, [eye, eye])
+    basis = isotypic_basis(pres, KLEIN, mats, klein_duality())
     assert basis.names == ("w1", "w2", "w3")
     assert basis.g_degrees == (E, E, E)
 
 
 def test_isotypic_basis_diagonal_action_reads_off_degrees():
     p = preset("A(1,-1)")
-    basis = isotypic_basis(p.action, p.duality)
+    basis = isotypic_basis(p.presentation, KLEIN, diagonal_matrices(p),
+                           p.duality)
     assert basis.names == ("w1", "w2", "w3")
     assert basis.g_degrees == ((0, 0), (0, 1), (1, 0))
 
 
 def test_eigen_relation_for_every_group_element():
-    pres, action = klein_action_on_xbasis()
+    pres, mats = klein_action_on_xbasis()
     duality = klein_duality()
-    basis = isotypic_basis(action, duality)
+    basis = isotypic_basis(pres, KLEIN, mats, duality)
     for h in KLEIN.elements():
-        # the matrix of h = g1^a g2^b is M1^a M2^b
-        m = identity(3, 4)
-        for matrix, power in zip(action.matrices, h):
-            m = mat_mul(m, mat_pow(matrix, power, 4))
         for k, g_deg in enumerate(basis.g_degrees):
             column = [basis.matrix[i][k] for i in range(3)]
-            scaled = mat_vec(m, column)
+            # h = g1^a g2^b acts by M1^a M2^b
+            scaled = column
+            for matrix, power in zip(mats, h):
+                for _ in range(power):
+                    scaled = mat_vec(matrix, scaled)
             chi = root_of_unity(duality.char_eval(KLEIN.inv(g_deg), h), 2, 4)
             assert scaled == [chi * x for x in column]
 
 
 def test_regrade_recovers_w_basis_presentation():
-    pres, action = klein_action_on_xbasis()
-    grading = regrade_presentation(pres, isotypic_basis(action, klein_duality()),
-                                   KLEIN)
+    pres, mats = klein_action_on_xbasis()
+    grading = regrade_presentation(
+        pres, isotypic_basis(pres, KLEIN, mats, klein_duality()), KLEIN)
     target = preset("A(1,-1)")
     assert grading.presentation.relations == target.presentation.relations
     assert grading.g_degrees == target.g_degrees
 
 
 def test_regrade_round_trip_to_original_relations():
-    pres, action = klein_action_on_xbasis()
-    basis = isotypic_basis(action, klein_duality())
+    pres, mats = klein_action_on_xbasis()
+    basis = isotypic_basis(pres, KLEIN, mats, klein_duality())
     grading = regrade_presentation(pres, basis, KLEIN)
     # w_k goes back to its x-coordinates, column k of the basis matrix
     to_x = GenMap.from_matrix(grading.presentation.generators, pres.generators,
@@ -155,8 +158,8 @@ def test_g_degree_of_examples():
 
 
 def test_eigenvector_count_per_degree():
-    pres, action = klein_action_on_xbasis()
-    basis = isotypic_basis(action, klein_duality())
+    pres, mats = klein_action_on_xbasis()
+    basis = isotypic_basis(pres, KLEIN, mats, klein_duality())
     per_degree = {}
     for g in basis.g_degrees:
         per_degree[g] = per_degree.get(g, 0) + 1
@@ -174,11 +177,11 @@ def test_declared_degrees_must_make_relations_homogeneous():
 
 
 def test_diagonal_action_matches_declared_degrees():
+    # the action that the preset's declared degrees mean is valid
     p = preset("A(1,-1)")
-    action = diagonal_action(p.presentation, KLEIN, p.duality, p.g_degrees)
-    m1, m2 = action.matrices
-    assert str(m1[1][1]) == "-1" and str(m1[0][0]) == "1" and str(m1[2][2]) == "1"
-    assert str(m2[2][2]) == "-1" and str(m2[0][0]) == "1"
+    m1, m2 = validate_action(p.presentation, KLEIN, diagonal_matrices(p))
+    assert [str(m1[k][k]) for k in range(3)] == ["1", "-1", "1"]
+    assert [str(m2[k][k]) for k in range(3)] == ["1", "1", "-1"]
 
 
 def test_action_rejects_degree_mixing_matrix():
@@ -189,3 +192,62 @@ def test_action_rejects_degree_mixing_matrix():
     mixing = [[one, one], [zero, one]]
     with pytest.raises(ValidationError, match="mixes generators"):
         validate_action(pres, AbGroup((2,)), [mixing])
+
+
+def dense_product(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), CycNum.zero(4))
+             for j in range(n)] for i in range(n)]
+
+
+def dense_violations(group, mats):
+    """The order and commutation messages of `action_violations`, in its
+    order, from dense matrix products."""
+    n = len(mats[0])
+    eye = [[CycNum.one(4) if a == b else CycNum.zero(4) for b in range(n)]
+           for a in range(n)]
+    problems = []
+    for j, m in enumerate(mats):
+        power = eye
+        for _ in range(group.factors[j]):
+            power = dense_product(power, m)
+        if power != eye:
+            problems.append(f"matrix for g{j + 1} does not have order "
+                            f"dividing {group.factors[j]}")
+    if problems:
+        return problems
+    for j, k in itertools.combinations(range(group.rank), 2):
+        if dense_product(mats[j], mats[k]) != dense_product(mats[k], mats[j]):
+            problems.append(f"matrices for g{j + 1} and g{k + 1} do not commute")
+    return problems
+
+
+def signed_permutation(perm, scale):
+    return [[scale[a] if perm[a] == b else CycNum.zero(4) for b in range(3)]
+            for a in range(3)]
+
+
+@pytest.mark.parametrize("factors", [(2, 2), (4,), (2, 4), (2, 2, 2)])
+def test_order_and_commutation_match_dense_products(factors):
+    # diagonal sign matrices, transpositions, a 3-cycle and diagonals with i:
+    # some draws have the right orders, some commute, some do neither
+    one, i = CycNum.one(4), CycNum.i()
+    pool = [signed_permutation((0, 1, 2), signs)
+            for signs in itertools.product((one, -one), repeat=3)]
+    pool += [signed_permutation(perm, (one, one, -one))
+             for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0))]
+    pool += [signed_permutation((1, 2, 0), (one, one, one)),
+             signed_permutation((0, 1, 2), (one, -one, i))]
+    rng = random.Random(sum(factors))
+    group = AbGroup(factors)
+    gens = make_alphabet([("x", 1), ("y", 1), ("z", 1)])
+    pres = make_presentation(4, gens, [])
+    seen = set()
+    for _ in range(30):
+        mats = [rng.choice(pool) for _ in factors]
+        expected = dense_violations(group, mats)
+        assert action_violations(pres, group, mats) == expected
+        seen.add(expected[0].split()[-1] if expected else "valid")
+    assert "valid" in seen and len(seen) >= 2
+    if group.rank > 1:
+        assert "commute" in seen

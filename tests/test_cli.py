@@ -360,6 +360,47 @@ def test_malformed_group_block_is_input_error(capsys, tmp_path, blocks, message)
     assert message in err
 
 
+# input that no twist can be read from exits 2 on every command, `validate`
+# included; it prints no violation (those are the mathematical outcomes)
+@pytest.mark.parametrize("blocks,message", [
+    ({"group": [1], "g_degrees": [[0], [0]]},
+     "group must be a nonempty list of cyclic orders, each at least 2"),
+    ({"group": [], "g_degrees": [[], []]},
+     "group must be a nonempty list of cyclic orders, each at least 2"),
+    ({"group": [3], "g_degrees": [[1], [2]]},
+     'the builtin klein cocycle must be used with "group": [2, 2]'),
+    ({"group": [3], "duality": {"builtin": "klein"}, "g_degrees": [[1], [2]]},
+     'the builtin klein duality must be used with "group": [2, 2]'),
+    ({"duality": [["-1"]]}, "duality: duality table must be rank x rank"),
+    ({"duality": [["1", "1"], ["1", "1"]]},
+     "duality: duality is degenerate: chi trivial at g2"),
+    ({"duality": [["i", "1"], ["1", "-1"]]},
+     "duality: duality entry (1,1) is not killed by the generator orders"),
+], ids=["group-one", "group-empty", "klein-cocycle-on-c3",
+        "klein-duality-on-c3", "duality-1x1", "duality-degenerate",
+        "duality-entry-order"])
+@pytest.mark.parametrize("command", ["validate", "twist"])
+def test_input_shape_errors_exit_2(capsys, tmp_path, blocks, message, command):
+    blocks = dict(blocks)
+    path = klein_degree_spec(tmp_path, blocks.pop("g_degrees", [[1, 0], [0, 1]]),
+                             **blocks)
+    code, out, err = run(capsys, [command, "--input", path])
+    assert (code, out) == (2, "")
+    assert f"input error: {message}\n" == err
+
+
+def test_action_matrix_shape_is_input_error(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    bad = dict(SPEC_XBASIS, action=[
+        {"generator": "g1", "matrix": [["0", "1"], ["1", "0"]]},
+        SPEC_XBASIS["action"][1]])
+    path.write_text(json.dumps(bad))
+    for command in ("validate", "twist"):
+        code, out, err = run(capsys, [command, "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "input error: action matrix for g1 must be 3 x 3\n"
+
+
 @pytest.mark.parametrize("argv,data,where", [
     (["gb", "--input"], {"generators": 5, "relations": []}, "generators"),
     (["gb", "--input"], {"generators": [{"degree": 1}], "relations": []},
@@ -543,8 +584,8 @@ PACKAGE_NAMES = [
     "cocycle_pullback", "commutator_radical", "is_coboundary", "klein_duality",
     "klein_mu", "make_duality", "make_group_aut", "schur_order",
     "standard_duality", "trivial_cocycle", "validate_cocycle", "GGrading",
-    "GradedAction", "HomogBasis", "diagonal_action", "grading_from_degrees",
-    "isotypic_basis", "regrade_presentation", "validate_action", "TwistSpec",
+    "HomogBasis", "grading_from_degrees", "isotypic_basis",
+    "regrade_presentation", "validate_action", "TwistSpec",
     "coboundary_rescale_matches", "double_twist", "twist_poly",
     "twist_presentation", "verify_duality_benign", "verify_regrade_compat",
     "word_twist_scalar", "TruncGB", "hilbert_coeffs", "ideal_contains",

@@ -21,7 +21,7 @@ from cotwist.freealg import (GenMap, NcPoly, Presentation, deglex_key,
 from cotwist.gbasis import (hilbert_coeffs, ideal_contains,
                             is_normal_to_degree, is_regular_to_degree,
                             normal_form, truncated_gb, verify_iso)
-from cotwist.jsonio import spec_bundle_from_dict
+from cotwist.jsonio import presentation_from_dict, spec_bundle_from_dict
 from cotwist.presets import PRESET_NAMES, preset
 from cotwist.twist import twist_presentation
 from oracles import fraction_normal_form, quotient_dims, words_of_degree
@@ -305,8 +305,10 @@ def sklyanin():
     Klein sign action g1 = diag(1,1,-1,-1), g2 = diag(1,-1,1,-1) with the
     Klein duality and cocycle."""
     with open(SKLYANIN_SPEC, encoding="utf-8") as handle:
-        bundle = spec_bundle_from_dict(json.load(handle))
-    return bundle.presentation, twist_presentation(bundle.spec).presentation
+        data = json.load(handle)
+    spec = spec_bundle_from_dict(data).spec
+    return (presentation_from_dict(data, spec.presentation.conductor),
+            twist_presentation(spec).presentation)
 
 
 def test_sklyanin_hilbert_function_kept_by_twist(sklyanin):
@@ -855,9 +857,10 @@ def _kernel_cases(sklyanin):
         parse_ncpoly(r, xyz, 1) for r in ("z - x + 2/3*y", "y*x - 3*x*y")])
     # conductor 2: the standard duality on C2 x C2
     with open(KLEIN_STANDARD, encoding="utf-8") as handle:
-        bundle = spec_bundle_from_dict(json.load(handle))
-    cases["conductor 2"] = bundle.presentation
-    cases["conductor 2 twisted"] = twist_presentation(bundle.spec).presentation
+        data = json.load(handle)
+    spec = spec_bundle_from_dict(data).spec
+    cases["conductor 2"] = presentation_from_dict(data, spec.presentation.conductor)
+    cases["conductor 2 twisted"] = twist_presentation(spec).presentation
     return cases
 
 

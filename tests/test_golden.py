@@ -46,6 +46,10 @@ CASES = {
     "invariants-A7": ["invariants", "--degree", "7",
                       "--input", "preset:A(1,-1)"],
     "twist-grammar": ["twist", "--input", GRAMMAR],
+    # action blocks, checked and diagonalized at load: both eigenbases
+    # permute the generators into G-degree order
+    "validate-grammar": ["validate", "--input", GRAMMAR],
+    "validate-sklyanin": ["validate", "--input", SKLYANIN],
     "gb-grammar": ["gb", "--degree", "4", "--input", GRAMMAR],
 }
 for _key, _name in TWIST_SOURCES.items():

@@ -12,7 +12,7 @@ from cotwist.groups import AbGroup, coboundary, cocycle_product, trivial_cocycle
 from cotwist.presets import (CHECKS, PRESET_NAMES, TWIST_PAIRS, full_report,
                              preset, verdict)
 from cotwist.twist import TwistSpec, twist_presentation
-from support import a_family_xbasis
+from support import a_family_xbasis, diagonal_matrices
 
 KLEIN = AbGroup((2, 2))
 
@@ -118,17 +118,30 @@ def test_xbasis_demo_is_equivalent_presentation():
 
 
 def test_preset_action_diagonal_values():
+    # the quasi-trivial action that the degrees (e, g2, g1) mean: the
+    # exponents base -1 of chi_{g^-1} at (g1, g2) for each generator's
+    # degree g, so g1 negates w2 and g2 negates w3
     p = preset("E(1,-i)")
-    m1, m2 = p.action.matrices
-    assert [str(m1[k][k]) for k in range(3)] == ["1", "-1", "1"]
-    assert [str(m2[k][k]) for k in range(3)] == ["1", "1", "-1"]
+    values = [p.duality.values(KLEIN.inv(g)) for g in p.g_degrees]
+    assert values == [(0, 0), (1, 0), (0, 1)]
+
+
+def test_loading_presets_completes_no_basis():
+    # a preset keeps only its grading, so loading one checks no action
+    from cotwist import gbasis
+    gbasis._GB_CACHE.clear()
+    presets.preset.cache_clear()
+    for name in PRESET_NAMES:
+        preset(name)
+    assert not gbasis._GB_CACHE
 
 
 def test_regrade_on_preset_is_identity():
     from cotwist.action import isotypic_basis, regrade_presentation
     for name in ("A(1,-1)", "G(1,(1-i)/2)"):
         p = preset(name)
-        basis = isotypic_basis(p.action, p.duality)
+        basis = isotypic_basis(p.presentation, KLEIN, diagonal_matrices(p),
+                               p.duality)
         grading = regrade_presentation(p.presentation, basis, KLEIN)
         assert grading.presentation == p.presentation
         assert grading.g_degrees == p.g_degrees

@@ -1,12 +1,17 @@
+import json
+import os
 import random
 
 import pytest
 
+from cotwist.action import GGrading, isotypic_basis
+from cotwist.cyclo import CycNum, parse_scalar
 from cotwist.errors import ValidationError
 from cotwist.groups import (AbGroup, all_automorphisms, coboundary,
-                            cocycle_product, klein_duality,
-                            klein_mu, make_group_aut, standard_duality,
-                            trivial_cocycle)
+                            cocycle_product, cocycle_pullback, klein_duality,
+                            klein_mu, make_duality, make_group_aut,
+                            standard_duality, trivial_cocycle)
+from cotwist.jsonio import presentation_from_dict, spec_bundle_from_dict
 from cotwist.presets import preset
 from cotwist.twist import (TwistSpec, coboundary_rescale_matches, double_twist,
                            regraded_spec, twist_poly, twist_presentation,
@@ -16,6 +21,7 @@ from cotwist.twist import (TwistSpec, coboundary_rescale_matches, double_twist,
 KLEIN = AbGroup((2, 2))
 E, G2, G1 = (0, 0), (0, 1), (1, 0)
 MU = klein_mu()
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_word_twist_scalar_proof_displays():
@@ -124,13 +130,13 @@ def test_regraded_spec_relabels_degrees():
 
 def test_duality_benign_same_duality_gives_identity():
     p = preset("A(1,-1)")
-    tau = verify_duality_benign(p.action, p.duality, p.duality, p.cocycle)
+    tau = verify_duality_benign(p.grading(), p.duality, p.duality, p.cocycle)
     assert tau.is_identity()
 
 
 def test_duality_benign_klein_vs_standard():
     p = preset("A(1,-1)")
-    tau = verify_duality_benign(p.action, klein_duality(),
+    tau = verify_duality_benign(p.grading(), klein_duality(),
                                 standard_duality(KLEIN), p.cocycle)
     # a witness exists; the return value is the first automorphism (identity
     # before the rest) whose pulled-back cocycle reproduces the twist
@@ -139,10 +145,70 @@ def test_duality_benign_klein_vs_standard():
 
 def test_duality_benign_trivial_cocycle_identity_first():
     p = preset("B(1)")
-    tau = verify_duality_benign(p.action, klein_duality(),
+    tau = verify_duality_benign(p.grading(), klein_duality(),
                                 standard_duality(KLEIN),
                                 trivial_cocycle(KLEIN))
     assert tau.is_identity()
+
+
+def load_spec(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def same_character_grading(grading, phi, rho):
+    """The generators homogeneous under phi, graded under rho: degree g
+    becomes the h with chi^rho_h(x) = chi^phi_g(x) at every x in G."""
+    elements = grading.group.elements()
+    return GGrading(grading.group, grading.presentation, tuple(
+        next(h for h in elements
+             if all(rho.char_eval(h, x) == phi.char_eval(g, x) for x in elements))
+        for g in grading.g_degrees))
+
+
+def assert_benign_witness(grading, phi, rho, mu):
+    tau = verify_duality_benign(grading, phi, rho, mu)
+    target = twist_presentation(TwistSpec(grading, phi, mu))
+    regraded = same_character_grading(grading, phi, rho)
+    other = twist_presentation(
+        TwistSpec(regraded, rho, cocycle_pullback(mu, tau.inverse())))
+    assert other.presentation == target.presentation
+
+
+def test_duality_benign_on_c3c3_under_two_dualities():
+    spec = spec_bundle_from_dict(load_spec("c3c3.json")).spec
+    group, one, z3 = spec.group, CycNum.one(1), parse_scalar("zeta(3)")
+    assert_benign_witness(spec.grading, spec.duality, standard_duality(group),
+                          spec.cocycle)
+    other = make_duality(group, [[z3, z3], [one, z3]])
+    assert other != spec.duality
+    assert_benign_witness(spec.grading, spec.duality, other, spec.cocycle)
+
+
+def test_duality_benign_on_grammar_with_the_klein_duality():
+    data = load_spec("grammar.json")
+    bundle = spec_bundle_from_dict(data)
+    spec = bundle.spec
+    assert spec.duality == standard_duality(KLEIN)
+    assert_benign_witness(spec.grading, spec.duality, klein_duality(),
+                          spec.cocycle)
+    # the relabeling agrees with diagonalizing the action anew under the
+    # Klein duality: each eigenvector keeps its column, and takes the degree
+    # that second basis gives it
+    pres = presentation_from_dict(data, spec.presentation.conductor)
+    matrices = [[[parse_scalar(x).embed(pres.conductor) for x in row]
+                 for row in item["matrix"]] for item in data["action"]]
+    again = isotypic_basis(pres, KLEIN, matrices, klein_duality())
+
+    def columns(basis):
+        return [tuple(row[k] for row in basis.matrix) for k in range(3)]
+
+    degree_of = dict(zip(columns(again), again.g_degrees))
+    regraded = same_character_grading(spec.grading, spec.duality,
+                                      klein_duality())
+    assert regraded.g_degrees == tuple(degree_of[c]
+                                       for c in columns(bundle.basis))
+    assert regraded.g_degrees != spec.grading.g_degrees
 
 
 def test_coboundary_rescale_on_all_presets():
