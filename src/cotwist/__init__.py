@@ -23,10 +23,11 @@ _EXPORTS = {
                "klein_duality", "klein_mu", "make_duality", "make_group_aut",
                "schur_order", "standard_duality", "trivial_cocycle",
                "validate_cocycle"),
-    "action": ("GGrading", "HomogBasis", "grading_from_degrees",
-               "isotypic_basis", "regrade_presentation", "validate_action"),
-    "twist": ("TwistSpec", "coboundary_rescale_matches", "double_twist",
-              "twist_poly", "twist_presentation", "verify_duality_benign",
+    "action": ("HomogBasis", "isotypic_basis", "regrade_presentation",
+               "validate_action"),
+    "twist": ("GGrading", "TwistSpec", "coboundary_rescale_matches",
+              "double_twist", "grading_from_degrees", "twist_poly",
+              "twist_presentation", "verify_duality_benign",
               "verify_regrade_compat", "word_twist_scalar"),
     "gbasis": ("TruncGB", "hilbert_coeffs", "ideal_contains",
                "is_normal_to_degree", "is_regular_to_degree", "normal_form",

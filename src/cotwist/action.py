@@ -9,21 +9,22 @@ a unique g, and that g is the G-degree of v.
 
 An action is an input form only: the spec loader checks it
 (`validate_action`) and diagonalizes it once (`isotypic_basis`,
-`regrade_presentation`) into a `GGrading`, and every later layer reads that
-grading.
+`regrade_presentation`) into a `twist.GGrading`, and every later layer reads
+that grading.  Only the spec loader imports this module, and only for a spec
+that declares an action.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclo import CycNum, root_of_unity
 from .errors import ValidationError
-from .freealg import GenMap, NcPoly, Presentation, Word, make_alphabet, make_presentation
+from .freealg import GenMap, NcPoly, Presentation, make_alphabet, make_presentation
 from .gbasis import ideal_contains
-from .groups import AbGroup, Duality, Element
+from .groups import AbGroup, Duality
 from .linalg import kernel_basis, mat_inverse
+from .twist import GGrading
 
 
 def _compose(f: GenMap, g: GenMap) -> GenMap:
@@ -91,8 +92,7 @@ def validate_action(presentation: Presentation, group: AbGroup,
                  for m in matrices)
 
 
-@dataclass(frozen=True)
-class HomogBasis:
+class HomogBasis(NamedTuple):
     """A simultaneous eigenbasis of a graded action, with the G-degree read
     off against a fixed duality.  Column k of `matrix` holds the old
     coordinates of new generator k."""
@@ -162,28 +162,6 @@ def isotypic_basis(pres: Presentation, group: AbGroup, matrices: Sequence,
     )
 
 
-@dataclass(frozen=True)
-class GGrading:
-    """A presentation with G-homogeneous generators and their G-degrees."""
-
-    group: AbGroup
-    presentation: Presentation
-    g_degrees: tuple
-
-    def word_degree(self, word: Word) -> Element:
-        out = self.group.identity()
-        for letter in word:
-            out = self.group.mul(out, self.g_degrees[letter])
-        return out
-
-    def poly_degree(self, p: NcPoly) -> Optional[Element]:
-        """Common G-degree of all words, or None when inhomogeneous."""
-        degrees = {self.word_degree(w) for w in p.terms}
-        if len(degrees) != 1:
-            return None
-        return degrees.pop()
-
-
 def regrade_presentation(presentation: Presentation,
                          basis: HomogBasis, group: AbGroup) -> GGrading:
     """Rewrite the relations in the homogeneous generator basis and attach
@@ -207,14 +185,3 @@ def regrade_presentation(presentation: Presentation,
                 f"change; an invalid action slipped past validation")
     return grading
 
-
-def grading_from_degrees(presentation: Presentation, group: AbGroup,
-                         g_degrees: Sequence[Element]) -> GGrading:
-    """Attach declared G-degrees directly (generators already homogeneous);
-    validates that every relation is G-homogeneous."""
-    grading = GGrading(group, presentation, tuple(tuple(g) for g in g_degrees))
-    for k, rel in enumerate(presentation.relations):
-        if grading.poly_degree(rel) is None:
-            raise ValidationError(
-                f"relation {k + 1} is not G-homogeneous under the declared degrees")
-    return grading

@@ -298,12 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras under finite abelian group actions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_degree=True):
-        if needs_degree:
-            p.add_argument("--degree", type=_degree, default=6,
-                           help="truncation degree (default 6)")
-        p.add_argument("--conductor", type=_positive_int, default=None,
-                       help="force a larger computation conductor")
+    def common(p, reads_input=True):
+        p.add_argument("--degree", type=_degree, default=6,
+                       help="truncation degree (default 6)")
+        if reads_input:
+            p.add_argument("--conductor", type=_positive_int, default=None,
+                           help="force a larger computation conductor")
         p.add_argument("--human", action="store_true",
                        help="indented text output instead of JSON")
 
@@ -363,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem55", help="run the built-in twist-equivalence "
                                          "suite on the preset families")
-    common(p)
+    common(p, reads_input=False)
     p.set_defaults(func=_cmd_checks, check="twist_suite")
 
     p = sub.add_parser("report", help="run the full verification battery")
-    common(p)
+    common(p, reads_input=False)
     p.set_defaults(func=_cmd_checks, check=None)
     return parser
 

@@ -23,8 +23,7 @@ term maps themselves (`linalg.rank`, `linalg.row_spaces_equal`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .cyclo import CycNum, root_of_unity
 from .freealg import Word
@@ -38,8 +37,7 @@ from .twist import TwistSpec
 # the crossed product on normal-word bases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossedModel:
+class CrossedModel(NamedTuple):
     spec: TwistSpec
     gb: TruncGB
 
@@ -153,8 +151,7 @@ def isotypic_component(model: CrossedModel, g: Element, degree: int) -> list:
 # the invariant-ring construction agrees with the presentation-level twist
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InvariantRingReport:
+class InvariantRingReport(NamedTuple):
     bound: int
     relations_vanish: bool
     dims_match: list            # (degree, invariant dim, algebra dim, twisted dim)
@@ -249,8 +246,7 @@ def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
 # the bimodule decomposition of the crossed product
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BimoduleReport:
+class BimoduleReport(NamedTuple):
     g: Element
     bound: int
     identity_on_e: bool

@@ -5,8 +5,9 @@ An element is a vector of integer numerators in the power basis
 polynomial, over one positive common denominator.  The representation is
 always in lowest terms (gcd(den, *num) == 1, zero is (0, ..., 0)/1), so it
 is canonical and doubles as an equality test and a hash key.  Arithmetic
-works on the integers directly; `Fraction` appears only at the boundary:
-the public constructor, `coeffs`, `as_fraction` and text rendering.
+works on the integers directly, and so does text rendering; `Fraction`
+appears only at the boundary, imported on first use: the public
+constructor, `rational` on a non-integer, `coeffs` and `as_fraction`.
 Arithmetic between two numbers requires equal conductors; callers embed into
 a common conductor first (`CycNum.embed` / `common_conductor`).
 
@@ -19,13 +20,15 @@ directly on bare pairs, making a CycNum only for the terms that survive.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import neg
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .errors import ConductorMismatch, CotwistError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def euler_phi(n: int) -> int:
@@ -262,6 +265,7 @@ class CycNum:
 
     def __init__(self, conductor: int, coeffs: Sequence) -> None:
         """The element with rational power-basis coefficients `coeffs`."""
+        from fractions import Fraction
         fracs = [Fraction(c) for c in coeffs]
         if len(fracs) != euler_phi(conductor):
             raise ValueError(
@@ -291,10 +295,12 @@ class CycNum:
 
     @staticmethod
     def rational(value, conductor: int = 1) -> "CycNum":
-        q = value if isinstance(value, int) else Fraction(value)
+        if not isinstance(value, int):
+            from fractions import Fraction
+            value = Fraction(value)
         return _make(conductor,
-                     (q.numerator,) + (0,) * (euler_phi(conductor) - 1),
-                     q.denominator)
+                     (value.numerator,) + (0,) * (euler_phi(conductor) - 1),
+                     value.denominator)
 
     @staticmethod
     def zeta(conductor: int, power: int = 1) -> "CycNum":
@@ -310,6 +316,7 @@ class CycNum:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The power-basis coefficients as Fractions."""
+        from fractions import Fraction
         return tuple(Fraction(x, self.den) for x in self.num)
 
     def is_zero(self) -> bool:
@@ -326,6 +333,7 @@ class CycNum:
         return max(self.den.bit_length(), *(abs(x).bit_length() for x in self.num))
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
         if not self.is_rational():
             raise CotwistError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
@@ -528,28 +536,28 @@ def root_exponent(value: CycNum, modulus: int) -> Optional[int]:
 # canonical rendering
 # ---------------------------------------------------------------------------
 
-def _fmt_rational(f: Fraction) -> str:
-    return str(f)
-
-
-def _fmt_term(coeff: Fraction, power: int, conductor: int) -> str:
+def _fmt_term(n: int, d: int, power: int, conductor: int) -> str:
+    """The term (n/d)*zeta^power, for n/d nonzero and in lowest terms."""
+    coeff = str(n) if d == 1 else f"{n}/{d}"
     if power == 0:
-        return _fmt_rational(coeff)
+        return coeff
     base = "i" if conductor == 4 else f"zeta({conductor})"
     sym = base if power == 1 else f"{base}^{power}"
-    if coeff == 1:
+    if d == 1 and n == 1:
         return sym
-    if coeff == -1:
+    if d == 1 and n == -1:
         return f"-{sym}"
-    return f"{_fmt_rational(coeff)}*{sym}"
+    return f"{coeff}*{sym}"
 
 
 def format_cycnum(value: CycNum) -> str:
     """Deterministic text form, parseable by `parse_scalar`."""
+    den = value.den
     parts = []
-    for k, c in enumerate(value.coeffs):
-        if c:
-            parts.append(_fmt_term(c, k, value.conductor))
+    for k, x in enumerate(value.num):
+        if x:
+            g = gcd(x, den)
+            parts.append(_fmt_term(x // g, den // g, k, value.conductor))
     if not parts:
         return "0"
     out = parts[0]

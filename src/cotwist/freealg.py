@@ -11,10 +11,9 @@ nonzero scalar" into literal equality.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclo import CycNum
 from .errors import AlphabetMismatch, ParseError, ValidationError
@@ -25,8 +24,7 @@ _RESERVED_NAMES = {"i", "zeta"}
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
-@dataclass(frozen=True)
-class GeneratorInfo:
+class GeneratorInfo(NamedTuple):
     index: int
     name: str
     degree: int
@@ -314,8 +312,7 @@ def _trusted_poly(gens: tuple, conductor: int, terms: dict) -> NcPoly:
     return p
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """A connected graded algebra given by generators and homogeneous relations."""
 
     conductor: int
@@ -374,22 +371,37 @@ def embed_presentation(p: Presentation, conductor: int) -> Presentation:
                              [r.with_conductor(conductor) for r in p.relations])
 
 
-@dataclass(frozen=True)
 class GenMap:
-    """A degree-preserving assignment of a polynomial to each source generator."""
+    """A degree-preserving assignment of a polynomial to each source
+    generator; immutable."""
 
-    source: tuple
-    images: tuple
+    __slots__ = ("source", "images")
 
-    def __post_init__(self):
-        if len(self.images) != len(self.source):
+    def __init__(self, source: tuple, images: tuple):
+        if len(images) != len(source):
             raise ValidationError("one image per generator required")
-        for g, img in zip(self.source, self.images):
+        for g, img in zip(source, images):
             if img.is_zero():
                 continue
             if img.homogeneous_degree() != g.degree:
                 raise ValidationError(
                     f"image of {g.name} is not homogeneous of degree {g.degree}")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GenMap is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GenMap:
+            return NotImplemented
+        return self.source == other.source and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.images))
+
+    def __repr__(self) -> str:
+        return f"GenMap(source={self.source!r}, images={self.images!r})"
 
     @property
     def target(self) -> tuple:

@@ -40,10 +40,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import neg
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclo import CycNum, _reduced
 from .errors import (AlphabetMismatch, ConductorMismatch, DegreeBoundExceeded,
@@ -52,7 +51,6 @@ from .freealg import (GenMap, NcPoly, Presentation, Word, _check_relation,
                       _trusted_poly, deglex_key, word_degree)
 
 
-@dataclass
 class DegreeStats:
     """What completion did in one N-degree.  `overlaps` counts the overlap
     S-polynomials generated, `reductions` every polynomial the completion
@@ -65,13 +63,36 @@ class DegreeStats:
     dimension of the quotient in this degree, is counted on the leading-word
     automaton when the `TruncGB` is made, without building a word."""
 
-    overlaps: int = 0
-    reductions: int = 0
-    zero_reductions: int = 0
-    tail_reductions: int = 0
-    basis_size: int = 0
-    coeff_height_bits: int = 0
-    normal_words: Optional[int] = None
+    __slots__ = ("overlaps", "reductions", "zero_reductions",
+                 "tail_reductions", "basis_size", "coeff_height_bits",
+                 "normal_words")
+
+    def __init__(self, overlaps: int = 0, reductions: int = 0,
+                 zero_reductions: int = 0, tail_reductions: int = 0,
+                 basis_size: int = 0, coeff_height_bits: int = 0,
+                 normal_words: Optional[int] = None):
+        self.overlaps = overlaps
+        self.reductions = reductions
+        self.zero_reductions = zero_reductions
+        self.tail_reductions = tail_reductions
+        self.basis_size = basis_size
+        self.coeff_height_bits = coeff_height_bits
+        self.normal_words = normal_words
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DegreeStats:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None     # mutable: the completion counts into it
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"DegreeStats({fields})"
 
 
 class TruncGB:
@@ -582,8 +603,7 @@ def is_normal_to_degree(a: NcPoly, presentation: Presentation,
 # presentation isomorphism verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IsoVerdict:
+class IsoVerdict(NamedTuple):
     status: str                      # SYNTACTIC | VERIFIED | FAILED
     degree: int
     syntactic: bool

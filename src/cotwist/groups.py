@@ -12,9 +12,8 @@ coefficient, at the caller's conductor (`cyclo.root_of_unity`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cyclo import CycNum, common_conductor, parse_scalar, root_exponent
 from .errors import LimitExceeded, ValidationError
@@ -29,15 +28,29 @@ Element = tuple
 MAX_GROUP_ORDER = 64
 
 
-@dataclass(frozen=True)
 class AbGroup:
-    """Direct product of cyclic groups C_{n_1} x ... x C_{n_r}."""
+    """Direct product of cyclic groups C_{n_1} x ... x C_{n_r}; immutable."""
 
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors or any(n < 2 for n in self.factors):
+    def __init__(self, factors: tuple):
+        if not factors or any(n < 2 for n in factors):
             raise ValidationError("group factors must all be at least 2")
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AbGroup is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AbGroup:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"AbGroup(factors={self.factors!r})"
 
     def require_table_order(self) -> None:
         """Raise LimitExceeded when |G| > MAX_GROUP_ORDER; called before a
@@ -91,8 +104,7 @@ class AbGroup:
 # dualities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Duality:
+class Duality(NamedTuple):
     """A fixed isomorphism g -> chi_g given by the bicharacter on the chosen
     cyclic generators: chi_{e_j}(e_k) = zeta_E^table[j][k], E = exp(G)."""
 
@@ -157,8 +169,7 @@ def klein_duality() -> Duality:
 # cocycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(NamedTuple):
     """A normalized 2-cocycle with root-of-unity values, stored as a full
     |G| x |G| exponent table in element enumeration order: values[a][b] = k
     means mu(g_a, g_b) = zeta_modulus^k.  The table is in lowest terms, so
@@ -375,8 +386,7 @@ def schur_order(group: AbGroup) -> int:
 # group automorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupAut:
+class GroupAut(NamedTuple):
     """An automorphism given by the images of the chosen cyclic generators."""
 
     group: AbGroup

@@ -16,27 +16,27 @@ All dumps render scalars canonically and sort keys, so output bytes are a
 function of input bytes.
 
 Only the scalar, polynomial and error layers load with this module; the
-group, action and twist layers load inside the loaders that build their
-objects, so reading and writing a bare presentation needs none of them.
+group and twist layers load inside the loaders that build their objects,
+and the action layer only for a spec that declares an action, so reading
+and writing a bare presentation needs none of them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import lcm
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .cyclo import common_conductor, parse_scalar, root_of_unity
+from .cyclo import common_conductor, parse_scalar, root_exponent, root_of_unity
 from .errors import ParseError, ValidationError
 from .freealg import (GenMap, NcPoly, Presentation, make_alphabet,
                       make_presentation, parse_ncpoly)
 
 if TYPE_CHECKING:
-    from .action import GGrading, HomogBasis
+    from .action import HomogBasis
     from .gbasis import IsoVerdict, TruncGB
     from .groups import AbGroup, Cocycle
-    from .twist import TwistSpec
+    from .twist import GGrading, TwistSpec
 
 
 def load_json(path: str) -> dict:
@@ -146,8 +146,8 @@ def duality_from_dict(data: dict, group: AbGroup) -> tuple:
 
 def cocycle_from_dict(data: dict, group: AbGroup) -> tuple:
     """The cocycle and the conductor its input names."""
-    from .groups import (cocycle_from_scalars, formula_table, klein_mu,
-                         trivial_cocycle)
+    from .groups import (formula_table, klein_mu, trivial_cocycle,
+                         validate_cocycle)
     _check(isinstance(data, dict), "the top level", "an object")
     block = data.get("cocycle", {"builtin": "trivial"})
     if not isinstance(block, dict):
@@ -173,7 +173,20 @@ def cocycle_from_dict(data: dict, group: AbGroup) -> tuple:
                  for a, g in enumerate(elements) for b, h in enumerate(elements)}
     else:
         raise ParseError("cocycle block needs one of: builtin, formula, table")
-    return cocycle_from_scalars(group, table), common_conductor(*table.values())
+    conductor = common_conductor(*table.values())
+    modulus = lcm(2, conductor)
+    # a value outside the roots of unity is input this tool does not read,
+    # unlike a failing cocycle identity, which falsifies the input's claim
+    exponents = {}
+    for (g, h), x in table.items():
+        k = root_exponent(x, modulus)
+        if k is None:
+            cell = (f"cocycle.formula at ({group.describe(g)},{group.describe(h)})"
+                    if "formula" in block else
+                    f"cocycle.table[{group.index(g)}][{group.index(h)}]")
+            raise ParseError(f"{cell} must be a root of unity, not {x}")
+        exponents[(g, h)] = k
+    return validate_cocycle(group, modulus, exponents), conductor
 
 
 def _group_element(vec, group: AbGroup, where: str) -> tuple:
@@ -185,8 +198,7 @@ def _group_element(vec, group: AbGroup, where: str) -> tuple:
     return tuple(vec)
 
 
-@dataclass
-class SpecBundle:
+class SpecBundle(NamedTuple):
     """Everything loaded from a full spec file, at one shared conductor; the
     group, duality, cocycle and the grading over the homogeneous generators
     are `spec`'s."""
@@ -201,9 +213,7 @@ def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBu
     need no action check: `grading_from_degrees` refuses relations that are
     not G-homogeneous, and G-homogeneous relations make the diagonal action
     preserve the ideal."""
-    from .action import (grading_from_degrees, isotypic_basis,
-                         regrade_presentation, validate_action)
-    from .twist import TwistSpec
+    from .twist import TwistSpec, grading_from_degrees
     group = group_from_dict(data)
     duality, duality_conductor = duality_from_dict(data, group)
     cocycle, cocycle_conductor = cocycle_from_dict(data, group)
@@ -231,6 +241,7 @@ def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBu
         for name, m in zip(expected, matrices):
             _check(len(m) == n and all(len(row) == n for row in m),
                    f"action matrix for {name}", f"{n} x {n}")
+        from .action import isotypic_basis, regrade_presentation, validate_action
         matrices = validate_action(presentation, group, matrices)
         basis = isotypic_basis(presentation, group, matrices, duality)
         grading = regrade_presentation(presentation, basis, group)

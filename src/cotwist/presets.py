@@ -17,10 +17,9 @@ one display form, the C-family cubic, has leading coefficient -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .action import GGrading, grading_from_degrees
 from .crossed import verify_bimodule_component, verify_invariant_ring
 from .cyclo import CycNum
 from .errors import CotwistError
@@ -29,8 +28,9 @@ from .gbasis import hilbert_coeffs, is_regular_to_degree, verify_iso
 from .groups import (AbGroup, Cocycle, Duality, all_automorphisms,
                      commutator_radical, klein_duality, klein_mu, schur_order,
                      standard_duality, trivial_cocycle)
-from .twist import (TwistSpec, coboundary_rescale_matches, double_twist,
-                    twist_poly, twist_presentation, verify_duality_benign,
+from .twist import (GGrading, TwistSpec, coboundary_rescale_matches,
+                    double_twist, grading_from_degrees, twist_poly,
+                    twist_presentation, verify_duality_benign,
                     verify_regrade_compat)
 
 CONDUCTOR = 4
@@ -60,8 +60,7 @@ TWIST_PAIRS = {
 PRESET_NAMES = tuple(_CATALOG)
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     name: str
     presentation: Presentation
     display_relations: tuple
@@ -262,16 +261,25 @@ def _coboundary_rescale(bound: int) -> dict:
 
 
 def _regularity_agreement(bound: int) -> dict:
+    # The twist maps the presets onto one another, so each presentation comes
+    # up twice, as a preset and as a twist; its verdicts are computed once.
+    known: dict = {}
+
+    def regular(pres: Presentation, index: int) -> tuple:
+        key = (pres, index)
+        if key not in known:
+            known[key] = is_regular_to_degree(pres.gen_poly(index), pres,
+                                              REGULARITY_BOUND)
+        return known[key]
+
     presets = []
     for name in PRESET_NAMES:
         p = preset(name)
         twisted = twist_presentation(p.twist_spec())
         verdicts = []
         for g in p.presentation.generators:
-            before = is_regular_to_degree(p.presentation.gen_poly(g.index),
-                                          p.presentation, REGULARITY_BOUND)
-            after = is_regular_to_degree(twisted.presentation.gen_poly(g.index),
-                                         twisted.presentation, REGULARITY_BOUND)
+            before = regular(p.presentation, g.index)
+            after = regular(twisted.presentation, g.index)
             verdicts.append({"generator": g.name,
                              "before": list(before), "after": list(after)})
         agree = all(v["before"] == v["after"] for v in verdicts)

@@ -7,40 +7,92 @@ the direction: for a word with G-degrees h_1..h_k the left-associated scalar
 is c = prod_j mu(h_1...h_j, h_{j+1}) and (old product) = c^(-1) (star
 product), so `twist_poly` multiplies coefficients by c^(-1).  Using c
 instead of c^(-1) is the classic off-by-conjugation mistake.
+
+A twist reads the G-grading of the generators (`GGrading`), whether it was
+declared (`grading_from_degrees`) or induced by an action that the spec
+loader diagonalized (`action.regrade_presentation`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .action import GGrading
 from .cyclo import root_of_unity
 from .errors import FalsificationError, ValidationError
-from .freealg import GenMap, NcPoly, Presentation, make_presentation
+from .freealg import GenMap, NcPoly, Presentation, Word, make_presentation
 from .groups import (AbGroup, Cocycle, Duality, Element, GroupAut,
                      all_automorphisms, cocycle_inverse, cocycle_pullback,
                      coboundary)
 
 
-@dataclass(frozen=True)
+class GGrading(NamedTuple):
+    """A presentation with G-homogeneous generators and their G-degrees."""
+
+    group: AbGroup
+    presentation: Presentation
+    g_degrees: tuple
+
+    def word_degree(self, word: Word) -> Element:
+        out = self.group.identity()
+        for letter in word:
+            out = self.group.mul(out, self.g_degrees[letter])
+        return out
+
+    def poly_degree(self, p: NcPoly) -> Optional[Element]:
+        """Common G-degree of all words, or None when inhomogeneous."""
+        degrees = {self.word_degree(w) for w in p.terms}
+        if len(degrees) != 1:
+            return None
+        return degrees.pop()
+
+
+def grading_from_degrees(presentation: Presentation, group: AbGroup,
+                         g_degrees: Sequence[Element]) -> GGrading:
+    """Attach declared G-degrees directly (generators already homogeneous);
+    validates that every relation is G-homogeneous."""
+    grading = GGrading(group, presentation, tuple(tuple(g) for g in g_degrees))
+    for k, rel in enumerate(presentation.relations):
+        if grading.poly_degree(rel) is None:
+            raise ValidationError(
+                f"relation {k + 1} is not G-homogeneous under the declared degrees")
+    return grading
+
+
 class TwistSpec:
     """Everything a twist needs: a G-grading, the fixed duality that induced
-    it, and a 2-cocycle, all over one group and valued in one field."""
+    it, and a 2-cocycle, all over one group and valued in one field;
+    immutable."""
 
-    grading: GGrading
-    duality: Duality
-    cocycle: Cocycle
+    __slots__ = ("grading", "duality", "cocycle")
 
-    def __post_init__(self):
-        if not (self.grading.group == self.duality.group == self.cocycle.group):
+    def __init__(self, grading: GGrading, duality: Duality, cocycle: Cocycle):
+        if not (grading.group == duality.group == cocycle.group):
             raise ValidationError("grading, duality and cocycle use different groups")
-        field = lcm(2, self.grading.presentation.conductor)
-        if field % self.cocycle.modulus or field % self.group.exponent():
+        field = lcm(2, grading.presentation.conductor)
+        if field % cocycle.modulus or field % grading.group.exponent():
             raise ValidationError(
                 f"the cocycle modulus and the group exponent must divide "
                 f"lcm(2, conductor) = {field}")
+        object.__setattr__(self, "grading", grading)
+        object.__setattr__(self, "duality", duality)
+        object.__setattr__(self, "cocycle", cocycle)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TwistSpec is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not TwistSpec:
+            return NotImplemented
+        return (self.grading == other.grading and self.duality == other.duality
+                and self.cocycle == other.cocycle)
+
+    def __hash__(self) -> int:
+        return hash((self.grading, self.duality, self.cocycle))
+
+    def __repr__(self) -> str:
+        return (f"TwistSpec(grading={self.grading!r}, duality={self.duality!r}, "
+                f"cocycle={self.cocycle!r})")
 
     @property
     def group(self) -> AbGroup:

@@ -455,6 +455,39 @@ class FracCyclo:
 
 
 # ---------------------------------------------------------------------------
+# text rendering on Fraction coefficients: the reference for the integer
+# rendering of `cyclo.format_cycnum`
+# ---------------------------------------------------------------------------
+
+def fraction_format(value: CycNum) -> str:
+    """The canonical text of a CycNum, each power-basis coefficient taken
+    as a Fraction and printed by `str(Fraction)`."""
+    conductor = value.conductor
+    parts = []
+    for power, x in enumerate(value.num):
+        coeff = Fraction(x, value.den)
+        if not coeff:
+            continue
+        if power == 0:
+            parts.append(str(coeff))
+            continue
+        base = "i" if conductor == 4 else f"zeta({conductor})"
+        sym = base if power == 1 else f"{base}^{power}"
+        if coeff == 1:
+            parts.append(sym)
+        elif coeff == -1:
+            parts.append(f"-{sym}")
+        else:
+            parts.append(f"{coeff}*{sym}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
+
+
+# ---------------------------------------------------------------------------
 # dense Gauss-Jordan over FracCyclo: the reference for the sparse elimination
 # ---------------------------------------------------------------------------
 

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from cotwist.action import (action_violations, grading_from_degrees,
-                            isotypic_basis, regrade_presentation,
-                            validate_action)
+from cotwist.action import (action_violations, isotypic_basis,
+                            regrade_presentation, validate_action)
 from cotwist.cyclo import CycNum, root_of_unity
 from cotwist.errors import ValidationError
 from cotwist.freealg import GenMap, make_alphabet, make_presentation, parse_ncpoly
 from cotwist.groups import AbGroup, klein_duality
 from cotwist.presets import preset
+from cotwist.twist import grading_from_degrees
 from support import a_family_xbasis, diagonal_matrices
 
 KLEIN = AbGroup((2, 2))

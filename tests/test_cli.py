@@ -194,6 +194,16 @@ def test_failing_cocycle_identity_is_a_validate_violation(capsys, tmp_path):
     assert data["violations"] == ["cocycle identity fails at (g2,g2,g1)"]
 
 
+def test_unnormalized_cocycle_is_a_validate_violation(capsys, tmp_path):
+    # a root of unity in every cell, but mu(e,g2) = -1
+    path = klein_degree_spec(tmp_path, [[1, 0], [0, 1]], cocycle={"table": [
+        ["1", "-1", "1", "1"], ["1", "1", "1", "1"],
+        ["1", "1", "1", "1"], ["1", "1", "1", "1"]]})
+    code, out, _ = run(capsys, ["validate", "--input", path])
+    assert code == 1
+    assert json.loads(out)["violations"] == ["normalization at (e,g2)"]
+
+
 # schur_order never enumerates G x G, so it takes groups past the bound
 @pytest.mark.parametrize("group,order", [
     ("1000,1000", 1000), ("2,2,2,2,2,2,2", 2 ** 21), ("8,8", 8)])
@@ -376,9 +386,16 @@ def test_malformed_group_block_is_input_error(capsys, tmp_path, blocks, message)
      "duality: duality is degenerate: chi trivial at g2"),
     ({"duality": [["i", "1"], ["1", "-1"]]},
      "duality: duality entry (1,1) is not killed by the generator orders"),
+    # 2 at (g1, g1), cell [2][2] in element enumeration order
+    ({"cocycle": {"table": [["1"] * 4, ["1"] * 4, ["1", "1", "2", "1"],
+                            ["1"] * 4]}},
+     "cocycle.table[2][2] must be a root of unity, not 2"),
+    ({"cocycle": {"formula": "2^(a1*b1)"}},
+     "cocycle.formula at (g1,g1) must be a root of unity, not 2"),
 ], ids=["group-one", "group-empty", "klein-cocycle-on-c3",
         "klein-duality-on-c3", "duality-1x1", "duality-degenerate",
-        "duality-entry-order"])
+        "duality-entry-order", "cocycle-table-not-root",
+        "cocycle-formula-not-root"])
 @pytest.mark.parametrize("command", ["validate", "twist"])
 def test_input_shape_errors_exit_2(capsys, tmp_path, blocks, message, command):
     blocks = dict(blocks)
@@ -659,6 +676,16 @@ def test_every_degree_flag_is_bounded(capsys, argv):
         main(argv + ["--degree", str(MAX_DEGREE + 1)])
     assert exc.value.code == 2
     assert "argument --degree: must be at most" in capsys.readouterr().err
+
+
+# the batteries run the presets at their own conductor, so the flag that
+# would force a larger one is unknown to them
+@pytest.mark.parametrize("command", ["theorem55", "report"])
+def test_batteries_refuse_the_conductor_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--degree", "4", "--conductor", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --conductor 8" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

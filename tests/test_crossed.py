@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import os
@@ -277,7 +276,7 @@ def test_generator_check_refuses_another_cocycles_twist(monkeypatch):
     transposed = Cocycle(mu.group, mu.modulus, tuple(zip(*mu.values)))
     real = twist.twist_presentation
     monkeypatch.setattr(twist, "twist_presentation", lambda s: real(
-        dataclasses.replace(s, cocycle=transposed)))
+        TwistSpec(s.grading, s.duality, transposed)))
     report = verify_invariant_ring(spec, 4)
     assert not report.relations_vanish
     assert not report.multiplicative
@@ -294,5 +293,5 @@ def test_scaling_check_refuses_a_non_character():
     broken = Cocycle(mu.group, mu.modulus, tuple(map(tuple, values)))
     g = spec.group.elements()[2]
     report = verify_bimodule_component(
-        dataclasses.replace(spec, cocycle=broken), g, 3)
+        TwistSpec(spec.grading, spec.duality, broken), g, 3)
     assert not report.scaling_multiplicative

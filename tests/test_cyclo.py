@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,7 @@ from cotwist import cyclo
 from cotwist.cyclo import (CycNum, euler_phi, parse_scalar, root_exponent,
                            root_of_unity)
 from cotwist.errors import ConductorMismatch, ParseError
-from oracles import FracCyclo
+from oracles import FracCyclo, fraction_format
 
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
 
@@ -145,6 +146,24 @@ def test_format_parse_round_trip(conductor, data):
     a = data.draw(cycnums(conductor))
     parsed = parse_scalar(str(a))
     assert parsed.embed(conductor) == a
+
+
+# every conductor of the sweep, with numerators of both signs over several
+# common denominators, so that single coefficients such as 2/2 in
+# (1, 2)/2 reduce on their own while the whole number is in lowest terms
+@pytest.mark.parametrize("conductor", [1, 2, 3, 4, 5, 8, 12])
+def test_format_matches_fraction_rendering(conductor):
+    span = range(-4, 5) if euler_phi(conductor) <= 2 else range(-2, 3)
+    for den in (1, 2, 3, 4, 6):
+        for num in itertools.product(span, repeat=euler_phi(conductor)):
+            x = CycNum(conductor, [Fraction(n, den) for n in num])
+            assert cyclo.format_cycnum(x) == fraction_format(x), (num, den)
+
+
+def test_format_of_a_self_reducing_coefficient():
+    x = CycNum(3, [Fraction(1, 2), Fraction(2, 2)])
+    assert (x.num, x.den) == ((1, 2), 2)
+    assert cyclo.format_cycnum(x) == fraction_format(x) == "1/2 + zeta(3)"
 
 
 def test_parse_errors():

@@ -1,12 +1,19 @@
 """The library surface stays what the commands, the benchmark and the README
 use, and no module imports a name it never uses.  No linter ships with the
-tool chain, so these two checks read the sources with `ast`."""
+tool chain, so these two checks read the sources with `ast`.  A process also
+pays for what it imports and computes but never reads: the last checks
+guard start-up and the repeated work of the report battery."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cotwist
+from cotwist import presets
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cotwist"
@@ -75,3 +82,34 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _module_imports(tree) if name not in read]
     assert unused == []
+
+
+def test_layers_import_neither_dataclasses_nor_fractions():
+    # a dataclass generates its methods with `exec` when its module loads,
+    # `dataclasses` itself imports `inspect` and `ast`, and `fractions`
+    # `decimal`; `report` loads no action code, which only a spec reads
+    script = ("import sys, cotwist.cli, cotwist.presets\n"
+              "print('cotwist.action' in sys.modules)\n"
+              "import cotwist.action, cotwist.twist\n"
+              "print(*sorted({'dataclasses', 'fractions'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         check=True, capture_output=True, text=True,
+                         timeout=60).stdout
+    assert out == "False\n\n"
+
+
+def test_regularity_agreement_checks_each_presentation_once(monkeypatch):
+    # the twist maps the 8 presets onto one another, so 8 distinct
+    # presentations of 3 generators each are checked, not 16
+    real, calls = presets.is_regular_to_degree, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(presets, "is_regular_to_degree", counted)
+    section = presets._regularity_agreement(6)
+    assert len(calls) == 24
+    golden = json.loads((ROOT / "tests" / "golden" / "report.json").read_text())
+    assert section == golden["regularity_agreement"]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cotwist.action import GGrading, isotypic_basis
+from cotwist.action import isotypic_basis
 from cotwist.cyclo import CycNum, parse_scalar
 from cotwist.errors import ValidationError
 from cotwist.groups import (AbGroup, all_automorphisms, coboundary,
@@ -13,10 +13,10 @@ from cotwist.groups import (AbGroup, all_automorphisms, coboundary,
                             standard_duality, trivial_cocycle)
 from cotwist.jsonio import presentation_from_dict, spec_bundle_from_dict
 from cotwist.presets import preset
-from cotwist.twist import (TwistSpec, coboundary_rescale_matches, double_twist,
-                           regraded_spec, twist_poly, twist_presentation,
-                           verify_duality_benign, verify_regrade_compat,
-                           word_twist_scalar)
+from cotwist.twist import (GGrading, TwistSpec, coboundary_rescale_matches,
+                           double_twist, regraded_spec, twist_poly,
+                           twist_presentation, verify_duality_benign,
+                           verify_regrade_compat, word_twist_scalar)
 
 KLEIN = AbGroup((2, 2))
 E, G2, G1 = (0, 0), (0, 1), (1, 0)
