@@ -45,7 +45,7 @@ def _load_bundle(arg: str, conductor: Optional[int]) -> SpecBundle:
     if arg.startswith(_PRESET_SCHEME):
         from .presets import preset
         p = preset(arg[len(_PRESET_SCHEME):])
-        return SpecBundle(None, p.twist_spec())
+        return SpecBundle(None, p.spec)
     return spec_bundle_from_dict(load_json(arg), conductor)
 
 
@@ -265,8 +265,9 @@ def _cmd_checks(args) -> int:
 
 
 # No Groebner completion this tool can finish comes near this degree (the
-# Sklyanin algebra takes seconds at degree 7 and minutes at 9), so a larger
-# --degree is refused before any work rather than run until it is killed.
+# Sklyanin algebra's Hilbert prefix takes under a second at degree 7, seconds
+# at 9 and half a minute at 10), so a larger --degree is refused before any
+# work rather than run until it is killed.
 MAX_DEGREE = 64
 
 

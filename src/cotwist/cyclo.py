@@ -14,8 +14,9 @@ a common conductor first (`CycNum.embed` / `common_conductor`).
 For phi(N) = 1 (conductors 1 and 2) the field is Q, and all arithmetic is
 one rational arithmetic on (numerator, denominator) int pairs in lowest
 terms with a positive denominator: `_rational_product` and `_rational_sum`.
-The operators build on them, and the rewrite loop of `gbasis` calls them
-directly on bare pairs, making a CycNum only for the terms that survive.
+The operators build on them.  The rewrite loop of `gbasis` does its own
+arithmetic on rules over a common denominator; it takes only `CycNum` and
+`_reduced` from here.
 """
 
 from __future__ import annotations

@@ -612,7 +612,6 @@ class IsoVerdict(NamedTuple):
     hilbert_rhs: tuple
     hilbert_equal: bool
     scalars: Optional[list]
-    inverse_checked: Optional[bool]
     failure: Optional[str] = None
 
     @property
@@ -621,7 +620,7 @@ class IsoVerdict(NamedTuple):
 
 
 def verify_iso(lhs: Presentation, rhs: Presentation, genmap: GenMap,
-               bound: int, inverse: Optional[GenMap] = None) -> IsoVerdict:
+               bound: int) -> IsoVerdict:
     """Certify the necessary conditions for `genmap` to define an isomorphism
     lhs -> rhs through `bound`: mapped relations lie in the target ideal and
     the Hilbert prefixes agree.  When the mapped relation set equals the
@@ -668,15 +667,6 @@ def verify_iso(lhs: Presentation, rhs: Presentation, genmap: GenMap,
     if not hilbert_equal and failure is None:
         failure = f"Hilbert prefixes differ: {hl} vs {hr}"
 
-    inverse_checked = None
-    if inverse is not None:
-        gb_lhs = truncated_gb(lhs, bound)
-        inverse_checked = all(
-            normal_form(inverse.apply(r), gb_lhs).is_zero()
-            for r in rhs.relations)
-        if not inverse_checked and failure is None:
-            failure = "inverse map does not send relations into the source ideal"
-
     if failure is not None:
         status = "FAILED"
     elif syntactic:
@@ -684,4 +674,4 @@ def verify_iso(lhs: Presentation, rhs: Presentation, genmap: GenMap,
     else:
         status = "VERIFIED"
     return IsoVerdict(status, bound, syntactic, relations_in_ideal,
-                      hl, hr, hilbert_equal, scalars, inverse_checked, failure)
+                      hl, hr, hilbert_equal, scalars, failure)

@@ -340,6 +340,5 @@ def verdict_to_dict(v: IsoVerdict) -> dict:
         "hilbert_rhs": list(v.hilbert_rhs),
         "hilbert_equal": v.hilbert_equal,
         "scalars": [str(s) for s in v.scalars] if v.scalars else None,
-        "inverse_checked": v.inverse_checked,
         "failure": v.failure,
     }

@@ -7,8 +7,9 @@ Every preset lives over conductor 4, has three degree-1 generators with
 G-degrees (e, g2, g1) and twists by the cocycle
 mu(g1^p g2^q, g1^r g2^s) = (-1)^(p*s).  The degrees are those the
 quasi-trivial action (g1 negates w2, g2 negates w3) induces under the Klein
-duality; a preset keeps only the grading, as the spec loader does once it
-has diagonalized an action.
+duality; a preset keeps no action, as the spec loader keeps none once it has
+diagonalized one.  Each preset is built once, with its twist spec (grading,
+duality and cocycle) and its twist, and the checks read both from it.
 
 Per-relation twist scalars are reported against the catalog display forms of
 the target relations (the stored presentations are canonically rescaled, and
@@ -25,9 +26,9 @@ from .cyclo import CycNum
 from .errors import CotwistError
 from .freealg import GenMap, Presentation, make_alphabet, make_presentation, parse_ncpoly
 from .gbasis import hilbert_coeffs, is_regular_to_degree, verify_iso
-from .groups import (AbGroup, Cocycle, Duality, all_automorphisms,
-                     commutator_radical, klein_duality, klein_mu, schur_order,
-                     standard_duality, trivial_cocycle)
+from .groups import (AbGroup, all_automorphisms, commutator_radical,
+                     klein_duality, klein_mu, schur_order, standard_duality,
+                     trivial_cocycle)
 from .twist import (GGrading, TwistSpec, coboundary_rescale_matches,
                     double_twist, grading_from_degrees, twist_poly,
                     twist_presentation, verify_duality_benign,
@@ -61,19 +62,20 @@ PRESET_NAMES = tuple(_CATALOG)
 
 
 class Preset(NamedTuple):
-    name: str
-    presentation: Presentation
-    display_relations: tuple
-    group: AbGroup
-    duality: Duality
-    cocycle: Cocycle
-    g_degrees: tuple
+    """A catalog entry: the display forms of its relations, its twist data
+    and the twisted presentation."""
 
-    def grading(self) -> GGrading:
-        return grading_from_degrees(self.presentation, self.group, self.g_degrees)
+    name: str
+    display_relations: tuple
+    spec: TwistSpec
+    twisted: GGrading
+
+    @property
+    def presentation(self) -> Presentation:
+        return self.spec.presentation
 
     def twist_spec(self) -> TwistSpec:
-        return TwistSpec(self.grading(), self.duality, self.cocycle)
+        return self.spec
 
 
 # One entry per catalog name at most; an unknown name raises and is not cached.
@@ -85,11 +87,10 @@ def preset(name: str) -> Preset:
     gens = make_alphabet([("w1", 1), ("w2", 1), ("w3", 1)])
     display = tuple(parse_ncpoly(text, gens, CONDUCTOR) for text in _CATALOG[name])
     pres = make_presentation(CONDUCTOR, gens, display)
-    group = AbGroup((2, 2))
-    duality = klein_duality()
-    mu = klein_mu()
-    degrees = ((0, 0), (0, 1), (1, 0))
-    return Preset(name, pres, display, group, duality, mu, degrees)
+    grading = grading_from_degrees(pres, AbGroup((2, 2)),
+                                   ((0, 0), (0, 1), (1, 0)))
+    spec = TwistSpec(grading, klein_duality(), klein_mu())
+    return Preset(name, display, spec, twist_presentation(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +131,17 @@ def _twist_suite(bound: int) -> dict:
     for source_name, (target_name, expected) in TWIST_PAIRS.items():
         source = preset(source_name)
         target = preset(target_name)
-        twisted = twist_presentation(source.twist_spec())
-        syntactic = twisted.presentation.relations == target.presentation.relations
+        twisted = source.twisted.presentation
+        syntactic = twisted.relations == target.presentation.relations
 
         scalars = []
         for raw, tgt in zip(source.display_relations, target.display_relations):
-            tw = twist_poly(raw, source.grading(), source.cocycle)
+            tw = twist_poly(raw, source.spec.grading, source.spec.cocycle)
             ratio = tw.leading_coeff() * tgt.leading_coeff().inverse()
             scalars.append(ratio if tw == tgt.scale(ratio) else None)
         scalars_ok = scalars == [CycNum.rational(s, CONDUCTOR) for s in expected]
 
-        iso = verify_iso(twisted.presentation, target.presentation,
+        iso = verify_iso(twisted, target.presentation,
                          GenMap.identity(target.presentation.generators, CONDUCTOR),
                          bound)
         pairs.append({
@@ -151,7 +152,7 @@ def _twist_suite(bound: int) -> dict:
             "iso_status": iso.status,
             "hilbert": list(iso.hilbert_lhs),
             "hilbert_equal": iso.hilbert_equal,
-            "twisted_relations": [str(r) for r in twisted.presentation.relations],
+            "twisted_relations": [str(r) for r in twisted.relations],
             "target_relations": [str(r) for r in target.presentation.relations],
             "pass": syntactic and scalars_ok and iso.ok and iso.hilbert_equal,
         })
@@ -170,8 +171,7 @@ def _hilbert_preservation(bound: int) -> dict:
     for name in PRESET_NAMES:
         p = preset(name)
         own = hilbert_coeffs(p.presentation, bound)
-        twisted = twist_presentation(p.twist_spec())
-        other = hilbert_coeffs(twisted.presentation, bound)
+        other = hilbert_coeffs(p.twisted.presentation, bound)
         presets.append({"name": name, "dims": list(own), "twist_dims": list(other),
                         "pass": own == other and own[:3] == (1, 3, 7)})
     return _section("presets", presets)
@@ -180,7 +180,7 @@ def _hilbert_preservation(bound: int) -> dict:
 def _invariant_ring(bound: int) -> dict:
     presets = []
     for name in ("A(1,-1)", "B(1)"):
-        rep = verify_invariant_ring(preset(name).twist_spec(), INVARIANT_BOUND)
+        rep = verify_invariant_ring(preset(name).spec, INVARIANT_BOUND)
         presets.append({
             "name": name, "bound": rep.bound,
             "dims": [list(t) for t in rep.dims_match],
@@ -191,7 +191,7 @@ def _invariant_ring(bound: int) -> dict:
 
 
 def _bimodule_components(bound: int) -> dict:
-    spec = preset("A(1,-1)").twist_spec()
+    spec = preset("A(1,-1)").spec
     components = []
     for g in spec.group.elements():
         rep = verify_bimodule_component(spec, g, BIMODULE_BOUND)
@@ -205,8 +205,9 @@ def _bimodule_components(bound: int) -> dict:
 
 
 def _twisted_group_algebra(bound: int) -> dict:
-    group = preset("A(1,-1)").group
-    radical = commutator_radical(klein_mu())
+    spec = preset("A(1,-1)").spec
+    group = spec.group
+    radical = commutator_radical(spec.cocycle)
     out = {
         "twisted_center_dim": len(radical),
         "twisted_trace_rank": group.order,
@@ -230,7 +231,7 @@ def _schur(bound: int) -> dict:
 
 
 def _regrade_compat(bound: int) -> dict:
-    spec = preset("A(1,-1)").twist_spec()
+    spec = preset("A(1,-1)").spec
     oks = [verify_regrade_compat(spec, sigma)
            for sigma in all_automorphisms(spec.group)]
     return {"pass": all(oks), "automorphisms": len(oks)}
@@ -238,24 +239,24 @@ def _regrade_compat(bound: int) -> dict:
 
 def _duality_compat(bound: int) -> dict:
     """Raises FalsificationError when no compatible duality change exists."""
-    p = preset("A(1,-1)")
-    tau = verify_duality_benign(p.grading(), klein_duality(),
-                                standard_duality(p.group), klein_mu())
+    spec = preset("A(1,-1)").spec
+    tau = verify_duality_benign(spec.grading, spec.duality,
+                                standard_duality(spec.group), spec.cocycle)
     return {"pass": True,
-            "witness": [p.group.describe(img) for img in tau.images]}
+            "witness": [spec.group.describe(img) for img in tau.images]}
 
 
 def _double_twist(bound: int) -> dict:
     presets = []
     for name in PRESET_NAMES:
         p = preset(name)
-        back = double_twist(p.twist_spec())
+        back = double_twist(p.spec)
         presets.append({"name": name, "pass": back.presentation == p.presentation})
     return _section("presets", presets)
 
 
 def _coboundary_rescale(bound: int) -> dict:
-    oks = [coboundary_rescale_matches(preset(name).twist_spec(), 4, rho)
+    oks = [coboundary_rescale_matches(preset(name).spec, 4, rho)
            for name in PRESET_NAMES for rho in _FIXED_RESCALINGS]
     return {"pass": all(oks), "checked": len(oks)}
 
@@ -263,27 +264,22 @@ def _coboundary_rescale(bound: int) -> dict:
 def _regularity_agreement(bound: int) -> dict:
     # The twist maps the presets onto one another, so each presentation comes
     # up twice, as a preset and as a twist; its verdicts are computed once.
-    known: dict = {}
-
-    def regular(pres: Presentation, index: int) -> tuple:
-        key = (pres, index)
-        if key not in known:
-            known[key] = is_regular_to_degree(pres.gen_poly(index), pres,
-                                              REGULARITY_BOUND)
-        return known[key]
-
+    checked = [preset(name) for name in PRESET_NAMES]
+    distinct = dict.fromkeys(pres for p in checked
+                             for pres in (p.presentation, p.twisted.presentation))
+    regular = {(pres, g.index): is_regular_to_degree(pres.gen_poly(g.index), pres,
+                                                     REGULARITY_BOUND)
+               for pres in distinct for g in pres.generators}
     presets = []
-    for name in PRESET_NAMES:
-        p = preset(name)
-        twisted = twist_presentation(p.twist_spec())
+    for p in checked:
         verdicts = []
         for g in p.presentation.generators:
-            before = regular(p.presentation, g.index)
-            after = regular(twisted.presentation, g.index)
+            before = regular[p.presentation, g.index]
+            after = regular[p.twisted.presentation, g.index]
             verdicts.append({"generator": g.name,
                              "before": list(before), "after": list(after)})
         agree = all(v["before"] == v["after"] for v in verdicts)
-        presets.append({"name": name, "verdicts": verdicts, "pass": agree})
+        presets.append({"name": p.name, "verdicts": verdicts, "pass": agree})
     return _section("presets", presets)
 
 

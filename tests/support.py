@@ -13,8 +13,8 @@
   test holds `is_regular_to_degree` to.
 - `a_family_xbasis`: the A(1,-1) preset in a basis where its action is not
   diagonal, input for the diagonalization tests.
-- `diagonal_matrices`: the action matrices that a preset's declared
-  G-degrees mean; presets keep only the degrees.
+- `diagonal_matrices`: the action matrices that a twist spec's declared
+  G-degrees mean; presets keep no action.
 """
 
 from __future__ import annotations
@@ -128,13 +128,14 @@ def a_family_xbasis():
     return pres, (swap, negate)
 
 
-def diagonal_matrices(p):
+def diagonal_matrices(spec):
     """One diagonal matrix per group generator h: it scales a generator of
     degree g by chi_{g^-1}(h), read off `Duality.values`."""
-    group, n = p.group, len(p.g_degrees)
-    zero = CycNum.zero(p.presentation.conductor)
-    values = [p.duality.values(group.inv(g)) for g in p.g_degrees]
+    group, degrees = spec.group, spec.grading.g_degrees
+    n, conductor = len(degrees), spec.presentation.conductor
+    zero = CycNum.zero(conductor)
+    values = [spec.duality.values(group.inv(g)) for g in degrees]
     return [[[root_of_unity(values[a][j], group.exponent(),
-                            p.presentation.conductor) if a == b else zero
+                            conductor) if a == b else zero
               for b in range(n)] for a in range(n)]
             for j in range(group.rank)]

@@ -96,8 +96,8 @@ def test_isotypic_basis_trivial_action():
 
 def test_isotypic_basis_diagonal_action_reads_off_degrees():
     p = preset("A(1,-1)")
-    basis = isotypic_basis(p.presentation, KLEIN, diagonal_matrices(p),
-                           p.duality)
+    basis = isotypic_basis(p.presentation, KLEIN, diagonal_matrices(p.spec),
+                           p.spec.duality)
     assert basis.names == ("w1", "w2", "w3")
     assert basis.g_degrees == ((0, 0), (0, 1), (1, 0))
 
@@ -124,7 +124,7 @@ def test_regrade_recovers_w_basis_presentation():
         pres, isotypic_basis(pres, KLEIN, mats, klein_duality()), KLEIN)
     target = preset("A(1,-1)")
     assert grading.presentation.relations == target.presentation.relations
-    assert grading.g_degrees == target.g_degrees
+    assert grading.g_degrees == target.spec.grading.g_degrees
 
 
 def test_regrade_round_trip_to_original_relations():
@@ -140,7 +140,7 @@ def test_regrade_round_trip_to_original_relations():
 
 
 def test_word_degree_multiplicative():
-    grading = preset("A(1,-1)").grading()
+    grading = preset("A(1,-1)").spec.grading
     for u in [(0,), (1,), (2,), (0, 1), (2, 2, 1)]:
         for w in [(1,), (2, 0), (1, 1)]:
             assert grading.word_degree(u + w) == KLEIN.mul(
@@ -149,7 +149,7 @@ def test_word_degree_multiplicative():
 
 def test_g_degree_of_examples():
     p = preset("A(1,-1)")
-    grading = p.grading()
+    grading = p.spec.grading
     pres = p.presentation
     assert grading.poly_degree(pres.parse("w1^2 - w2^2")) == E
     assert grading.poly_degree(pres.parse("w3")) == G1
@@ -179,7 +179,7 @@ def test_declared_degrees_must_make_relations_homogeneous():
 def test_diagonal_action_matches_declared_degrees():
     # the action that the preset's declared degrees mean is valid
     p = preset("A(1,-1)")
-    m1, m2 = validate_action(p.presentation, KLEIN, diagonal_matrices(p))
+    m1, m2 = validate_action(p.presentation, KLEIN, diagonal_matrices(p.spec))
     assert [str(m1[k][k]) for k in range(3)] == ["1", "-1", "1"]
     assert [str(m2[k][k]) for k in range(3)] == ["1", "1", "-1"]
 

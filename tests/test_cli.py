@@ -792,7 +792,7 @@ def _argv(draw):
         if command != "twist" and draw(st.booleans()):
             argv += ["--degree", draw(st.sampled_from(
                 ["0", "1", "2", "3", "4", "-1", "65", "x"]))]
-        if draw(st.booleans()):
+        if command not in ("theorem55", "report") and draw(st.booleans()):
             argv += ["--conductor", draw(st.sampled_from(
                 ["1", "2", "4", "0", "-2", "x"]))]
     if draw(st.booleans()):

@@ -73,7 +73,7 @@ def spec_for(name):
     if name == "c3c3":
         with open(C3C3_SPEC, encoding="utf-8") as handle:
             return spec_bundle_from_dict(json.load(handle)).spec
-    return preset(name).twist_spec()
+    return preset(name).spec
 
 
 def model_for(name, bound=4):
@@ -104,13 +104,13 @@ def test_invariants_dimension_matches_algebra():
 
 def test_invariant_ring_report_trivial_cocycle():
     p = preset("B(1)")
-    spec = TwistSpec(p.grading(), p.duality, trivial_cocycle(KLEIN))
+    spec = TwistSpec(p.spec.grading, p.spec.duality, trivial_cocycle(KLEIN))
     report = verify_invariant_ring(spec, 3)
     assert report.ok
 
 
 def test_invariant_ring_report_klein():
-    report = verify_invariant_ring(preset("A(1,-1)").twist_spec(), 4)
+    report = verify_invariant_ring(preset("A(1,-1)").spec, 4)
     assert report.ok
     assert [row[1] for row in report.dims_match] == [1, 3, 7, 13, 22]
 
@@ -124,7 +124,7 @@ def test_bimodule_scaling_value():
 
 
 def test_bimodule_components_all_group_elements():
-    spec = preset("A(1,-1)").twist_spec()
+    spec = preset("A(1,-1)").spec
     for g in KLEIN.elements():
         report = verify_bimodule_component(spec, g, 3)
         assert report.ok

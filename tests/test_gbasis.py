@@ -96,7 +96,7 @@ def test_commutative_three_variable_degree_two_count():
 
 def test_preset_prefix_and_twist_equality():
     p = preset("B(1)")
-    twisted = twist_presentation(p.twist_spec())
+    twisted = twist_presentation(p.spec)
     own = hilbert_coeffs(p.presentation, 6)
     assert own[:3] == (1, 3, 7)
     assert own == hilbert_coeffs(twisted.presentation, 6)
@@ -152,7 +152,7 @@ def _regularity_cases():
     and their twists at bound 5, and the zero-divisor cases above."""
     for name in PRESET_NAMES:
         p = preset(name)
-        for pres in (p.presentation, twist_presentation(p.twist_spec()).presentation):
+        for pres in (p.presentation, twist_presentation(p.spec).presentation):
             for g in pres.generators:
                 yield pres.gen_poly(g.index), pres, 5
     free = make_presentation(4, make_alphabet([("w1", 1), ("w2", 1)]), [])
@@ -175,7 +175,7 @@ def test_regularity_matches_dense_rows_and_gauss_jordan_ranks():
 def test_verify_iso_syntactic_for_twist_pair():
     source = preset("A(1,-1)")
     target = preset("D(1,1)")
-    twisted = twist_presentation(source.twist_spec())
+    twisted = twist_presentation(source.spec)
     verdict = verify_iso(twisted.presentation, target.presentation,
                          GenMap.identity(target.presentation.generators, 4), 6)
     assert verdict.status == "SYNTACTIC"
@@ -190,13 +190,6 @@ def test_verify_iso_detects_failure():
     assert verdict.status == "FAILED"
     assert verdict.relations_in_ideal[3] is False
     assert "relation 4" in verdict.failure
-
-
-def test_verify_iso_with_inverse_map():
-    p = preset("E(1,i)").presentation
-    ident = GenMap.identity(p.generators, 4)
-    verdict = verify_iso(p, p, ident, 6, inverse=ident)
-    assert verdict.status == "SYNTACTIC" and verdict.inverse_checked
 
 
 def test_verify_iso_rejects_low_bound():
@@ -458,7 +451,7 @@ def all_words(pres, bound):
 def test_table_products_match_normal_form_on_presets(name):
     source = preset(name)
     for pres in (source.presentation,
-                 twist_presentation(source.twist_spec()).presentation):
+                 twist_presentation(source.spec).presentation):
         assert_table_matches_normal_form(pres, 5, all_words(pres, 5))
 
 
@@ -610,7 +603,7 @@ def _trie_cases(sklyanin):
     for name in PRESET_NAMES:
         source = preset(name)
         cases[name] = source.presentation
-        cases[name + " twisted"] = twist_presentation(source.twist_spec()).presentation
+        cases[name + " twisted"] = twist_presentation(source.spec).presentation
     cases["sklyanin"], cases["sklyanin twisted"] = sklyanin
     weighted = make_alphabet([("x", 1), ("y", 2)])
     cases["weighted"] = make_presentation(1, weighted, [
@@ -912,7 +905,7 @@ def _rational_cases(sklyanin):
              if pres.conductor <= 2}
     for name in PRESET_NAMES:
         source = preset(name)
-        twisted = twist_presentation(source.twist_spec()).presentation
+        twisted = twist_presentation(source.spec).presentation
         for label, pres in ((name, source.presentation),
                             (name + " twisted", twisted)):
             if all(c.is_rational() for r in pres.relations

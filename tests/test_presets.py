@@ -1,8 +1,9 @@
 import itertools
+import sys
 
 import pytest
 
-from cotwist import presets
+from cotwist import freealg, gbasis, presets, twist
 from cotwist.cyclo import root_of_unity
 from cotwist.errors import CotwistError, FalsificationError
 from cotwist.freealg import GenMap, make_presentation
@@ -24,7 +25,7 @@ def test_catalog_shape():
         assert len(p.presentation.generators) == 3
         assert all(g.degree == 1 for g in p.presentation.generators)
         assert len(p.presentation.relations) == 4
-        assert p.g_degrees == ((0, 0), (0, 1), (1, 0))
+        assert p.spec.grading.g_degrees == ((0, 0), (0, 1), (1, 0))
 
 
 def test_presets_connected_with_three_dimensional_degree_one():
@@ -46,6 +47,50 @@ def test_preset_cache_holds_one_entry_per_catalog_name():
     info = preset.cache_info()
     assert info.maxsize == info.currsize == len(PRESET_NAMES)
     assert all(preset(name) is p for name, p in first.items())
+
+
+def test_each_preset_holds_its_spec_and_its_twist():
+    for name in PRESET_NAMES:
+        p = preset(name)
+        assert p.twist_spec() is p.spec
+        assert p.presentation is p.spec.presentation
+        assert p.twisted == twist_presentation(p.spec)
+    for source_name, (target_name, _) in TWIST_PAIRS.items():
+        assert preset(source_name).twisted.presentation == \
+            preset(target_name).presentation
+
+
+# the calls one `full_report(6)` makes from cold caches: each preset is
+# graded and twisted once, when it is built, and only the checks whose
+# subject is twisting (double twist, coboundary rescaling, regrading, the
+# duality change, the invariant ring) twist again
+REPORT_CALLS = {"grading_from_degrees": (twist, 8),
+                "twist_presentation": (twist, 56),
+                "make_presentation": (freealg, 80),
+                "is_regular_to_degree": (gbasis, 24),
+                "_complete": (gbasis, 17)}
+
+
+def test_report_builds_each_preset_and_its_twist_once(monkeypatch):
+    counts = dict.fromkeys(REPORT_CALLS, 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    modules = [module for key, module in sys.modules.items()
+               if key.startswith("cotwist.")]
+    for name, (owner, _) in REPORT_CALLS.items():
+        real = getattr(owner, name)
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    presets.preset.cache_clear()
+    gbasis._GB_CACHE.clear()
+    assert full_report(6)["passed"]
+    assert counts == {name: n for name, (_, n) in REPORT_CALLS.items()}
 
 
 def test_fourth_relations_differ_between_source_and_target():
@@ -71,7 +116,7 @@ def test_twist_suite_passes_with_expected_scalars():
 
 def test_trivial_cocycle_negative_control():
     p = preset("A(1,-1)")
-    spec = TwistSpec(p.grading(), p.duality, trivial_cocycle(KLEIN))
+    spec = TwistSpec(p.spec.grading, p.spec.duality, trivial_cocycle(KLEIN))
     twisted = twist_presentation(spec)
     assert twisted.presentation == p.presentation
     target = preset("D(1,1)").presentation
@@ -85,9 +130,10 @@ def test_coboundary_modified_cocycle_passes_after_rescaling():
     target = preset("D(1,1)")
     # rho = (1, i, -1, -i) as exponents base i
     rho = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
-    modified = cocycle_product(p.cocycle, coboundary(KLEIN, 4, rho))
-    twisted = twist_presentation(TwistSpec(p.grading(), p.duality, modified))
-    scalars = [root_of_unity(rho[g], 4, 4) for g in p.g_degrees]
+    modified = cocycle_product(p.spec.cocycle, coboundary(KLEIN, 4, rho))
+    twisted = twist_presentation(TwistSpec(p.spec.grading, p.spec.duality,
+                                           modified))
+    scalars = [root_of_unity(rho[g], 4, 4) for g in p.spec.grading.g_degrees]
     rescale = GenMap.scaling(p.presentation.generators, 4, scalars)
     rescaled = make_presentation(
         4, p.presentation.generators,
@@ -98,8 +144,9 @@ def test_coboundary_modified_cocycle_passes_after_rescaling():
 def test_double_klein_twist_returns_preset_exactly():
     for name in PRESET_NAMES:
         p = preset(name)
-        once = twist_presentation(p.twist_spec())
-        twice = twist_presentation(TwistSpec(once, p.duality, p.cocycle))
+        once = twist_presentation(p.spec)
+        twice = twist_presentation(TwistSpec(once, p.spec.duality,
+                                             p.spec.cocycle))
         assert twice.presentation == p.presentation
 
 
@@ -120,14 +167,15 @@ def test_preset_action_diagonal_values():
     # the quasi-trivial action that the degrees (e, g2, g1) mean: the
     # exponents base -1 of chi_{g^-1} at (g1, g2) for each generator's
     # degree g, so g1 negates w2 and g2 negates w3
-    p = preset("E(1,-i)")
-    values = [p.duality.values(KLEIN.inv(g)) for g in p.g_degrees]
+    spec = preset("E(1,-i)").spec
+    values = [spec.duality.values(KLEIN.inv(g))
+              for g in spec.grading.g_degrees]
     assert values == [(0, 0), (1, 0), (0, 1)]
 
 
 def test_loading_presets_completes_no_basis():
-    # a preset keeps only its grading, so loading one checks no action
-    from cotwist import gbasis
+    # a preset keeps its grading and its twist, not an action, so loading
+    # one completes no basis
     gbasis._GB_CACHE.clear()
     presets.preset.cache_clear()
     for name in PRESET_NAMES:
@@ -139,11 +187,11 @@ def test_regrade_on_preset_is_identity():
     from cotwist.action import isotypic_basis, regrade_presentation
     for name in ("A(1,-1)", "G(1,(1-i)/2)"):
         p = preset(name)
-        basis = isotypic_basis(p.presentation, KLEIN, diagonal_matrices(p),
-                               p.duality)
+        basis = isotypic_basis(p.presentation, KLEIN,
+                               diagonal_matrices(p.spec), p.spec.duality)
         grading = regrade_presentation(p.presentation, basis, KLEIN)
         assert grading.presentation == p.presentation
-        assert grading.g_degrees == p.g_degrees
+        assert grading.g_degrees == p.spec.grading.g_degrees
 
 
 def test_preset_relations_survive_string_round_trip():

@@ -57,7 +57,7 @@ def test_bracketing_independence():
 
 def test_twist_poly_fourth_relation_of_first_family():
     p = preset("A(1,-1)")
-    grading = p.grading()
+    grading = p.spec.grading
     source = p.presentation.parse("[w3,[w1,w2]_+]")
     twisted = twist_poly(source, grading, MU)
     expected = -p.presentation.parse(
@@ -68,14 +68,14 @@ def test_twist_poly_fourth_relation_of_first_family():
 def test_twist_poly_leaves_shared_quadratic_alone():
     p = preset("A(1,-1)")
     source = p.presentation.parse("w1^2 - w2^2")
-    assert twist_poly(source, p.grading(), MU) == source
+    assert twist_poly(source, p.spec.grading, MU) == source
 
 
 def test_twist_poly_trivial_cocycle_is_identity():
     p = preset("E(1,i)")
     mu0 = trivial_cocycle(KLEIN)
     for rel in p.presentation.relations:
-        assert twist_poly(rel, p.grading(), mu0) == rel
+        assert twist_poly(rel, p.spec.grading, mu0) == rel
 
 
 def test_twist_presentation_hits_targets():
@@ -83,34 +83,35 @@ def test_twist_presentation_hits_targets():
                                      ("E(1,i)", "E(1,-i)"),
                                      ("G(1,(1+i)/2)", "G(1,(1-i)/2)")]:
         source = preset(source_name)
-        twisted = twist_presentation(source.twist_spec())
+        twisted = twist_presentation(source.spec)
         assert twisted.presentation.relations == \
             preset(target_name).presentation.relations
-        assert twisted.g_degrees == source.g_degrees
+        assert twisted.g_degrees == source.spec.grading.g_degrees
 
 
 def test_twist_is_involutive_on_presets():
     for name in ("A(1,-1)", "C(1)", "G(1,(1+i)/2)"):
         p = preset(name)
-        once = twist_presentation(p.twist_spec())
-        twice = twist_presentation(TwistSpec(once, p.duality, p.cocycle))
+        once = twist_presentation(p.spec)
+        twice = twist_presentation(TwistSpec(once, p.spec.duality,
+                                             p.spec.cocycle))
         assert twice.presentation == p.presentation
 
 
 def test_double_twist_with_inverse_cocycle():
     for name in ("B(1)", "E(1,-i)"):
         p = preset(name)
-        assert double_twist(p.twist_spec()).presentation == p.presentation
+        assert double_twist(p.spec).presentation == p.presentation
 
 
 def test_regrade_compat_identity():
-    spec = preset("A(1,-1)").twist_spec()
+    spec = preset("A(1,-1)").spec
     identity = make_group_aut(KLEIN, (KLEIN.generator(0), KLEIN.generator(1)))
     assert verify_regrade_compat(spec, identity)
 
 
 def test_regrade_compat_all_automorphisms_and_cocycles():
-    base = preset("A(1,-1)").twist_spec()
+    base = preset("A(1,-1)").spec
     variants = [MU,
                 trivial_cocycle(KLEIN),
                 cocycle_product(MU, coboundary(
@@ -122,22 +123,23 @@ def test_regrade_compat_all_automorphisms_and_cocycles():
 
 
 def test_regraded_spec_relabels_degrees():
-    spec = preset("A(1,-1)").twist_spec()
+    spec = preset("A(1,-1)").spec
     swap = make_group_aut(KLEIN, [G2, G1])
     regraded = regraded_spec(spec, swap)
     assert regraded.grading.g_degrees == (E, G1, G2)
 
 
 def test_duality_benign_same_duality_gives_identity():
-    p = preset("A(1,-1)")
-    tau = verify_duality_benign(p.grading(), p.duality, p.duality, p.cocycle)
+    spec = preset("A(1,-1)").spec
+    tau = verify_duality_benign(spec.grading, spec.duality, spec.duality,
+                                spec.cocycle)
     assert tau.is_identity()
 
 
 def test_duality_benign_klein_vs_standard():
     p = preset("A(1,-1)")
-    tau = verify_duality_benign(p.grading(), klein_duality(),
-                                standard_duality(KLEIN), p.cocycle)
+    tau = verify_duality_benign(p.spec.grading, klein_duality(),
+                                standard_duality(KLEIN), p.spec.cocycle)
     # a witness exists; the return value is the first automorphism (identity
     # before the rest) whose pulled-back cocycle reproduces the twist
     assert tau.group == KLEIN
@@ -145,7 +147,7 @@ def test_duality_benign_klein_vs_standard():
 
 def test_duality_benign_trivial_cocycle_identity_first():
     p = preset("B(1)")
-    tau = verify_duality_benign(p.grading(), klein_duality(),
+    tau = verify_duality_benign(p.spec.grading, klein_duality(),
                                 standard_duality(KLEIN),
                                 trivial_cocycle(KLEIN))
     assert tau.is_identity()
@@ -219,14 +221,14 @@ def test_coboundary_rescale_on_all_presets():
     ]
     from cotwist.presets import PRESET_NAMES
     for name in PRESET_NAMES:
-        spec = preset(name).twist_spec()
+        spec = preset(name).spec
         for rho in rhos:
             assert coboundary_rescale_matches(spec, 4, rho)
 
 
 def test_coboundary_rescale_random_witnesses():
     rng = random.Random(23)
-    spec = preset("G(1,(1-i)/2)").twist_spec()
+    spec = preset("G(1,(1-i)/2)").spec
     for _ in range(10):
         rho = {E: 0}
         for el in (G1, G2, (1, 1)):
@@ -240,11 +242,11 @@ def test_twist_spec_rejects_conductor_mismatch():
     mu8 = coboundary(KLEIN, 8, {E: 0, G1: 1, G2: 0, (1, 1): 0})
     assert mu8.modulus == 8
     with pytest.raises(ValidationError, match="conductor"):
-        TwistSpec(p.grading(), p.duality, mu8)
+        TwistSpec(p.spec.grading, p.spec.duality, mu8)
 
 
 def test_twist_spec_rejects_group_mismatch():
     p = preset("A(1,-1)")
     other = trivial_cocycle(AbGroup((2,)))
     with pytest.raises(ValidationError, match="group"):
-        TwistSpec(p.grading(), p.duality, other)
+        TwistSpec(p.spec.grading, p.spec.duality, other)
