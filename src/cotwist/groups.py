@@ -415,7 +415,7 @@ def make_group_aut(group: AbGroup, images: Sequence[Element]) -> GroupAut:
     if len(images) != group.rank:
         raise ValidationError("one image per group generator required")
     for j, img in enumerate(images):
-        if group.order_of(img) not in _divisors_of(group.factors[j]):
+        if group.factors[j] % group.order_of(img):
             raise ValidationError(
                 f"image of g{j + 1} has order not dividing {group.factors[j]}")
     aut = GroupAut(group, tuple(tuple(x) for x in images))
@@ -425,17 +425,13 @@ def make_group_aut(group: AbGroup, images: Sequence[Element]) -> GroupAut:
     return aut
 
 
-def _divisors_of(n: int) -> set:
-    return {d for d in range(1, n + 1) if n % d == 0}
-
-
 def all_automorphisms(group: AbGroup) -> list:
     """Every automorphism, by exhausting generator-image candidates."""
     out = []
     candidates = []
     for j in range(group.rank):
         ok = [g for g in group.elements()
-              if group.order_of(g) in _divisors_of(group.factors[j])]
+              if group.factors[j] % group.order_of(g) == 0]
         candidates.append(ok)
     for images in itertools.product(*candidates):
         try:

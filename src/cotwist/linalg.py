@@ -1,11 +1,15 @@
 """Exact linear algebra over cyclotomic scalars.
 
-Matrices are lists of row lists.  Row reduction works on sparse rows
-{column: CycNum}, because the matrices built here (multiplication maps on
-normal words, crossed-product coordinates) are mostly zero; the dimensions
-are small (at most a few hundred rows).  `rank` and `row_spaces_equal` take
-such sparse rows directly, keyed by whatever the caller holds (normal words,
-crossed-product monomials), and eliminate forward only.
+Row reduction works on sparse rows {column: CycNum}, because the matrices
+built here (multiplication maps on normal words, crossed-product
+coordinates) are mostly zero; the dimensions are small (at most a few
+hundred rows).  There is one elimination, `_echelon`, and it runs forward
+only.  `rank` and `row_spaces_equal` take sparse rows directly, keyed by
+whatever the caller holds (normal words, crossed-product monomials).
+`kernel_basis` and `mat_inverse` take dense matrices (lists of row lists)
+and back-substitute in the echelon form: a row echelon form has the pivot
+columns of the reduced one, so each kernel vector is fixed by its values at
+the columns that hold no pivot.
 """
 
 from __future__ import annotations
@@ -20,11 +24,6 @@ class SingularMatrixError(CotwistError):
     pass
 
 
-def identity(n: int, conductor: int) -> Matrix:
-    zero, one = CycNum.zero(conductor), CycNum.one(conductor)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def _subtract(row: dict, factor: CycNum, pivot: dict) -> None:
     """row -= factor * pivot, in place; entries that cancel are deleted."""
     for k, x in pivot.items():
@@ -34,51 +33,6 @@ def _subtract(row: dict, factor: CycNum, pivot: dict) -> None:
             del row[k]
         else:
             row[k] = y
-
-
-def _sparse_rref(matrix: Matrix) -> tuple[list, list[int]]:
-    """Gauss-Jordan elimination on sparse rows {column: CycNum}: pivots are
-    chosen column by column as in the dense algorithm, and a row operation
-    touches only the nonzero entries of the pivot row."""
-    rows = [{c: x for c, x in enumerate(row) if not x.is_zero()}
-            for row in matrix]
-    pivots = []
-    r = 0
-    for c in sorted(set().union(*rows)):
-        pivot_row = next((i for i in range(r, len(rows)) if c in rows[i]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        pivot = rows[r] = {k: x * inv for k, x in rows[r].items()}
-        for i, row in enumerate(rows):
-            factor = row.get(c)
-            if factor is not None and i != r:
-                _subtract(row, factor, pivot)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _dense(rows: list, ncols: int, zero: CycNum) -> Matrix:
-    out = []
-    for row in rows:
-        dense = [zero] * ncols
-        for c, x in row.items():
-            dense[c] = x
-        out.append(dense)
-    return out
-
-
-def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    if not matrix or not matrix[0]:
-        return [list(r) for r in matrix], []
-    rows, pivots = _sparse_rref(matrix)
-    zero = CycNum.zero(matrix[0][0].conductor)
-    return _dense(rows, len(matrix[0]), zero), pivots
 
 
 def _echelon(rows, pivots: dict) -> dict:
@@ -112,38 +66,66 @@ def row_spaces_equal(a: list, b: list) -> bool:
     return len(_echelon(b, pivots)) == rank_a == rank(b)
 
 
+def _solve(pivots: dict, free: int, conductor: int) -> dict:
+    """The sparse kernel vector of the echelon form `pivots` that is 1 at
+    column `free` and 0 at every other column that no pivot holds, by back
+    substitution from the last pivot column to the first."""
+    vec = {free: CycNum.one(conductor)}
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        total = CycNum.zero(conductor)
+        for k, x in row.items():
+            if k in vec:
+                total = total.sub_mul(x, vec[k])
+        if not total.is_zero():
+            vec[p] = total / row[p]
+    return vec
+
+
+def _sparse(matrix: Matrix) -> list:
+    return [{c: x for c, x in enumerate(row) if not x.is_zero()}
+            for row in matrix]
+
+
 def kernel_basis(matrix: Matrix, ncols: int, conductor: int) -> list:
-    """Basis of the right kernel.  Each vector is scaled so its first nonzero
+    """Basis of the right kernel: one vector per column that holds no pivot
+    of the echelon form.  Each vector is scaled so its first nonzero
     coordinate is 1; vectors are ordered by that coordinate's index."""
-    rows, pivots = _sparse_rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
+    pivots = _echelon(_sparse(matrix), {})
     zero = CycNum.zero(conductor)
-    one = CycNum.one(conductor)
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, p in enumerate(pivots):
-            x = rows[r].get(f)
-            if x is not None:
-                vec[p] = -x
-        first = next(i for i, x in enumerate(vec) if not x.is_zero())
-        scale = vec[first].inverse()
-        vec = [x * scale for x in vec]
-        basis.append((first, vec))
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = _solve(pivots, f, conductor)
+            scale = vec[min(vec)].inverse()
+            dense = [zero] * ncols
+            for c, x in vec.items():
+                dense[c] = x * scale
+            basis.append((min(vec), dense))
     basis.sort(key=lambda pair: pair[0])
     return [vec for _, vec in basis]
 
 
 def mat_inverse(matrix: Matrix) -> Matrix:
+    """The inverse of M from the echelon form of [M | -I]: column j of the
+    inverse is the kernel vector that is 1 at column n + j."""
     n = len(matrix)
     if any(len(r) != n for r in matrix):
         raise SingularMatrixError("matrix is not square")
+    if n == 0:
+        return []
     conductor = matrix[0][0].conductor
-    aug = [list(row) + list(idrow)
-           for row, idrow in zip(matrix, identity(n, conductor))]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    minus_one = -CycNum.one(conductor)
+    rows = _sparse(matrix)
+    for i, row in enumerate(rows):
+        row[n + i] = minus_one
+    pivots = _echelon(rows, {})
+    if any(c >= n for c in pivots):
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in rows[:n]]
+    zero = CycNum.zero(conductor)
+    inverse = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        for i, x in _solve(pivots, n + j, conductor).items():
+            if i < n:
+                inverse[i][j] = x
+    return inverse

@@ -8,9 +8,9 @@
   confluence and differential tests check against `normal_form`.
 - `lead_trie`: the trie of leading words and rules of some monic elements,
   as the completion grows it with `gbasis._add_lead`.
-- `dense_is_regular_to_degree`: the regularity check on dense rows, one
-  whole-word product per row and Gauss-Jordan ranks, which the differential
-  test holds `is_regular_to_degree` to.
+- `dense_is_regular_to_degree`: the regularity check with one whole-word
+  product per row, not one table step from the row of the prefix, which
+  the differential test holds `is_regular_to_degree` to.
 - `a_family_xbasis`: the A(1,-1) preset in a basis where its action is not
   diagonal, input for the diagonalization tests.
 - `diagonal_matrices`: the action matrices that a twist spec's declared
@@ -68,30 +68,20 @@ def lead_trie(elements):
     return trie
 
 
-def _dense_multiplication_rows(a, gb, degree, side):
+def _multiplication_rows(a, gb, degree, side):
+    """The rows NF(a*w) or NF(w*a), sparse over normal words, for the normal
+    words w of `degree`, each folded from the whole word w."""
     source = gb.normal_words(degree)
-    target = gb.normal_words(degree + a.homogeneous_degree())
-    index = {w: i for i, w in enumerate(target)}
-    zero = CycNum.zero(a.conductor)
     one = CycNum.one(a.conductor)
     if side == "left":
         nf_a = gbasis._sum_products(gb, {(): one}, a.terms)
-        products = (gb.times_word(nf_a, w) for w in source)
-    else:
-        products = (gbasis._sum_products(gb, {w: one}, a.terms) for w in source)
-    rows = []
-    for p in products:
-        row = [zero] * len(index)
-        for w, c in p.items():
-            row[index[w]] = c
-        rows.append(row)
-    return rows
+        return [gb.times_word(nf_a, w) for w in source]
+    return [gbasis._sum_products(gb, {w: one}, a.terms) for w in source]
 
 
 def dense_is_regular_to_degree(a, presentation, bound):
     """(left-regular, right-regular) through `bound`, each row NF(a*w)
-    folded from the whole word w and each rank a Gauss-Jordan elimination
-    of the dense matrix."""
+    folded from the whole word w."""
     gb = gbasis.truncated_gb(presentation, bound)
     left_ok = right_ok = True
     for d in range(0, bound - a.homogeneous_degree() + 1):
@@ -99,8 +89,7 @@ def dense_is_regular_to_degree(a, presentation, bound):
         if dim == 0:
             continue
         for side in ("left", "right"):
-            rows = _dense_multiplication_rows(a, gb, d, side)
-            full = len(linalg._sparse_rref(rows)[1]) == dim
+            full = linalg.rank(_multiplication_rows(a, gb, d, side)) == dim
             if side == "left":
                 left_ok = left_ok and full
             else:

@@ -9,7 +9,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cotwist.cli import MAX_DEGREE, main
@@ -418,6 +418,30 @@ def test_action_matrix_shape_is_input_error(capsys, tmp_path):
         assert err == "input error: action matrix for g1 must be 3 x 3\n"
 
 
+# the action of a group on no generators: its eigenbasis is the 0 x 0 matrix
+SPEC_NO_GENERATORS = {"generators": [], "relations": [], "group": [2],
+                      "action": [{"generator": "g1", "matrix": []}]}
+
+
+def test_action_on_no_generators_grades_like_declared_degrees(capsys, tmp_path):
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps(SPEC_NO_GENERATORS))
+    declared = tmp_path / "declared.json"
+    declared.write_text(json.dumps(
+        {"generators": [], "relations": [], "group": [2], "g_degrees": []}))
+    for command in ("validate", "twist", "invariants"):
+        outputs = []
+        for path in (action, declared):
+            code, out, err = run(capsys, [command, "--input", str(path)])
+            assert (code, err) == (0, ""), (command, err)
+            outputs.append(json.loads(out))
+        if command == "invariants":     # prints no grading block
+            assert outputs[0] == outputs[1]
+        else:
+            assert outputs[0]["grading"] == outputs[1]["grading"] == {
+                "g_degrees": [], "group": [2], "named_degrees": {}}
+
+
 @pytest.mark.parametrize("argv,data,where", [
     (["gb", "--input"], {"generators": 5, "relations": []}, "generators"),
     (["gb", "--input"], {"generators": [{"degree": 1}], "relations": []},
@@ -802,6 +826,9 @@ def _argv(draw):
 
 @settings(max_examples=60, deadline=5000, derandomize=True)
 @given(_FILES, _argv())
+@example(json.dumps(SPEC_NO_GENERATORS), ["validate", "--input", "{file}"])
+@example(json.dumps(SPEC_NO_GENERATORS), ["twist", "--input", "{file}"])
+@example(json.dumps(SPEC_NO_GENERATORS), ["invariants", "--input", "{file}"])
 def test_exit_code_contract_under_random_input(content, argv):
     # exit 3 is an internal error and exit 1 a falsification, so no input,
     # however malformed, may crash the command or exit 3

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cotwist import gbasis
@@ -218,6 +218,84 @@ def test_monotone_consistency():
 def test_gb_oracle_equivalence_spot_check():
     pres = preset("E(1,-i)").presentation
     assert hilbert_coeffs(pres, 4) == quotient_dims(pres, 4)
+
+
+# Most words a drawn presentation may have in its top degree: the dense
+# oracle ranks every u*r*w of that degree, so this keeps a draw fast.
+MAX_ORACLE_WORDS = 300
+
+
+def _coefficients(conductor):
+    """Nonzero scalars of Q(zeta_conductor): small rational coordinates in
+    the power basis."""
+    phi = len(CycNum.zero(conductor).coeffs)
+    return st.lists(st.fractions(-3, 3, max_denominator=3),
+                    min_size=phi, max_size=phi).map(
+        lambda c: CycNum(conductor, c)).filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def _random_presentations(draw):
+    """(presentation, bound, element of the ideal): 2-4 generators of
+    weight 1 or 2, 1-4 homogeneous relations of degree 2 or 3, coefficients
+    over Q (conductors 1 and 2, the int-pair rewrite rules), Q(i) and
+    Q(zeta_3) (the `CycNum` rules), and a bound up to 5 that keeps the
+    dense oracle small.  The element is a sum of c*u*r*v over drawn
+    relations r and words u, v, of degree at most the bound."""
+    conductor = draw(st.sampled_from([1, 2, 4, 3]))
+    weights = draw(st.lists(st.sampled_from([1, 1, 2]), min_size=2,
+                            max_size=4))
+    gens = make_alphabet([(f"x{k}", w) for k, w in enumerate(weights)])
+    coefficients = _coefficients(conductor)
+    relations = []
+    for _ in range(draw(st.integers(1, 4))):
+        words = words_of_degree(len(gens), weights, draw(st.integers(2, 3)))
+        if not words:
+            continue
+        support = draw(st.lists(st.sampled_from(words), min_size=1,
+                                max_size=4, unique=True))
+        relations.append(NcPoly(gens, conductor,
+                                {w: draw(coefficients) for w in support}))
+    assume(relations)
+    top = max(r.degree() for r in relations)
+    bound = draw(st.integers(top, 5))
+    while len(words_of_degree(len(gens), weights, bound)) > MAX_ORACLE_WORDS:
+        bound -= 1
+
+    def word(degree):
+        # the empty word where no word has this degree (all weights 2)
+        return draw(st.sampled_from(
+            words_of_degree(len(gens), weights, degree) or [()]))
+
+    element = NcPoly.zero(gens, conductor)
+    for _ in range(draw(st.integers(1, 4))):
+        r = draw(st.sampled_from(relations))
+        left = draw(st.integers(0, bound - r.degree()))
+        right = draw(st.integers(0, bound - r.degree() - left))
+        element = element + r.word_mul_left(word(left)).word_mul_right(
+            word(right)).scale(draw(coefficients))
+    return (make_presentation(conductor, gens, relations), bound, element)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_random_presentations())
+def test_completion_matches_dense_oracle_on_random_presentations(case):
+    pres, bound, element = case
+    gb = fresh_gb(pres, bound)
+    assert hilbert_coeffs(pres, bound) == quotient_dims(pres, bound)
+    # the basis is reduced: monic, no leading word inside another element's
+    # words but its own leading word, and every element lies in the ideal
+    leads = list(gb.lead_map)
+    assert len(leads) == len(gb.elements)
+    for g in gb.elements:
+        lead = g.leading_word()
+        assert g.leading_coeff().is_one()
+        assert not any(gbasis._contains_subword(w, v) for w in g.terms
+                       for v in leads if (w, v) != (lead, lead))
+        assert normal_form(g, gb).is_zero()
+    for r in pres.relations:
+        assert normal_form(r, gb).is_zero()
+    assert normal_form(element, gb).is_zero()
 
 
 def test_confluence_under_randomized_strategies():

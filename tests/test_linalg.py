@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from cotwist.cyclo import CycNum
-from cotwist.linalg import (SingularMatrixError, kernel_basis, mat_inverse,
-                            rank, row_spaces_equal, rref)
+from cotwist.linalg import (SingularMatrixError, _echelon, kernel_basis,
+                            mat_inverse, rank, row_spaces_equal)
 from oracles import FracCyclo, dense_inverse, dense_kernel, dense_rref
 
 CONDUCTORS = (1, 4, 5, 6)
-# (rows, columns): empty, single entry, wide, tall and square shapes
-SHAPES = ((0, 3), (1, 1), (2, 7), (3, 8), (7, 3), (8, 2), (4, 4), (6, 6))
+# (rows, columns): empty (0 x 0 too), single entry, wide, tall and square
+SHAPES = ((0, 0), (0, 3), (1, 1), (2, 7), (3, 8), (7, 3), (8, 2), (4, 4),
+          (6, 6))
 
 
 def random_entry(rng, n, density):
@@ -36,12 +37,14 @@ def random_matrix(rng, n, nrows, ncols, density):
 
 
 def matrices(n):
+    """(column count, matrix) pairs: a zero and three random matrices of
+    each shape."""
     rng = random.Random(1000 + n)
     out = []
     for nrows, ncols in SHAPES:
-        out.append([[CycNum.zero(n)] * ncols for _ in range(nrows)])
+        out.append((ncols, [[CycNum.zero(n)] * ncols for _ in range(nrows)]))
         for density in (0.15, 0.5, 1.0):
-            out.append(random_matrix(rng, n, nrows, ncols, density))
+            out.append((ncols, random_matrix(rng, n, nrows, ncols, density)))
     return out
 
 
@@ -65,19 +68,19 @@ def coeffs(matrix):
 
 @pytest.mark.parametrize("n", CONDUCTORS)
 def test_rref_and_rank_match_dense_reference(n):
-    for m in matrices(n):
-        rows, pivots = rref(m)
-        ref_rows, ref_pivots = dense_rref(as_frac(m), n)
-        assert pivots == ref_pivots
-        assert coeffs(rows) == coeffs(ref_rows)
+    """The forward echelon form has the pivot columns of the reduced row
+    echelon form, which `kernel_basis` and `mat_inverse` rely on."""
+    for _, m in matrices(n):
+        ref_pivots = dense_rref(as_frac(m), n)[1]
+        assert sorted(_echelon(sparse(m), {})) == ref_pivots
         assert rank(sparse(m)) == len(ref_pivots)
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)
 def test_row_spaces_equal_ignores_order_and_dependent_rows(n):
     rng = random.Random(n)
-    for m in matrices(n):
-        if not m or not m[0]:
+    for ncols, m in matrices(n):
+        if not m or not ncols:
             continue
         shuffled = m[::-1] + [[x + y for x, y in zip(m[0], m[-1])]]
         assert row_spaces_equal(sparse(m), sparse(shuffled))
@@ -89,8 +92,7 @@ def test_row_spaces_equal_ignores_order_and_dependent_rows(n):
 
 @pytest.mark.parametrize("n", CONDUCTORS)
 def test_kernel_basis_matches_dense_reference(n):
-    for m in matrices(n):
-        ncols = len(m[0]) if m else 3
+    for ncols, m in matrices(n):
         kernel = kernel_basis(m, ncols, n)
         assert coeffs(kernel) == coeffs(dense_kernel(as_frac(m), ncols, n))
         for vec in kernel:
@@ -103,8 +105,8 @@ def test_kernel_basis_matches_dense_reference(n):
 
 @pytest.mark.parametrize("n", CONDUCTORS)
 def test_mat_inverse_matches_dense_reference(n):
-    for m in matrices(n):
-        if not m or len(m) != len(m[0]):
+    for ncols, m in matrices(n):
+        if len(m) != ncols:
             continue
         expected = dense_inverse(as_frac(m), n)
         if expected is None:
