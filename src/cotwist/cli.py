@@ -9,8 +9,8 @@ Each command imports the layers it runs inside its own function, so a
 process loads only what its command needs: `gb` and `hilbert` on a file load
 `errors`, `cyclo`, `freealg`, `gbasis` and `jsonio`, and no linear algebra,
 group, twist or crossed-product code.  Module level holds only the I/O boundary
-(`jsonio`) and the error types; `twist`'s input digest uses CPython's own
-SHA-256, so that no command maps OpenSSL.
+(`jsonio`, which loads `cyclo` and `freealg`) and the error types; `twist`'s
+input digest uses CPython's own SHA-256, so that no command maps OpenSSL.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import (CotwistError, DegreeBoundExceeded, FalsificationError,
                      LimitExceeded, ParseError, ValidationError)
+from .freealg import MAX_LITERAL_DIGITS
 from .jsonio import (SpecBundle, basis_to_dict, cocycle_from_dict,
                      cocycle_to_dict, dump_json, gb_to_dict,
                      genmap_from_dict, grading_to_dict, load_json,
@@ -34,19 +35,19 @@ if TYPE_CHECKING:
 _PRESET_SCHEME = "preset:"
 
 
-def _load_presentation(arg: str, conductor: Optional[int]) -> Presentation:
+def _load_presentation(arg: str) -> Presentation:
     if arg.startswith(_PRESET_SCHEME):
         from .presets import preset
         return preset(arg[len(_PRESET_SCHEME):]).presentation
-    return presentation_from_dict(load_json(arg), conductor)
+    return presentation_from_dict(load_json(arg))
 
 
-def _load_bundle(arg: str, conductor: Optional[int]) -> SpecBundle:
+def _load_bundle(arg: str) -> SpecBundle:
     if arg.startswith(_PRESET_SCHEME):
         from .presets import preset
         p = preset(arg[len(_PRESET_SCHEME):])
         return SpecBundle(None, p.spec)
-    return spec_bundle_from_dict(load_json(arg), conductor)
+    return spec_bundle_from_dict(load_json(arg))
 
 
 def _input_digest(arg: str) -> str:
@@ -92,17 +93,11 @@ def _render(node, depth: int, label: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    if args.input.startswith(_PRESET_SCHEME):
-        bundle = _load_bundle(args.input, args.conductor)
-        violations: list = []
-    else:
-        data = load_json(args.input)
-        bundle = None
-        try:
-            bundle = spec_bundle_from_dict(data, args.conductor)
-            violations = []
-        except ValidationError as exc:
-            violations = [str(exc)]
+    bundle, violations = None, []
+    try:
+        bundle = _load_bundle(args.input)
+    except ValidationError as exc:
+        violations = [str(exc)]
     out: dict = {"valid": not violations, "violations": violations}
     if bundle is not None:
         spec = bundle.spec
@@ -120,7 +115,7 @@ def _cmd_validate(args) -> int:
 def _cmd_twist(args) -> int:
     from .cyclo import root_of_unity
     from .twist import twist_presentation
-    bundle = _load_bundle(args.input, args.conductor)
+    bundle = _load_bundle(args.input)
     spec = bundle.spec
     twisted = twist_presentation(spec)
     conductor = twisted.presentation.conductor
@@ -148,7 +143,7 @@ def _cmd_twist(args) -> int:
 
 def _cmd_gb(args) -> int:
     from .gbasis import hilbert_coeffs, truncated_gb
-    pres = _load_presentation(args.input, args.conductor)
+    pres = _load_presentation(args.input)
     gb = truncated_gb(pres, args.degree)
     out = gb_to_dict(gb)
     out["hilbert"] = list(hilbert_coeffs(pres, args.degree))
@@ -158,7 +153,7 @@ def _cmd_gb(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     from .gbasis import hilbert_coeffs
-    pres = _load_presentation(args.input, args.conductor)
+    pres = _load_presentation(args.input)
     out = {"degree": args.degree,
            "hilbert": list(hilbert_coeffs(pres, args.degree))}
     _emit(out, args.human)
@@ -168,21 +163,21 @@ def _cmd_hilbert(args) -> int:
 def _cmd_iso_check(args) -> int:
     from .freealg import GenMap, embed_presentation
     from .gbasis import verify_iso
-    lhs = _load_presentation(args.lhs, args.conductor)
-    rhs = _load_presentation(args.rhs, args.conductor)
-    conductor = max(lhs.conductor, rhs.conductor)
-    if lhs.conductor != rhs.conductor:
-        conductor = lcm(lhs.conductor, rhs.conductor)
-        lhs = embed_presentation(lhs, conductor)
-        rhs = embed_presentation(rhs, conductor)
+    lhs = _load_presentation(args.lhs)
+    rhs = _load_presentation(args.rhs)
     if args.map:
-        genmap = genmap_from_dict(load_json(args.map), lhs, rhs)
+        images = genmap_from_dict(load_json(args.map), lhs, rhs).images
     else:
         if [g.degree for g in lhs.generators] != [g.degree for g in rhs.generators]:
             raise ValidationError(
                 "default identity map needs matching generator degrees")
-        genmap = GenMap(lhs.generators,
-                        tuple(rhs.gen_poly(j) for j in range(len(rhs.generators))))
+        images = tuple(rhs.gen_poly(j) for j in range(len(rhs.generators)))
+    # one field holds both presentations and every scalar the map names
+    conductor = lcm(lhs.conductor, rhs.conductor, *(p.conductor for p in images))
+    lhs = embed_presentation(lhs, conductor)
+    rhs = embed_presentation(rhs, conductor)
+    genmap = GenMap(lhs.generators,
+                    tuple(p.with_conductor(conductor) for p in images))
     verdict = verify_iso(lhs, rhs, genmap, args.degree)
     _emit(verdict_to_dict(verdict), args.human)
     return 0 if verdict.ok else 1
@@ -190,7 +185,7 @@ def _cmd_iso_check(args) -> int:
 
 def _cmd_invariants(args) -> int:
     from .crossed import verify_invariant_ring
-    bundle = _load_bundle(args.input, args.conductor)
+    bundle = _load_bundle(args.input)
     report = verify_invariant_ring(bundle.spec, args.degree)
     out = {
         "degree": report.bound,
@@ -271,8 +266,15 @@ def _cmd_checks(args) -> int:
 MAX_DEGREE = 64
 
 
+def _int(text: str) -> int:
+    if len(text) > MAX_LITERAL_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"{len(text)} characters exceed the limit {MAX_LITERAL_DIGITS}")
+    return int(text)
+
+
 def _degree(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     if value > MAX_DEGREE:
@@ -281,15 +283,8 @@ def _degree(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def _int_list(text: str) -> tuple:
-    return tuple(int(n) for n in text.split(","))
+    return tuple(map(_int, text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,12 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras under finite abelian group actions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, reads_input=True):
-        p.add_argument("--degree", type=_degree, default=6,
-                       help="truncation degree (default 6)")
-        if reads_input:
-            p.add_argument("--conductor", type=_positive_int, default=None,
-                           help="force a larger computation conductor")
+    def common(p, degree=6):
+        p.add_argument("--degree", type=_degree, default=degree,
+                       help="truncation degree (default %(default)s)")
         p.add_argument("--human", action="store_true",
                        help="indented text output instead of JSON")
 
@@ -342,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="invariant ring of the crossed "
                                           "product vs the twisted presentation")
     p.add_argument("--input", required=True)
-    p.add_argument("--degree", type=_degree, default=4)
-    p.add_argument("--conductor", type=_positive_int, default=None)
-    p.add_argument("--human", action="store_true")
+    common(p, degree=4)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("kgmu", help="twisted group algebra structure "
@@ -364,16 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem55", help="run the built-in twist-equivalence "
                                          "suite on the preset families")
-    common(p, reads_input=False)
+    common(p)
     p.set_defaults(func=_cmd_checks, check="twist_suite")
 
     p = sub.add_parser("report", help="run the full verification battery")
-    common(p, reads_input=False)
+    common(p)
     p.set_defaults(func=_cmd_checks, check=None)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
+    # input literals are bounded by MAX_LITERAL_DIGITS, so CPython's limit
+    # (from 3.10.7) would only stop the output of a coefficient a power built
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

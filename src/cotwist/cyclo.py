@@ -26,10 +26,24 @@ from math import gcd, lcm
 from operator import neg
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .errors import ConductorMismatch, CotwistError
+from .errors import ConductorMismatch, CotwistError, LimitExceeded
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+
+# The largest conductor of a parsed expression or a presentation (`freealg`
+# checks both): a group of order <= 64 has its character and cocycle values
+# in Q(zeta_N), N <= 128, and `gb --degree 5` over zeta(N) takes 0.5 s at
+# N = 256 and 3.8 s at 512.
+MAX_CONDUCTOR = 256
+
+
+def check_conductor(n: int) -> int:
+    """n, or LimitExceeded when it passes MAX_CONDUCTOR."""
+    if n > MAX_CONDUCTOR:
+        raise LimitExceeded(f"conductor {n} exceeds the limit {MAX_CONDUCTOR}")
+    return n
 
 
 def euler_phi(n: int) -> int:

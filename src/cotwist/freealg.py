@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .cyclo import CycNum
+from .cyclo import CycNum, check_conductor
 from .errors import AlphabetMismatch, ParseError, ValidationError
 
 Word = tuple
@@ -336,6 +336,7 @@ class Presentation(NamedTuple):
 def make_presentation(conductor: int, generators: tuple,
                       relations: Iterable[NcPoly]) -> Presentation:
     """Validate and canonicalize; idempotent on already-canonical input."""
+    check_conductor(conductor)
     rels = []
     for k, rel in enumerate(relations):
         if rel.gens != generators:
@@ -483,6 +484,12 @@ MAX_POWER_BITS = 65_536
 MAX_POWER_TERMS = 10_000
 MAX_POWER_DEGREE = 256
 
+# The longest decimal literal any input may hold, here or in a JSON file:
+# CPython converts decimal text to int in quadratic time.  It is CPython's
+# own default limit, which the command line lifts so that output can print
+# any integer.
+MAX_LITERAL_DIGITS = 4300
+
 _TOKEN_RE = re.compile(r"(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|\]_\+|[-+*/^()\[\],])")
 
 
@@ -503,6 +510,9 @@ def _tokenize(text: str) -> tuple:
         pos = m.end()
         if tok == "**":
             tok = "^"
+        elif len(tok) > MAX_LITERAL_DIGITS and tok[0].isdigit():
+            raise ParseError(f"a literal of {len(tok)} digits exceeds the "
+                             f"limit {MAX_LITERAL_DIGITS}")
         if tok == "]" and text.startswith("+", pos):
             tok = "]_+"
             pos += 1
@@ -670,4 +680,5 @@ def parse_ncpoly(text: str, gens: tuple, conductor: int,
     tokens, named = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _Parser(tokens, gens, lcm(conductor, named), variables or {}).parse()
+    return _Parser(tokens, gens, check_conductor(lcm(conductor, named)),
+                   variables or {}).parse()

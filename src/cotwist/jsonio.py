@@ -10,8 +10,8 @@ diagonal action).  An action is an input form: the loader checks it and
 diagonalizes it once into the G-grading that every later layer reads.
 
 The computation conductor is the lcm of every conductor appearing in the
-file (plus any --conductor override; the builtin standard duality counts as
-the group exponent); all scalars are embedded into it once at load time.
+file (the builtin standard duality counts as the group exponent), at most
+`cyclo.MAX_CONDUCTOR`; all scalars are embedded into it once at load time.
 All dumps render scalars canonically and sort keys, so output bytes are a
 function of input bytes.
 
@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .cyclo import common_conductor, parse_scalar, root_exponent, root_of_unity
 from .errors import ParseError, ValidationError
-from .freealg import (GenMap, NcPoly, Presentation, make_alphabet,
-                      make_presentation, parse_ncpoly)
+from .freealg import (MAX_LITERAL_DIGITS, GenMap, NcPoly, Presentation,
+                      make_alphabet, make_presentation, parse_ncpoly)
 
 if TYPE_CHECKING:
     from .action import HomogBasis
@@ -39,11 +39,19 @@ if TYPE_CHECKING:
     from .twist import GGrading, TwistSpec
 
 
+def _json_int(text: str) -> int:
+    if len(text) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"a number of {len(text)} digits exceeds the limit "
+                         f"{MAX_LITERAL_DIGITS}")
+    return int(text)
+
+
 def load_json(path: str) -> dict:
+    # a ValueError: malformed JSON, too long a number or text not in UTF-8
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(handle, parse_int=_json_int)
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -207,7 +215,7 @@ class SpecBundle(NamedTuple):
     spec: TwistSpec
 
 
-def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBundle:
+def spec_bundle_from_dict(data: dict) -> SpecBundle:
     """An action block is checked and diagonalized here, once, into the
     grading; past this point only the grading is read.  Declared g_degrees
     need no action check: `grading_from_degrees` refuses relations that are
@@ -218,7 +226,7 @@ def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBu
     duality, duality_conductor = duality_from_dict(data, group)
     cocycle, cocycle_conductor = cocycle_from_dict(data, group)
 
-    need = lcm(conductor or 1, duality_conductor, cocycle_conductor)
+    need = lcm(duality_conductor, cocycle_conductor)
     action_block = data.get("action")
     matrices = None
     if action_block is not None:
@@ -262,6 +270,8 @@ def spec_bundle_from_dict(data: dict, conductor: Optional[int] = None) -> SpecBu
 
 def genmap_from_dict(data: dict, source: Presentation,
                      target: Presentation) -> GenMap:
+    """The map with each image at lcm(the target's conductor, the conductor
+    its text names); the caller lifts them to one field."""
     images_block = _require(data, "images")
     if isinstance(images_block, dict):
         texts = [_require(images_block, g.name, "images") for g in source.generators]
@@ -270,14 +280,9 @@ def genmap_from_dict(data: dict, source: Presentation,
         texts = images_block
     if len(texts) != len(source.generators):
         raise ParseError("one image per source generator required")
-    images = []
-    for g, text in zip(source.generators, texts):
-        image = parse_ncpoly(str(text), target.generators, target.conductor)
-        if image.conductor != target.conductor:
-            raise ParseError(f"images.{g.name} names conductor {image.conductor}, "
-                             f"but the target has conductor {target.conductor}")
-        images.append(image)
-    return GenMap(source.generators, tuple(images))
+    return GenMap(source.generators, tuple(
+        parse_ncpoly(str(text), target.generators, target.conductor)
+        for text in texts))
 
 
 # ---------------------------------------------------------------------------
