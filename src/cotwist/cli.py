@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 all checks pass, 1 a verification was falsified, 2 input
+Exit codes: 0 all checks pass, 1 a verification was falsified (a spec whose
+cocycle, G-grading or action fails its check included: `validate` prints the
+violation, every other command `falsified: <message>` on stderr), 2 input
 error (malformed input, or input past a resource limit), 3 internal error
 (any other exception).  Output is JSON with sorted keys (byte-deterministic
 given the inputs); --human switches to an indented text rendering.
@@ -96,7 +98,7 @@ def _cmd_validate(args) -> int:
     bundle, violations = None, []
     try:
         bundle = _load_bundle(args.input)
-    except ValidationError as exc:
+    except FalsificationError as exc:
         violations = [str(exc)]
     out: dict = {"valid": not violations, "violations": violations}
     if bundle is not None:

@@ -11,12 +11,10 @@ constructor, `rational` on a non-integer, `coeffs` and `as_fraction`.
 Arithmetic between two numbers requires equal conductors; callers embed into
 a common conductor first (`CycNum.embed` / `common_conductor`).
 
-For phi(N) = 1 (conductors 1 and 2) the field is Q, and all arithmetic is
-one rational arithmetic on (numerator, denominator) int pairs in lowest
-terms with a positive denominator: `_rational_product` and `_rational_sum`.
-The operators build on them.  The rewrite loop of `gbasis` does its own
-arithmetic on rules over a common denominator; it takes only `CycNum` and
-`_reduced` from here.
+Every conductor shares this one arithmetic; for phi(N) = 1 (conductors 1
+and 2) the vectors have length one.  The rewrite loop of `gbasis` does its
+own arithmetic on rules over a common denominator; it takes only `CycNum`
+and `_reduced` from here.
 """
 
 from __future__ import annotations
@@ -210,57 +208,6 @@ def _mismatch(a: "CycNum", b: "CycNum") -> ConductorMismatch:
         f"conductor {a.conductor} vs {b.conductor}; embed first")
 
 
-# Rationals as (numerator, denominator) int pairs in lowest terms with a
-# positive denominator: the arithmetic of Q(zeta_N) for phi(N) = 1, which the
-# operators below share with the rewrite loop of `gbasis`.
-
-def _rational_product(x: int, b: int, y: int, d: int) -> tuple[int, int]:
-    """x/b * y/d as (numerator, denominator) in lowest terms, for operands
-    in lowest terms: cross-cancel as in Fraction multiplication."""
-    if not x or not y:
-        return 0, 1
-    if d != 1:
-        g = gcd(x, d)
-        if g != 1:
-            x //= g
-            d //= g
-    if b != 1:
-        g = gcd(y, b)
-        if g != 1:
-            y //= g
-            b //= g
-    return x * y, b * d
-
-
-def _rational_sum(x: int, b: int, y: int, d: int) -> tuple[int, int]:
-    """x/b + y/d as (numerator, denominator) in lowest terms, for operands
-    in lowest terms.  Knuth's rational addition: only a factor of
-    gcd(b, d) can cancel."""
-    if b == d:
-        t = x + y
-        if b != 1:
-            g = gcd(t, b)
-            if g != 1:
-                t //= g
-                b //= g
-        return t, b
-    g = gcd(b, d)
-    if g == 1:
-        return x * d + b * y, b * d
-    b //= g
-    t = x * (d // g) + y * b
-    g2 = gcd(t, g)
-    if g2 != 1:
-        t //= g2
-        d //= g2
-    return t, b * d
-
-
-def _add_rational(n: int, x: int, b: int, y: int, d: int) -> "CycNum":
-    t, den = _rational_sum(x, b, y, d)
-    return _make(n, (t,), den)
-
-
 def _add_vector(n: int, a: Sequence[int], b: int, c: Sequence[int],
                 d: int) -> "CycNum":
     if b == d:
@@ -368,33 +315,23 @@ class CycNum:
         n = self.conductor
         if other.conductor != n:
             raise _mismatch(self, other)
-        a, c = self.num, other.num
-        if len(a) == 1:
-            return _add_rational(n, a[0], self.den, c[0], other.den)
-        return _add_vector(n, a, self.den, c, other.den)
+        return _add_vector(n, self.num, self.den, other.num, other.den)
 
     def __sub__(self, other: "CycNum") -> "CycNum":
         n = self.conductor
         if other.conductor != n:
             raise _mismatch(self, other)
-        a, c = self.num, other.num
-        if len(a) == 1:
-            return _add_rational(n, a[0], self.den, -c[0], other.den)
-        return _add_vector(n, a, self.den, tuple(map(neg, c)), other.den)
+        return _add_vector(n, self.num, self.den, tuple(map(neg, other.num)),
+                           other.den)
 
     def __neg__(self) -> "CycNum":
-        a = self.num
-        return _make(self.conductor,
-                     (-a[0],) if len(a) == 1 else tuple(map(neg, a)), self.den)
+        return _make(self.conductor, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other: "CycNum") -> "CycNum":
         n = self.conductor
         if other.conductor != n:
             raise _mismatch(self, other)
         a, c = self.num, other.num
-        if len(a) == 1:
-            x, den = _rational_product(a[0], self.den, c[0], other.den)
-            return _make(n, (x,), den)
         den = self.den * other.den
         if len(a) == 2:
             # `_vmul` and `_reduced` inlined: products at conductor 4 are
@@ -412,32 +349,25 @@ class CycNum:
             return _make(n, (lo, hi), den)
         return _reduced(n, _vmul(n, a, c), den)
 
-    # Fused operations for the rewrite loop of `gbasis`: each builds one
-    # value where the operators would build two.
+    # Fused operations for the rewrite loop of `gbasis` at phi(N) >= 2 and
+    # for the eliminations of `linalg`: each builds one value where the
+    # operators would build two.
 
     def neg_mul(self, other: "CycNum") -> "CycNum":
         """-(self*other)."""
         n = self.conductor
         if other.conductor != n:
             raise _mismatch(self, other)
-        a, c = self.num, other.num
-        if len(a) == 1:
-            x, den = _rational_product(a[0], self.den, c[0], other.den)
-            return _make(n, (-x,), den)
-        return _reduced(n, [-x for x in _vmul(n, a, c)], self.den * other.den)
+        return _reduced(n, [-x for x in _vmul(n, self.num, other.num)],
+                        self.den * other.den)
 
     def sub_mul(self, a: "CycNum", b: "CycNum") -> "CycNum":
         """self - a*b."""
         n = self.conductor
         if a.conductor != n or b.conductor != n:
             raise _mismatch(self, b if a.conductor == n else a)
-        x, y, z = self.num, a.num, b.num
-        if len(x) == 1:
-            # `_add_rational` needs both operands in lowest terms
-            t, den = _rational_product(y[0], a.den, z[0], b.den)
-            return _add_rational(n, x[0], self.den, -t, den)
-        return _add_vector(n, x, self.den, [-t for t in _vmul(n, y, z)],
-                           a.den * b.den)
+        return _add_vector(n, self.num, self.den,
+                           [-t for t in _vmul(n, a.num, b.num)], a.den * b.den)
 
     def inverse(self) -> "CycNum":
         a, b, n = self.num, self.den, self.conductor

@@ -338,7 +338,7 @@ def make_presentation(conductor: int, generators: tuple,
     """Validate and canonicalize; idempotent on already-canonical input."""
     check_conductor(conductor)
     rels = []
-    for k, rel in enumerate(relations):
+    for k, rel in enumerate(relations, 1):
         if rel.gens != generators:
             raise AlphabetMismatch(f"relation {k} uses a different alphabet")
         rel = rel.with_conductor(lcm(conductor, rel.conductor))
@@ -351,8 +351,8 @@ def make_presentation(conductor: int, generators: tuple,
 
 
 def _check_relation(k: int, rel: NcPoly) -> None:
-    """Refuse relation k unless it is nonzero, homogeneous and of positive
-    degree, as a connected graded algebra needs."""
+    """Refuse relation k (counted from 1) unless it is nonzero, homogeneous
+    and of positive degree, as a connected graded algebra needs."""
     if rel.is_zero():
         raise ValidationError(f"relation {k} is zero")
     degree = rel.homogeneous_degree()

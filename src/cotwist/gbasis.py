@@ -443,7 +443,7 @@ def truncated_gb(presentation: Presentation, bound: int) -> TruncGB:
     if key in _GB_CACHE:
         _GB_CACHE.move_to_end(key)
         return _GB_CACHE[key]
-    for k, rel in enumerate(presentation.relations):
+    for k, rel in enumerate(presentation.relations, 1):
         _check_relation(k, rel)
     if bound < presentation.max_relation_degree():
         raise DegreeBoundExceeded(

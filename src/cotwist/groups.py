@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm, prod
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclo import CycNum, common_conductor, parse_scalar, root_exponent
-from .errors import LimitExceeded, ValidationError
+from .errors import LimitExceeded, ParseError, ValidationError
 
 Element = tuple
 
@@ -211,20 +211,23 @@ def validate_cocycle(group: AbGroup, modulus: int, table: Mapping) -> Cocycle:
                    tuple(tuple(x // step for x in row) for row in v))
 
 
-def cocycle_from_scalars(group: AbGroup, table: Mapping) -> Cocycle:
-    """Read a mapping (g, h) -> CycNum as exponents and validate it."""
-    elements = group.elements()
+def cocycle_from_scalars(group: AbGroup, table: Mapping,
+                         cell: Optional[Callable] = None) -> Cocycle:
+    """Read a mapping (g, h) -> CycNum, in element enumeration order, as
+    exponents and validate it.  A value that is not a root of unity is input
+    this tool does not read: a ParseError naming `cell(g, h)`, by default
+    the pair."""
     modulus = lcm(2, common_conductor(*table.values()))
-    exponents = {}
-    for g in elements:
-        for h in elements:
-            k = root_exponent(table[(g, h)], modulus)
+    exponents, seen = {}, {}
+    for (g, h), x in table.items():
+        k = seen.get(x)
+        if k is None:
+            k = seen[x] = root_exponent(x, modulus)
             if k is None:
-                raise ValidationError(
-                    f"cocycle value at ({group.describe(g)},{group.describe(h)}) "
-                    f"is not a root of unity; this implementation restricts "
-                    f"cocycle values to roots of unity")
-            exponents[(g, h)] = k
+                where = (cell(g, h) if cell else
+                         f"cocycle value at ({group.describe(g)},{group.describe(h)})")
+                raise ParseError(f"{where} must be a root of unity, not {x}")
+        exponents[(g, h)] = k
     return validate_cocycle(group, modulus, exponents)
 
 
@@ -239,18 +242,26 @@ def formula_table(group: AbGroup, formula: str) -> dict:
 
     Coordinates of the first argument bind to a1..ar, of the second to
     b1..br; for rank <= 2 the aliases p,q (first) and r,s (second) are
-    also provided, matching the usual (p,q,r,s) notation."""
+    also provided, matching the usual (p,q,r,s) notation.  The text is
+    evaluated once per distinct value of the variables it names."""
+    from .freealg import _tokenize  # cached; freealg builds on cyclo
     group.require_table_order()
-    elements = group.elements()
-    table = {}
-    for g in elements:
-        for h in elements:
-            variables = {f"a{j + 1}": x for j, x in enumerate(g)}
-            variables.update((f"b{j + 1}", x) for j, x in enumerate(h))
-            if group.rank <= 2:
-                variables.update(zip(("p", "q"), g))
-                variables.update(zip(("r", "s"), h))
-            table[(g, h)] = parse_scalar(formula, variables)
+    # (name, 0 for the first argument or 1 for the second, coordinate)
+    bindings = [(f"{side}{j + 1}", s, j)
+                for s, side in enumerate("ab") for j in range(group.rank)]
+    if group.rank <= 2:
+        bindings += [(name, s, j) for s, names in enumerate(("pq", "rs"))
+                     for j, name in enumerate(names[:group.rank])]
+    names = set(_tokenize(formula)[0])
+    used = [b for b in bindings if b[0] in names]
+    values, table = {}, {}
+    for pair in itertools.product(group.elements(), repeat=2):
+        key = tuple(pair[s][j] for _, s, j in used)
+        x = values.get(key)
+        if x is None:
+            x = values[key] = parse_scalar(
+                formula, {name: pair[s][j] for name, s, j in used})
+        table[pair] = x
     return table
 
 

@@ -27,8 +27,8 @@ import json
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .cyclo import common_conductor, parse_scalar, root_exponent, root_of_unity
-from .errors import ParseError, ValidationError
+from .cyclo import common_conductor, parse_scalar, root_of_unity
+from .errors import FalsificationError, ParseError, ValidationError
 from .freealg import (MAX_LITERAL_DIGITS, GenMap, NcPoly, Presentation,
                       make_alphabet, make_presentation, parse_ncpoly)
 
@@ -152,10 +152,20 @@ def duality_from_dict(data: dict, group: AbGroup) -> tuple:
     return duality, common_conductor(*(x for row in table for x in row))
 
 
+def _falsified(check, *args):
+    """check(*args), with the ValidationError it raises reported as a
+    FalsificationError: the input's claim that it holds a cocycle, a
+    G-homogeneous presentation or an action is false."""
+    try:
+        return check(*args)
+    except ValidationError as exc:
+        raise FalsificationError(str(exc)) from exc
+
+
 def cocycle_from_dict(data: dict, group: AbGroup) -> tuple:
     """The cocycle and the conductor its input names."""
-    from .groups import (formula_table, klein_mu, trivial_cocycle,
-                         validate_cocycle)
+    from .groups import (cocycle_from_scalars, formula_table, klein_mu,
+                         trivial_cocycle)
     _check(isinstance(data, dict), "the top level", "an object")
     block = data.get("cocycle", {"builtin": "trivial"})
     if not isinstance(block, dict):
@@ -171,6 +181,9 @@ def cocycle_from_dict(data: dict, group: AbGroup) -> tuple:
         raise ParseError(f"unknown builtin cocycle {name!r}")
     if "formula" in block:
         table = formula_table(group, str(block["formula"]))
+
+        def cell(g, h):
+            return f"cocycle.formula at ({group.describe(g)},{group.describe(h)})"
     elif "table" in block:
         elements = group.elements()
         parsed = _parse_scalar_table(block["table"], "cocycle table")
@@ -179,22 +192,15 @@ def cocycle_from_dict(data: dict, group: AbGroup) -> tuple:
                              "enumeration order")
         table = {(g, h): parsed[a][b]
                  for a, g in enumerate(elements) for b, h in enumerate(elements)}
+
+        def cell(g, h):
+            return f"cocycle.table[{group.index(g)}][{group.index(h)}]"
     else:
         raise ParseError("cocycle block needs one of: builtin, formula, table")
-    conductor = common_conductor(*table.values())
-    modulus = lcm(2, conductor)
     # a value outside the roots of unity is input this tool does not read,
     # unlike a failing cocycle identity, which falsifies the input's claim
-    exponents = {}
-    for (g, h), x in table.items():
-        k = root_exponent(x, modulus)
-        if k is None:
-            cell = (f"cocycle.formula at ({group.describe(g)},{group.describe(h)})"
-                    if "formula" in block else
-                    f"cocycle.table[{group.index(g)}][{group.index(h)}]")
-            raise ParseError(f"{cell} must be a root of unity, not {x}")
-        exponents[(g, h)] = k
-    return validate_cocycle(group, modulus, exponents), conductor
+    return (_falsified(cocycle_from_scalars, group, table, cell),
+            common_conductor(*table.values()))
 
 
 def _group_element(vec, group: AbGroup, where: str) -> tuple:
@@ -250,7 +256,7 @@ def spec_bundle_from_dict(data: dict) -> SpecBundle:
             _check(len(m) == n and all(len(row) == n for row in m),
                    f"action matrix for {name}", f"{n} x {n}")
         from .action import isotypic_basis, regrade_presentation, validate_action
-        matrices = validate_action(presentation, group, matrices)
+        matrices = _falsified(validate_action, presentation, group, matrices)
         basis = isotypic_basis(presentation, group, matrices, duality)
         grading = regrade_presentation(presentation, basis, group)
     elif "g_degrees" in data:
@@ -262,7 +268,7 @@ def spec_bundle_from_dict(data: dict) -> SpecBundle:
         if len(degrees) != len(presentation.generators):
             raise ParseError("g_degrees must list one group element per generator")
         basis = None
-        grading = grading_from_degrees(presentation, group, degrees)
+        grading = _falsified(grading_from_degrees, presentation, group, degrees)
     else:
         raise ParseError("spec needs either an action block or g_degrees")
     return SpecBundle(basis, TwistSpec(grading, duality, cocycle))

@@ -188,17 +188,37 @@ def test_group_order_bound_covers_spec_files(capsys, tmp_path):
             assert f"input error: group order {order} exceeds the limit 64" in err
 
 
+def assert_falsified_everywhere(capsys, path, violation, reads_cocycle=True):
+    """A spec that fails its cocycle, G-grading or action check falsifies its
+    own claim: exit 1 on every command that reads it, `validate` printing
+    the violation and the others `falsified: <violation>` on stderr.  `kgmu`
+    reads only the spec's cocycle block from the same file."""
+    code, out, _ = run(capsys, ["validate", "--input", path])
+    assert code == 1
+    data = json.loads(out)
+    assert data["valid"] is False
+    assert data["violations"] == [violation]
+    runs = [["twist", "--input", path], ["invariants", "--input", path]]
+    if reads_cocycle:
+        runs.append(["kgmu", "--group", "2,2", "--cocycle", path])
+    for argv in runs:
+        assert run(capsys, argv) == (1, "", f"falsified: {violation}\n"), argv
+
+
 def test_failing_cocycle_identity_is_a_validate_violation(capsys, tmp_path):
     # mu(g2,g2) = -1 and mu = 1 elsewhere: normalized, but the identity
     # mu(a,b) mu(ab,c) = mu(b,c) mu(a,bc) fails at (g2,g2,g1)
     path = klein_degree_spec(tmp_path, [[1, 0], [0, 1]], cocycle={"table": [
         ["1", "1", "1", "1"], ["1", "-1", "1", "1"],
         ["1", "1", "1", "1"], ["1", "1", "1", "1"]]})
-    code, out, _ = run(capsys, ["validate", "--input", path])
-    assert code == 1
-    data = json.loads(out)
-    assert data["valid"] is False
-    assert data["violations"] == ["cocycle identity fails at (g2,g2,g1)"]
+    assert_falsified_everywhere(capsys, path, "cocycle identity fails at (g2,g2,g1)")
+    # i^(p*s) is normalized, but as i^2 = -1 it is no bicharacter of C2 x C2
+    # and fails the identity
+    path = klein_degree_spec(tmp_path, [[1, 0], [0, 1]],
+                             cocycle={"formula": "i^(p*s)"})
+    assert_falsified_everywhere(capsys, path, "cocycle identity fails at (g1,g2,g2)")
+    code, out, err = run(capsys, ["kgmu", "--group", "2,2", "--cocycle", "i^(p*s)"])
+    assert (code, out, err) == (1, "", "falsified: cocycle identity fails at (g1,g2,g2)\n")
 
 
 def test_unnormalized_cocycle_is_a_validate_violation(capsys, tmp_path):
@@ -206,9 +226,15 @@ def test_unnormalized_cocycle_is_a_validate_violation(capsys, tmp_path):
     path = klein_degree_spec(tmp_path, [[1, 0], [0, 1]], cocycle={"table": [
         ["1", "-1", "1", "1"], ["1", "1", "1", "1"],
         ["1", "1", "1", "1"], ["1", "1", "1", "1"]]})
-    code, out, _ = run(capsys, ["validate", "--input", path])
-    assert code == 1
-    assert json.loads(out)["violations"] == ["normalization at (e,g2)"]
+    assert_falsified_everywhere(capsys, path, "normalization at (e,g2)")
+
+
+def test_relation_not_g_homogeneous_is_falsified(capsys, tmp_path):
+    # x has G-degree g1 and y g2, so x*y and y*y lie in different degrees
+    path = klein_degree_spec(tmp_path, [[1, 0], [0, 1]], relations=["x*y + y*y"])
+    assert_falsified_everywhere(
+        capsys, path, "relation 1 is not G-homogeneous under the declared degrees",
+        reads_cocycle=False)
 
 
 # schur_order never enumerates G x G, so it takes groups past the bound
@@ -489,10 +515,17 @@ def test_malformed_group_block_is_input_error(capsys, tmp_path, blocks, message)
      "cocycle.table[2][2] must be a root of unity, not 2"),
     ({"cocycle": {"formula": "2^(a1*b1)"}},
      "cocycle.formula at (g1,g1) must be a root of unity, not 2"),
+    ({"generators": ["x", "x"]}, "generator names must be unique"),
+    ({"generators": ["x", "i"]}, "bad generator name 'i'"),
+    ({"generators": [{"name": "x", "degree": 0}, "y"]},
+     "generator 'x' needs a positive degree"),
+    ({"relations": ["x - x"]}, "relation 1 is zero"),
+    ({"relations": ["x*y - x"]}, "relation 1 is not homogeneous: x*y - x"),
 ], ids=["group-one", "group-empty", "klein-cocycle-on-c3",
         "klein-duality-on-c3", "duality-1x1", "duality-degenerate",
         "duality-entry-order", "cocycle-table-not-root",
-        "cocycle-formula-not-root"])
+        "cocycle-formula-not-root", "generators-duplicate", "generator-i",
+        "generator-degree-0", "relation-zero", "relation-inhomogeneous"])
 @pytest.mark.parametrize("command", ["validate", "twist"])
 def test_input_shape_errors_exit_2(capsys, tmp_path, blocks, message, command):
     blocks = dict(blocks)
@@ -585,7 +618,7 @@ def test_constant_relation_is_input_error(capsys, tmp_path):
     path.write_text(json.dumps({"generators": ["x"], "relations": ["1", "x^2"]}))
     code, out, err = run(capsys, ["gb", "--degree", "2", "--input", str(path)])
     assert code == 2 and out == ""
-    assert "input error" in err and "relation 0 is a nonzero constant" in err
+    assert "input error" in err and "relation 1 is a nonzero constant" in err
 
 
 def test_human_mode_renders_text(capsys):
@@ -609,6 +642,8 @@ def test_invalid_action_reported_with_falsification_exit(capsys, tmp_path):
     data = json.loads(out)
     assert data["valid"] is False
     assert any("order dividing 2" in v for v in data["violations"])
+    code, out, err = run(capsys, ["twist", "--input", str(path)])
+    assert (code, out) == (1, "") and "order dividing 2" in err
 
 
 def test_scalar_division_by_zero_is_input_error(capsys, tmp_path):

@@ -287,26 +287,34 @@ def test_fused_ops_agree_with_fraction_oracle(conductor, data):
         assert got == plain and hash(got) == hash(plain)
 
 
-# the rational arithmetic of phi(N) = 1, which the rewrite loop of `gbasis`
-# runs on (numerator, denominator) pairs; denominators with shared factors
-# make cancellation after a sum likely
+# Q(zeta_N) is Q for the conductors with phi(N) = 1, and there every value
+# is one numerator over a denominator; denominators with shared factors make
+# cancellation after a sum likely
 rationals = st.one_of(st.just(Fraction(0)),
                       st.fractions(min_value=-40, max_value=40,
                                    max_denominator=36))
 
 
-def _as_pair(q: Fraction) -> tuple:
-    return q.numerator, q.denominator
+def _rational_value(x: CycNum, conductor: int) -> Fraction:
+    # lowest terms with a positive denominator: zero is 0/1
+    assert x.conductor == conductor and _canonical(x)
+    return Fraction(x.num[0], x.den)
+
+
+def _rational_ops(conductor, a, b, c):
+    x, y, z = (CycNum.rational(q, conductor) for q in (a, b, c))
+    cases = [(x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a),
+             (x.neg_mul(y), -(a * b)), (x.sub_mul(y, z), a - b * c)]
+    if b:
+        cases.append((y.inverse(), 1 / b))
+    return cases
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=rationals, b=rationals)
-def test_rational_pairs_agree_with_fraction(a, b):
-    for got, want in ((cyclo._rational_product(*_as_pair(a), *_as_pair(b)), a * b),
-                      (cyclo._rational_sum(*_as_pair(a), *_as_pair(b)), a + b)):
-        # lowest terms with a positive denominator: zero is 0/1
-        assert got[1] > 0 and gcd(*got) == 1
-        assert got == _as_pair(want)
+@given(conductor=st.sampled_from((1, 2)), a=rationals, b=rationals, c=rationals)
+def test_rational_pairs_agree_with_fraction(conductor, a, b, c):
+    for got, want in _rational_ops(conductor, a, b, c):
+        assert _rational_value(got, conductor) == want
 
 
 @pytest.mark.parametrize("a, b", [
@@ -315,8 +323,9 @@ def test_rational_pairs_agree_with_fraction(a, b):
 def test_rational_sum_cancels_after_adding(a, b):
     # in the first four the sum's numerator shares a factor of gcd(b, d)
     a, b = Fraction(a), Fraction(b)
-    assert cyclo._rational_sum(*_as_pair(a), *_as_pair(b)) == _as_pair(a + b)
-    assert cyclo._rational_product(*_as_pair(a), *_as_pair(b)) == _as_pair(a * b)
+    for conductor in (1, 2):
+        for got, want in _rational_ops(conductor, a, b, -b):
+            assert _rational_value(got, conductor) == want
 
 
 def test_fused_ops_need_equal_conductors():

@@ -430,7 +430,7 @@ def test_counters_read_the_basis_heights():
     # a constant relation is refused before any reduction is counted, as
     # `make_presentation` refuses it
     relations = (parse_ncpoly("1", XY, 4), parse_ncpoly("x*y", XY, 4))
-    with pytest.raises(ValidationError, match="relation 0 is a nonzero constant"):
+    with pytest.raises(ValidationError, match="relation 1 is a nonzero constant"):
         fresh_gb(Presentation(4, XY, relations), 2)
 
 
@@ -438,10 +438,10 @@ def test_counters_read_the_basis_heights():
     # Built without `make_presentation`, this one once completed to the
     # basis ['1'], with normal_form(1 + x) = 1 and the dimensions [1, 0, 0]
     # through degree 2; the quotient is zero, so those are 0 and [0, 0, 0]
-    (("1", "x*y"), "relation 0 is a nonzero constant"),
-    (("x*y", "1 + x"), "relation 1 is not homogeneous"),
-    (("x*y", "x*y*x - y"), "relation 1 is not homogeneous"),
-    (("x - x", "x*y"), "relation 0 is zero"),
+    (("1", "x*y"), "relation 1 is a nonzero constant"),
+    (("x*y", "1 + x"), "relation 2 is not homogeneous"),
+    (("x*y", "x*y*x - y"), "relation 2 is not homogeneous"),
+    (("x - x", "x*y"), "relation 1 is zero"),
 ], ids=["constant", "constant-term", "inhomogeneous", "zero"])
 def test_completion_refuses_what_make_presentation_refuses(relations, message):
     pres = Presentation(1, XY, tuple(parse_ncpoly(r, XY, 1) for r in relations))

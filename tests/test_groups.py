@@ -5,7 +5,7 @@ import pytest
 
 from cotwist import groups
 from cotwist.cyclo import CycNum
-from cotwist.errors import ValidationError
+from cotwist.errors import ParseError, ValidationError
 from cotwist.groups import (AbGroup, all_automorphisms, coboundary,
                             cocycle_from_formula, cocycle_from_scalars,
                             cocycle_inverse,
@@ -137,7 +137,8 @@ def test_non_root_of_unity_value_rejected():
     one = CycNum.one(4)
     table = {(g, h): one for g in KLEIN.elements() for h in KLEIN.elements()}
     table[(G1, G2)] = CycNum.rational("1/2", 4)
-    with pytest.raises(ValidationError, match=r"at \(g1,g2\) is not a root"):
+    with pytest.raises(ParseError, match=r"^cocycle value at \(g1,g2\) must be "
+                                         r"a root of unity, not 1/2$"):
         cocycle_from_scalars(KLEIN, table)
 
 
