@@ -5,7 +5,8 @@ cocycle, G-grading or action fails its check included: `validate` prints the
 violation, every other command `falsified: <message>` on stderr), 2 input
 error (malformed input, or input past a resource limit), 3 internal error
 (any other exception).  Output is JSON with sorted keys (byte-deterministic
-given the inputs); --human switches to an indented text rendering.
+given the inputs); --human switches every command but `twist`, whose JSON
+the others read, to an indented text rendering.
 
 Each command imports the layers it runs inside its own function, so a
 process loads only what its command needs: `gb` and `hilbert` on a file load
@@ -297,21 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, degree=6):
-        p.add_argument("--degree", type=_degree, default=degree,
-                       help="truncation degree (default %(default)s)")
+        if degree is not None:
+            p.add_argument("--degree", type=_degree, default=degree,
+                           help="truncation degree (default %(default)s)")
         p.add_argument("--human", action="store_true",
                        help="indented text output instead of JSON")
 
     p = sub.add_parser("validate", help="validate an action and print the "
                                         "homogeneous basis and degree table")
     p.add_argument("--input", required=True)
-    common(p)
+    common(p, degree=None)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("twist", help="twist a presentation by its cocycle")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    common(p)
     p.set_defaults(func=_cmd_twist)
 
     p = sub.add_parser("gb", help="truncated Groebner basis and Hilbert prefix")
@@ -345,13 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cyclic factors, e.g. 2,2")
     p.add_argument("--cocycle", default="trivial",
                    help="'klein', 'trivial', a formula, or a JSON file")
-    p.add_argument("--human", action="store_true")
+    common(p, degree=None)
     p.set_defaults(func=_cmd_kgmu)
 
     p = sub.add_parser("schur", help="order of the Schur multiplier")
     p.add_argument("--group", type=_int_list, required=True,
                    help="cyclic factors, e.g. 3,3")
-    p.add_argument("--human", action="store_true")
+    common(p, degree=None)
     p.set_defaults(func=_cmd_schur)
 
     p = sub.add_parser("theorem55", help="run the built-in twist-equivalence "

@@ -46,10 +46,6 @@ class CrossedModel(NamedTuple):
         return self.spec.group
 
     @property
-    def bound(self) -> int:
-        return self.gb.bound
-
-    @property
     def conductor(self) -> int:
         return self.spec.presentation.conductor
 
@@ -96,9 +92,6 @@ class CrossedElement:
         if not isinstance(other, CrossedElement):
             return NotImplemented
         return self.model is other.model and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -7,7 +7,7 @@ always in lowest terms (gcd(den, *num) == 1, zero is (0, ..., 0)/1), so it
 is canonical and doubles as an equality test and a hash key.  Arithmetic
 works on the integers directly, and so does text rendering; `Fraction`
 appears only at the boundary, imported on first use: the public
-constructor, `rational` on a non-integer, `coeffs` and `as_fraction`.
+constructor, `rational` on a non-integer and `coeffs`.
 Arithmetic between two numbers requires equal conductors; callers embed into
 a common conductor first (`CycNum.embed` / `common_conductor`).
 
@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import neg
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .errors import ConductorMismatch, CotwistError, LimitExceeded
+from .errors import ConductorMismatch, LimitExceeded
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -269,10 +269,6 @@ class CycNum:
         k = power % conductor
         return _make(conductor, _power_rows(conductor, k)[k], 1)
 
-    @staticmethod
-    def i() -> "CycNum":
-        return CycNum.zeta(4)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -293,12 +289,6 @@ class CycNum:
     def height(self) -> int:
         """Bits of the largest numerator or of the denominator."""
         return max(self.den.bit_length(), *(abs(x).bit_length() for x in self.num))
-
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction
-        if not self.is_rational():
-            raise CotwistError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not CycNum:
@@ -406,10 +396,9 @@ class CycNum:
             e >>= 1
         return result
 
-    # -- field maps ----------------------------------------------------------
-    # Both maps send the ring of integers into a ring of integers and back,
-    # so they keep the numerators' content and the result stays in lowest
-    # terms.
+    # -- field map -----------------------------------------------------------
+    # The embedding sends the ring of integers into a ring of integers, so it
+    # keeps the numerators' content and the result stays in lowest terms.
 
     def embed(self, conductor: int) -> "CycNum":
         """Express the same element with a larger conductor (N must divide it)."""
@@ -422,11 +411,6 @@ class CycNum:
         step = conductor // self.conductor
         return _make(conductor, tuple(_vsubst(conductor, self.num, step)),
                      self.den)
-
-    def conj(self) -> "CycNum":
-        """Complex conjugation, i.e. the Galois map zeta_N -> zeta_N^(-1)."""
-        n = self.conductor
-        return _make(n, tuple(_vsubst(n, self.num, n - 1)), self.den)
 
     # -- display -------------------------------------------------------------
 

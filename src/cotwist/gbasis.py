@@ -51,54 +51,24 @@ from .freealg import (GenMap, NcPoly, Presentation, Word, _check_relation,
                       _trusted_poly, deglex_key, word_degree)
 
 
-class DegreeStats:
-    """What completion did in one N-degree.  `overlaps` counts the overlap
-    S-polynomials generated, `reductions` every polynomial the completion
-    loop reduced (relations and S-polynomials),
-    `zero_reductions` those that reduced to zero, `tail_reductions` the
-    basis elements of this degree whose tail was reduced again after a new
-    leading word entered the basis; `basis_size` and
-    `coeff_height_bits` (the largest numerator or denominator, in bits)
-    describe the final basis elements of this degree.  `normal_words`, the
-    dimension of the quotient in this degree, is counted on the leading-word
-    automaton when the `TruncGB` is made, without building a word."""
-
-    __slots__ = ("overlaps", "reductions", "zero_reductions",
-                 "tail_reductions", "basis_size", "coeff_height_bits",
-                 "normal_words")
-
-    def __init__(self, overlaps: int = 0, reductions: int = 0,
-                 zero_reductions: int = 0, tail_reductions: int = 0,
-                 basis_size: int = 0, coeff_height_bits: int = 0,
-                 normal_words: Optional[int] = None):
-        self.overlaps = overlaps
-        self.reductions = reductions
-        self.zero_reductions = zero_reductions
-        self.tail_reductions = tail_reductions
-        self.basis_size = basis_size
-        self.coeff_height_bits = coeff_height_bits
-        self.normal_words = normal_words
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not DegreeStats:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None     # mutable: the completion counts into it
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, self._values()))
-        return f"DegreeStats({fields})"
+# The int counters of one N-degree in `TruncGB.stats`.  `overlaps` counts the
+# overlap S-polynomials generated, `reductions` every polynomial the
+# completion loop reduced (relations and S-polynomials), `zero_reductions`
+# those that reduced to zero, `tail_reductions` the basis elements of this
+# degree whose tail was reduced again after a new leading word entered the
+# basis; `basis_size` and `coeff_height_bits` (the largest numerator or
+# denominator, in bits) describe the final basis elements of this degree.
+_COUNTERS = ("overlaps", "reductions", "zero_reductions", "tail_reductions",
+             "basis_size", "coeff_height_bits")
 
 
 class TruncGB:
     """A reduced Groebner basis, complete through `bound`.  `stats` maps
-    each degree 0..bound to the `DegreeStats` of the completion that built
-    it; the counters are deterministic, like the basis itself.
+    each degree 0..bound to the dict of `_COUNTERS` of the completion that
+    built it, plus `normal_words`, the dimension of the quotient in that
+    degree, counted on the leading-word automaton when the `TruncGB` is
+    made, without building a word; the counters are deterministic, like the
+    basis itself.
 
     Reduction finds leading words with the automaton of `_trie`, the letter
     trie of the leading words whose nodes hold their elements' rewrite rules
@@ -121,7 +91,7 @@ class TruncGB:
         self._degrees = [g.degree for g in presentation.generators]
         self._table: dict = {}
         for d, count in enumerate(_normal_word_counts(trie, self._degrees, bound)):
-            stats[d].normal_words = count
+            stats[d]["normal_words"] = count
 
     def __repr__(self) -> str:
         return f"TruncGB(bound={self.bound}, elements={len(self.elements)})"
@@ -133,7 +103,7 @@ class TruncGB:
         along the automaton; more than `MAX_NORMAL_WORDS` in all are refused."""
         if self._words_by_degree is not None:
             return self._words_by_degree
-        total = sum(s.normal_words for s in self.stats.values())
+        total = sum(s["normal_words"] for s in self.stats.values())
         if total > MAX_NORMAL_WORDS:
             raise DegreeBoundExceeded(
                 f"there are {total} normal words through degree {self.bound}, "
@@ -475,14 +445,14 @@ def _complete(presentation: Presentation, bound: int) -> TruncGB:
 
     basis: list = []
     trie: dict = {}
-    stats = {d: DegreeStats() for d in range(bound + 1)}
+    stats = {d: dict.fromkeys(_COUNTERS, 0) for d in range(bound + 1)}
 
     while heap:
         degree, _, p = heapq.heappop(heap)
         h = _reduce(p, trie)
-        stats[degree].reductions += 1
+        stats[degree]["reductions"] += 1
         if h.is_zero():
-            stats[degree].zero_reductions += 1
+            stats[degree]["zero_reductions"] += 1
             continue
         h = h.monic()
         lead_h = h.leading_word()
@@ -490,7 +460,7 @@ def _complete(presentation: Presentation, bound: int) -> TruncGB:
             pairs = [(h, g)] if g is h else [(h, g), (g, h)]
             for left, right in pairs:
                 for degree, s in _overlap_spolys(left, right, bound):
-                    stats[degree].overlaps += 1
+                    stats[degree]["overlaps"] += 1
                     heapq.heappush(heap, (degree, next(seq), s))
         basis.append(h)
         _add_lead(trie, h)
@@ -510,21 +480,21 @@ def _complete(presentation: Presentation, bound: int) -> TruncGB:
                 g = _trusted_poly(gens, conductor, {lead: g.terms[lead], **tail})
                 basis[idx] = g
                 _add_lead(trie, g)
-                stats[g_degree].tail_reductions += 1
+                stats[g_degree]["tail_reductions"] += 1
 
     basis.sort(key=lambda g: deglex_key(g.leading_word(), gens))
     for g in basis:
         record = stats[g.degree()]
-        record.basis_size += 1
-        record.coeff_height_bits = max(
-            record.coeff_height_bits, *(c.height() for c in g.terms.values()))
+        record["basis_size"] += 1
+        record["coeff_height_bits"] = max(
+            record["coeff_height_bits"], *(c.height() for c in g.terms.values()))
     return TruncGB(presentation, bound, basis, stats, trie)
 
 
 def hilbert_coeffs(presentation: Presentation, bound: int) -> tuple:
     """dim A_0 .. dim A_bound, the normal words counted by the completion."""
     gb = truncated_gb(presentation, max(bound, presentation.max_relation_degree()))
-    return tuple(gb.stats[d].normal_words for d in range(bound + 1))
+    return tuple(gb.stats[d]["normal_words"] for d in range(bound + 1))
 
 
 def ideal_contains(p: NcPoly, presentation: Presentation, bound: int) -> bool:
@@ -539,7 +509,7 @@ def ideal_contains(p: NcPoly, presentation: Presentation, bound: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# regular and normal elements, checked degreewise
+# regular elements, checked degreewise
 # ---------------------------------------------------------------------------
 
 def _sum_products(gb: TruncGB, left: dict, right: Mapping[Word, CycNum]) -> dict:
@@ -585,18 +555,6 @@ def is_regular_to_degree(a: NcPoly, presentation: Presentation,
         if not (left_ok or right_ok):
             break
     return left_ok, right_ok
-
-
-def is_normal_to_degree(a: NcPoly, presentation: Presentation,
-                        bound: int) -> bool:
-    """True iff a*A_d and A_d*a span the same subspace for every d <= bound - deg(a)."""
-    from .linalg import row_spaces_equal
-    deg_a = a.homogeneous_degree()
-    if deg_a is None or a.is_zero():
-        raise ValidationError("normality check needs a homogeneous nonzero element")
-    gb = truncated_gb(presentation, bound)
-    return all(row_spaces_equal(left, right)
-               for left, right in _product_rows(a, gb, bound - deg_a))
 
 
 # ---------------------------------------------------------------------------

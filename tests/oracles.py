@@ -450,9 +450,6 @@ class FracCyclo:
     def embed(self, m: int):
         return self.substitute(m, m // self.n)
 
-    def conj(self):
-        return self.substitute(self.n, self.n - 1)
-
 
 # ---------------------------------------------------------------------------
 # text rendering on Fraction coefficients: the reference for the integer

@@ -43,7 +43,7 @@ def test_order_violation_reported():
     pres = preset("A(1,-1)").presentation
     one = CycNum.one(4)
     zero = CycNum.zero(4)
-    i = CycNum.i()
+    i = CycNum.zeta(4)
     eye = [[one if a == b else zero for b in range(3)] for a in range(3)]
     order4 = [[one, zero, zero], [zero, one, zero], [zero, zero, i]]
     with pytest.raises(ValidationError, match="order dividing 2"):
@@ -231,7 +231,7 @@ def signed_permutation(perm, scale):
 def test_order_and_commutation_match_dense_products(factors):
     # diagonal sign matrices, transpositions, a 3-cycle and diagonals with i:
     # some draws have the right orders, some commute, some do neither
-    one, i = CycNum.one(4), CycNum.i()
+    one, i = CycNum.one(4), CycNum.zeta(4)
     pool = [signed_permutation((0, 1, 2), signs)
             for signs in itertools.product((one, -one), repeat=3)]
     pool += [signed_permutation(perm, (one, one, -one))

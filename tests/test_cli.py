@@ -69,15 +69,23 @@ def test_validate_reports_basis(capsys, spec_file):
                                                 "w3": "g1"}
 
 
-def test_twist_writes_output_and_matches_target(capsys, tmp_path, spec_file):
-    out_path = tmp_path / "twisted.json"
-    code, _, _ = run(capsys, ["twist", "--input", spec_file,
-                              "--output", str(out_path)])
-    assert code == 0
-    data = json.loads(out_path.read_text())
-    assert "input_sha256" in data["provenance"]
+def test_twist_writes_output_and_matches_target(capsys, tmp_path):
+    # the builtin Klein duality and the same table written out give one twist
+    twists = []
+    for k, duality in enumerate([{"builtin": "klein"},
+                                 [["1", "-1"], ["-1", "1"]]]):
+        spec_path = tmp_path / f"spec{k}.json"
+        spec_path.write_text(json.dumps(dict(SPEC_XBASIS, duality=duality)))
+        out_path = tmp_path / f"twisted{k}.json"
+        code, _, _ = run(capsys, ["twist", "--input", str(spec_path),
+                                  "--output", str(out_path)])
+        assert code == 0
+        data = json.loads(out_path.read_text())
+        assert data["provenance"].pop("input_sha256")
+        twists.append(data)
+    assert twists[0] == twists[1]
     pres_path = tmp_path / "twisted_pres.json"
-    pres_path.write_text(json.dumps(data["presentation"]))
+    pres_path.write_text(json.dumps(twists[0]["presentation"]))
     code, out, _ = run(capsys, ["iso-check", "--lhs", str(pres_path),
                                 "--rhs", "preset:D(1,1)", "--degree", "6"])
     assert code == 0
@@ -107,14 +115,18 @@ def test_iso_check_failure_exit_code(capsys):
 
 
 def test_iso_check_with_map_file(capsys, tmp_path):
-    map_path = tmp_path / "map.json"
-    map_path.write_text(json.dumps({"images": {"w1": "w1", "w2": "-w2",
-                                               "w3": "w3"}}))
-    code, out, _ = run(capsys, ["iso-check", "--lhs", "preset:C(1)",
-                                "--rhs", "preset:C(1)",
-                                "--map", str(map_path), "--degree", "6"])
-    assert code == 0
-    assert json.loads(out)["status"] in ("SYNTACTIC", "VERIFIED")
+    # the images by generator name and as a list in generator order
+    outputs = []
+    for images in ({"w1": "w1", "w2": "-w2", "w3": "w3"}, ["w1", "-w2", "w3"]):
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps({"images": images}))
+        code, out, _ = run(capsys, ["iso-check", "--lhs", "preset:C(1)",
+                                    "--rhs", "preset:C(1)",
+                                    "--map", str(map_path), "--degree", "6"])
+        assert code == 0
+        assert json.loads(out)["status"] in ("SYNTACTIC", "VERIFIED")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_map_image_beyond_target_conductor_lifts_both_sides(capsys, tmp_path):
@@ -781,7 +793,6 @@ def test_enumeration_above_the_work_bound_is_refused(capsys, tmp_path):
 
 
 DEGREE_COMMANDS = [
-    ["validate", "--input", "preset:B(1)"], ["twist", "--input", "preset:B(1)"],
     ["gb", "--input", "preset:B(1)"], ["hilbert", "--input", "preset:B(1)"],
     ["iso-check", "--lhs", "preset:B(1)", "--rhs", "preset:C(1)"],
     ["invariants", "--input", "preset:B(1)"], ["theorem55"], ["report"]]
@@ -798,6 +809,7 @@ def test_every_degree_flag_is_bounded(capsys, argv):
 # the field is the lcm of the conductors the inputs name, so no command
 # takes a flag that sets it
 @pytest.mark.parametrize("argv", DEGREE_COMMANDS + [
+    ["validate", "--input", "preset:B(1)"], ["twist", "--input", "preset:B(1)"],
     ["kgmu", "--group", "2,2"], ["schur", "--group", "2,2"]],
     ids=lambda argv: argv[0])
 def test_batteries_refuse_the_conductor_flag(capsys, argv):
@@ -805,6 +817,21 @@ def test_batteries_refuse_the_conductor_flag(capsys, argv):
         main(argv + ["--conductor", "8"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --conductor 8" in capsys.readouterr().err
+
+
+# `validate` truncates nothing and `twist` writes JSON for other commands to
+# read, so neither takes a flag it would ignore
+@pytest.mark.parametrize("argv", [
+    ["validate", "--input", "preset:B(1)", "--degree", "3"],
+    ["twist", "--input", "preset:B(1)", "--degree", "3"],
+    ["twist", "--input", "preset:B(1)", "--human"]],
+    ids=["validate-degree", "twist-degree", "twist-human"])
+def test_commands_refuse_flags_they_would_ignore(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert (f"unrecognized arguments: {' '.join(argv[3:])}"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
@@ -908,10 +935,10 @@ def _argv(draw):
             argv += ["--input", draw(_SOURCES)]
         if command == "twist" and draw(st.booleans()):
             argv += ["--output", "{out}"]
-        if command != "twist" and draw(st.booleans()):
+        if command not in ("validate", "twist") and draw(st.booleans()):
             argv += ["--degree", draw(st.sampled_from(
                 ["0", "1", "2", "3", "4", "-1", "65", "x"]))]
-    if draw(st.booleans()):
+    if command != "twist" and draw(st.booleans()):
         argv.append("--human")
     return argv
 

@@ -22,7 +22,7 @@ def cycnums(conductor):
 
 
 def test_defining_relation_of_gaussian_field():
-    i = CycNum.i()
+    i = CycNum.zeta(4)
     assert i * i == CycNum.rational(-1, 4)
     half = CycNum.rational(Fraction(-3, 2), 4)
     assert half * parse_scalar("2 + 5*i") == parse_scalar("-3 - 15/2*i")
@@ -33,7 +33,8 @@ def test_inverse_pair_from_half_plus_half_i():
     gamma = parse_scalar("(1 + i)/2")
     assert (gamma * parse_scalar("2/(1 + i)")).is_one()
     # the conjugate equals 1/(2 gamma)
-    assert gamma.conj() == CycNum.one(4) / (CycNum.rational(2, 4) * gamma)
+    assert parse_scalar("(1 - i)/2") == (
+        CycNum.one(4) / (CycNum.rational(2, 4) * gamma))
 
 
 def test_root_of_unity_inverse():
@@ -44,7 +45,7 @@ def test_embed_examples():
     assert CycNum.rational(-1, 2).embed(4) == CycNum.rational(-1, 4)
     assert CycNum.zeta(4).embed(8) == CycNum.zeta(8, 2)
     wide = CycNum.rational(Fraction(3, 2)).embed(12)
-    assert wide.conductor == 12 and wide.as_fraction() == Fraction(3, 2)
+    assert wide.conductor == 12 and wide.coeffs == (Fraction(3, 2), 0, 0, 0)
 
 
 def test_embed_requires_divisible_conductor():
@@ -73,13 +74,13 @@ def test_root_exponent_rejects_non_roots():
     assert root_exponent(CycNum.rational(2), 2) is None
     assert root_exponent(CycNum.zero(4), 4) is None
     # a root whose order does not divide the modulus
-    assert root_exponent(CycNum.i(), 2) is None
-    assert root_exponent(CycNum.i(), 8) == 2
+    assert root_exponent(CycNum.zeta(4), 2) is None
+    assert root_exponent(CycNum.zeta(4), 8) == 2
 
 
 def test_root_of_unity_needs_a_large_enough_field():
     assert root_of_unity(1, 6, 3) == parse_scalar("1 + zeta(3)")
-    assert root_of_unity(-1, 4, 4) == -CycNum.i()
+    assert root_of_unity(-1, 4, 4) == -CycNum.zeta(4)
     with pytest.raises(ConductorMismatch):
         root_of_unity(1, 8, 4)
 
@@ -92,12 +93,6 @@ def test_arithmetic_requires_matching_conductor():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         CycNum.one(4) / CycNum.zero(4)
-
-
-def test_conjugation_examples():
-    gamma = parse_scalar("(1 + i)/2")
-    assert gamma.conj() == parse_scalar("(1 - i)/2")
-    assert gamma.conj().conj() == gamma
 
 
 @pytest.mark.parametrize("conductor", CONDUCTORS)
@@ -126,17 +121,6 @@ def test_embed_is_injective_ring_map(conductor, target, data):
     assert (a + b).embed(target) == a.embed(target) + b.embed(target)
     if a != b:
         assert a.embed(target) != b.embed(target)
-
-
-@pytest.mark.parametrize("conductor", CONDUCTORS)
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_conjugation_is_ring_involution(conductor, data):
-    a = data.draw(cycnums(conductor))
-    b = data.draw(cycnums(conductor))
-    assert (a * b).conj() == a.conj() * b.conj()
-    assert (a + b).conj() == a.conj() + b.conj()
-    assert a.conj().conj() == a
 
 
 @pytest.mark.parametrize("conductor", CONDUCTORS)
@@ -248,7 +232,7 @@ def test_arithmetic_agrees_with_fraction_oracle(conductor, data):
     y, fy = _pair(conductor, data.draw(oracle_coeffs(conductor)))
     e = data.draw(st.integers(min_value=-3, max_value=4))
     results = [(x + y, fx + fy), (x - y, fx - fy), (-x, -fx), (x * y, fx * fy),
-               (x.conj(), fx.conj()), (x.embed(2 * conductor), fx.embed(2 * conductor)),
+               (x.embed(2 * conductor), fx.embed(2 * conductor)),
                (x.embed(3 * conductor), fx.embed(3 * conductor))]
     if not x.is_zero():
         results += [(x.inverse(), fx.inverse()), (y / x, fy * fx.inverse()),
@@ -329,7 +313,7 @@ def test_rational_sum_cancels_after_adding(a, b):
 
 
 def test_fused_ops_need_equal_conductors():
-    one, i = CycNum.one(1), CycNum.i()
+    one, i = CycNum.one(1), CycNum.zeta(4)
     for call in (lambda: i.sub_mul(one, i), lambda: i.sub_mul(i, one),
                  lambda: one.sub_mul(i, i), lambda: i.neg_mul(one)):
         with pytest.raises(ConductorMismatch):
@@ -344,7 +328,7 @@ def test_power_tables_are_bounded():
         assert CycNum.zeta(n) ** n == CycNum.one(n)
     assert cyclo._power_table.cache_info().currsize == limit
     assert CycNum.zeta(5) ** 5 == CycNum.one(5)
-    assert CycNum.zeta(12, 3) == CycNum.i().embed(12)
+    assert CycNum.zeta(12, 3) == CycNum.zeta(4).embed(12)
 
 
 def test_values_are_immutable():

@@ -60,7 +60,7 @@ def test_derived_polynomials_equal_checked_ones():
     # sums, negatives, scalings and word products skip the constructor's
     # checks; they must still be what the constructor would build
     rng = random.Random(11)
-    half = CycNum.rational(Fraction(1, 2), 4) + CycNum.i()
+    half = CycNum.rational(Fraction(1, 2), 4) + CycNum.zeta(4)
     for _ in range(25):
         a, b = random_poly(rng), random_poly(rng)
         for derived in (a + b, a - b, -a, a.scale(half), a.monic(),
@@ -129,13 +129,13 @@ def test_commutator_shorthands():
 # parsed at conductor 4; the result lives at lcm(4, the conductor the text names)
 @pytest.mark.parametrize("text,conductor,terms", [
     ("i*x1*x2 - (1/2)*x2*x1", 4,
-     {(0, 1): CycNum.i(), (1, 0): CycNum.rational(Fraction(-1, 2))}),
+     {(0, 1): CycNum.zeta(4), (1, 0): CycNum.rational(Fraction(-1, 2))}),
     ("x1^(1+1)", 4, {(0, 0): CycNum.one()}),
     ("x1^2^1", 4, {(0, 0): CycNum.one()}),
     ("2^3^2*x1", 4, {(0,): CycNum.rational(512)}),
     ("2^-1*x1**2", 4, {(0, 0): CycNum.rational(Fraction(1, 2))}),
     ("x2/(1 + i)", 4,
-     {(1,): (CycNum.one(4) - CycNum.i()) * CycNum.rational(Fraction(1, 2), 4)}),
+     {(1,): (CycNum.one(4) - CycNum.zeta(4)) * CycNum.rational(Fraction(1, 2), 4)}),
     ("zeta( 8 )^2*x3", 8, {(2,): CycNum.zeta(8, 2)}),
     ("[x1,x2]+ - [x1,x2]_+", 4, {}),
 ], ids=["coefficients", "exponent-expression", "right-associative",

@@ -56,7 +56,7 @@ def test_standard_duality_is_nondegenerate():
 
 
 def test_duality_table_read_as_exponents():
-    i = CycNum.i()
+    i = CycNum.zeta(4)
     one = CycNum.one(4)
     d = make_duality(AbGroup((4, 4)), [[i, one], [one, -i]])
     assert d.table == ((1, 0), (0, 3))

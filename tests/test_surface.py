@@ -1,5 +1,5 @@
-"""Every public function and class of a layer is something the commands, the
-benchmark or the README use, and no module imports a name it never uses.  No
+"""Every public function, class and method of a layer is something the
+commands, the benchmark or the README use, and no module imports a name it never uses.  No
 linter ships with the tool chain, so these two checks read the sources with
 `ast`.  A process also
 pays for what it imports and computes but never reads: the last checks
@@ -45,10 +45,16 @@ def _readme_names():
 
 
 def _public_definitions(tree):
-    """The public functions and classes a module defines at module level."""
-    return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+    """The public functions and classes a module defines at module level,
+    and the public methods of those classes."""
+    names = set()
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names |= _public_definitions(node)
+    return names
 
 
 def test_every_exported_name_is_used_or_documented():
