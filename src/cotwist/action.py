@@ -29,7 +29,8 @@ from .twist import GGrading
 
 def _compose(f: GenMap, g: GenMap) -> GenMap:
     """f after g."""
-    return GenMap(g.source, tuple(f.apply(image) for image in g.images))
+    return GenMap(g.source, f.target, f.conductor,
+                  tuple(f.apply(image) for image in g.images))
 
 
 def action_violations(presentation: Presentation, group: AbGroup,
@@ -164,8 +165,11 @@ def isotypic_basis(pres: Presentation, group: AbGroup, matrices: Sequence,
 
 def regrade_presentation(presentation: Presentation,
                          basis: HomogBasis, group: AbGroup) -> GGrading:
-    """Rewrite the relations in the homogeneous generator basis and attach
-    the induced G-grading; every relation must come out G-homogeneous."""
+    """Rewrite the relations in the homogeneous generator basis, split each
+    into its G-homogeneous components and attach the induced G-grading.
+    Each component lies in the ideal: it is a projection of the relation
+    onto an isotypic part, an average of its images under the action, which
+    preserves the ideal.  Repeated relations are dropped."""
     conductor = presentation.conductor
     new_gens = make_alphabet(list(zip(basis.names, basis.degrees)))
     n = len(new_gens)
@@ -174,14 +178,17 @@ def regrade_presentation(presentation: Presentation,
         terms = {(k,): basis.inverse[k][i]
                  for k in range(n) if not basis.inverse[k][i].is_zero()}
         images.append(NcPoly(new_gens, conductor, terms))
-    substitution = GenMap(presentation.generators, tuple(images))
-    relations = [substitution.apply(r) for r in presentation.relations]
-    new_pres = make_presentation(conductor, new_gens, relations)
-    grading = GGrading(group, new_pres, basis.g_degrees)
-    for k, rel in enumerate(new_pres.relations):
-        if grading.poly_degree(rel) is None:
-            raise AssertionError(
-                f"relation {k + 1} is not G-homogeneous after the basis "
-                f"change; an invalid action slipped past validation")
-    return grading
-
+    substitution = GenMap(presentation.generators, new_gens, conductor,
+                          tuple(images))
+    rewritten = make_presentation(conductor, new_gens, [
+        substitution.apply(r) for r in presentation.relations])
+    grading = GGrading(group, rewritten, basis.g_degrees)
+    components = []
+    for rel in rewritten.relations:
+        parts: dict = {}
+        for word, coeff in rel.terms.items():
+            parts.setdefault(grading.word_degree(word), {})[word] = coeff
+        components += [NcPoly(new_gens, conductor, parts[g]).monic()
+                       for g in sorted(parts, key=group.index)]
+    return grading._replace(presentation=Presentation(
+        conductor, new_gens, tuple(dict.fromkeys(components))))

@@ -27,10 +27,9 @@ from .errors import (CotwistError, DegreeBoundExceeded, FalsificationError,
                      LimitExceeded, ParseError, ValidationError)
 from .freealg import MAX_LITERAL_DIGITS
 from .jsonio import (SpecBundle, basis_to_dict, cocycle_from_dict,
-                     cocycle_to_dict, dump_json, gb_to_dict,
-                     genmap_from_dict, grading_to_dict, load_json,
-                     presentation_from_dict, presentation_to_dict,
-                     spec_bundle_from_dict, verdict_to_dict)
+                     cocycle_to_dict, dump_json, gb_to_dict, grading_to_dict,
+                     load_json, map_images_from_dict, presentation_from_dict,
+                     presentation_to_dict, spec_bundle_from_dict)
 
 if TYPE_CHECKING:
     from .freealg import Presentation
@@ -69,6 +68,12 @@ def _emit(data: dict, human: bool) -> None:
         _render(data, 0)
     else:
         sys.stdout.write(dump_json(data))
+
+
+def _emit_record(record: dict, human: bool) -> int:
+    """Print a check's record; exit 0 when its `pass` verdict is true."""
+    _emit(record, human)
+    return 0 if record.get("pass") is True else 1
 
 
 def _render(node, depth: int, label: str = "") -> None:
@@ -169,7 +174,7 @@ def _cmd_iso_check(args) -> int:
     lhs = _load_presentation(args.lhs)
     rhs = _load_presentation(args.rhs)
     if args.map:
-        images = genmap_from_dict(load_json(args.map), lhs, rhs).images
+        images = map_images_from_dict(load_json(args.map), lhs, rhs)
     else:
         if [g.degree for g in lhs.generators] != [g.degree for g in rhs.generators]:
             raise ValidationError(
@@ -179,29 +184,16 @@ def _cmd_iso_check(args) -> int:
     conductor = lcm(lhs.conductor, rhs.conductor, *(p.conductor for p in images))
     lhs = embed_presentation(lhs, conductor)
     rhs = embed_presentation(rhs, conductor)
-    genmap = GenMap(lhs.generators,
+    genmap = GenMap(lhs.generators, rhs.generators, conductor,
                     tuple(p.with_conductor(conductor) for p in images))
-    verdict = verify_iso(lhs, rhs, genmap, args.degree)
-    _emit(verdict_to_dict(verdict), args.human)
-    return 0 if verdict.ok else 1
+    return _emit_record(verify_iso(lhs, rhs, genmap, args.degree), args.human)
 
 
 def _cmd_invariants(args) -> int:
     from .crossed import verify_invariant_ring
     bundle = _load_bundle(args.input)
-    report = verify_invariant_ring(bundle.spec, args.degree)
-    out = {
-        "degree": report.bound,
-        "dims": [{"degree": d, "invariants": inv, "algebra": alg,
-                  "twisted": tw} for d, inv, alg, tw in report.dims_match],
-        "relations_vanish": report.relations_vanish,
-        "embedding_injective": report.embedding_injective,
-        "multiplicative": report.multiplicative,
-        "images_invariant": report.images_invariant,
-        "pass": report.ok,
-    }
-    _emit(out, args.human)
-    return 0 if report.ok else 1
+    return _emit_record(verify_invariant_ring(bundle.spec, args.degree),
+                        args.human)
 
 
 def _cmd_kgmu(args) -> int:
@@ -253,13 +245,12 @@ def _cmd_schur(args) -> int:
 
 def _cmd_checks(args) -> int:
     """`theorem55` runs one entry of `CHECKS`, `report` all of them."""
-    from .presets import CHECKS, full_report, verdict
+    from .presets import CHECKS, full_report
     if args.check is None:
         out = full_report(args.degree)
-    else:
-        out = CHECKS[args.check](args.degree)
-    _emit(out, args.human)
-    return 0 if verdict(out) else 1
+        _emit(out, args.human)
+        return 0 if out["passed"] else 1
+    return _emit_record(CHECKS[args.check](args.degree), args.human)
 
 
 # No Groebner completion this tool can finish comes near this degree (the

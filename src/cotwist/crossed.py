@@ -144,25 +144,10 @@ def isotypic_component(model: CrossedModel, g: Element, degree: int) -> list:
 # the invariant-ring construction agrees with the presentation-level twist
 # ---------------------------------------------------------------------------
 
-class InvariantRingReport(NamedTuple):
-    bound: int
-    relations_vanish: bool
-    dims_match: list            # (degree, invariant dim, algebra dim, twisted dim)
-    embedding_injective: bool
-    multiplicative: bool
-    images_invariant: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.relations_vanish and self.embedding_injective
-                and self.multiplicative and self.images_invariant
-                and all(inv == alg == tw for _, inv, alg, tw in self.dims_match))
-
-
-def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
+def verify_invariant_ring(spec: TwistSpec, bound: int) -> dict:
     """Mechanically confirm that the presentation-level twist and the
     invariant ring of the crossed product are the same algebra through
-    `bound`.
+    `bound`; the record `invariants` prints, with one `pass` verdict.
 
     The generator embedding v_j -> (w_j (x) deg w_j) is pushed through both
     routes: the twisted presentation's relations must vanish in the crossed
@@ -206,7 +191,7 @@ def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
                            for r in twisted.presentation.relations)
 
     identity_el = model.group.identity()
-    dims_match = []
+    dims = []
     embedding_injective = True
     images_invariant = True
     for d in range(bound + 1):
@@ -218,8 +203,9 @@ def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
             images_invariant = False
         if rank(rows) != len(tw_words):
             embedding_injective = False
-        dims_match.append((d, len(invariants), len(model.gb.normal_words(d)),
-                           len(tw_words)))
+        dims.append({"degree": d, "invariants": len(invariants),
+                     "algebra": len(model.gb.normal_words(d)),
+                     "twisted": len(tw_words)})
 
     def image_times_generator(u: Word, x: int) -> CrossedElement:
         # u*x need not be normal, and then its image is not kept
@@ -230,30 +216,19 @@ def verify_invariant_ring(spec: TwistSpec, bound: int) -> InvariantRingReport:
         embed_poly(tw_gb.times_word({u: one}, (x,))) == image_times_generator(u, x)
         for d in range(bound) for u in tw_gb.normal_words(d)
         for x, generator in enumerate(gens) if d + generator.degree <= bound)
-    return InvariantRingReport(bound, relations_vanish, dims_match,
-                               embedding_injective, multiplicative,
-                               images_invariant)
+    return {
+        "degree": bound, "dims": dims, "relations_vanish": relations_vanish,
+        "embedding_injective": embedding_injective,
+        "multiplicative": multiplicative, "images_invariant": images_invariant,
+        "pass": (relations_vanish and embedding_injective and multiplicative
+                 and images_invariant
+                 and all(row["invariants"] == row["algebra"] == row["twisted"]
+                         for row in dims))}
 
 
 # ---------------------------------------------------------------------------
 # the bimodule decomposition of the crossed product
 # ---------------------------------------------------------------------------
-
-class BimoduleReport(NamedTuple):
-    g: Element
-    bound: int
-    identity_on_e: bool
-    scaling_multiplicative: bool
-    component_dims: list        # (degree, isotypic dim, algebra dim)
-    left_span_matches: bool
-    right_span_matches: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.identity_on_e and self.scaling_multiplicative
-                and self.left_span_matches and self.right_span_matches
-                and all(iso == alg for _, iso, alg in self.component_dims))
-
 
 def component_scaling(model: CrossedModel, g: Element, h: Element) -> int:
     """The scalar mu(h,g)/mu(g,h), as an exponent, by which conjugation by
@@ -262,14 +237,15 @@ def component_scaling(model: CrossedModel, g: Element, h: Element) -> int:
     return (mu.value(h, g) - mu.value(g, h)) % mu.modulus
 
 
-def verify_bimodule_component(spec: TwistSpec, g: Element,
-                              bound: int) -> BimoduleReport:
+def verify_bimodule_component(spec: TwistSpec, g: Element, bound: int) -> dict:
     """Check the chi_g isotypic component of the crossed product: it is the
     two-sided free rank-1 module (1 (x) g) Phi(A) = Phi(A) (1 (x) g) in every
     degree, and the associated rescaling automorphism is multiplicative.
     Conjugation by (1 (x) g) rescales the degree-h part of the invariant
     ring by mu(h,g)/mu(g,h), so the rescaling is multiplicative exactly when
-    h -> mu(h,g)/mu(g,h) is a character of G, an identity on exponents."""
+    h -> mu(h,g)/mu(g,h) is a character of G, an identity on exponents; for
+    g = e it must be the identity.  Returns the item `report` lists under
+    `bimodule_components`, with one `pass` verdict."""
     model = build_crossed_model(spec, bound)
     group = model.group
     modulus = spec.cocycle.modulus
@@ -284,15 +260,18 @@ def verify_bimodule_component(spec: TwistSpec, g: Element,
         for a in elements for b in elements)
 
     one_g = CrossedElement.monomial(model, (), g)
-    component_dims = []
-    left_span_matches = right_span_matches = True
+    dims = []
+    spans_match = True
     for d in range(bound + 1):
         iso_rows = [x.terms for x in isotypic_component(model, g, d)]
         invariants = isotypic_component(model, identity_el, d)
-        component_dims.append((d, len(iso_rows), len(model.gb.normal_words(d))))
-        if not row_spaces_equal(iso_rows, [(one_g * x).terms for x in invariants]):
-            left_span_matches = False
-        if not row_spaces_equal(iso_rows, [(x * one_g).terms for x in invariants]):
-            right_span_matches = False
-    return BimoduleReport(g, bound, identity_on_e, scaling_multiplicative,
-                          component_dims, left_span_matches, right_span_matches)
+        dims.append([d, len(iso_rows), len(model.gb.normal_words(d))])
+        left = [(one_g * x).terms for x in invariants]
+        right = [(x * one_g).terms for x in invariants]
+        spans_match = (spans_match and row_spaces_equal(iso_rows, left)
+                       and row_spaces_equal(iso_rows, right))
+    return {"g": group.describe(g), "dims": dims,
+            "scaling_multiplicative": scaling_multiplicative,
+            "spans_match": spans_match,
+            "pass": (identity_on_e and scaling_multiplicative and spans_match
+                     and all(iso == alg for _, iso, alg in dims))}

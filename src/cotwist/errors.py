@@ -33,9 +33,8 @@ class DegreeBoundExceeded(CotwistError):
 
 
 class FalsificationError(CotwistError):
-    """A mathematical claim failed to check out on the given input: an
-    exhaustive verification search ran out of candidates, or a spec file's
-    cocycle fails its identity or normalization, a relation is not
-    G-homogeneous under the declared degrees, or an action fails a check of
-    `action.action_violations`.  The spec loader (`jsonio`) reports the last
-    three as this error; the command line exits 1 on it."""
+    """A spec file's mathematical claim failed to check out: its cocycle
+    fails its identity or normalization, a relation is not G-homogeneous
+    under the declared degrees, or an action fails a check of
+    `action.action_violations`.  The spec loader (`jsonio`) reports these as
+    this error; the command line exits 1 on it."""

@@ -373,12 +373,13 @@ def embed_presentation(p: Presentation, conductor: int) -> Presentation:
 
 
 class GenMap:
-    """A degree-preserving assignment of a polynomial to each source
-    generator; immutable."""
+    """A degree-preserving assignment of a polynomial over `target` at
+    `conductor` to each source generator; immutable."""
 
-    __slots__ = ("source", "images")
+    __slots__ = ("source", "target", "conductor", "images")
 
-    def __init__(self, source: tuple, images: tuple):
+    def __init__(self, source: tuple, target: tuple, conductor: int,
+                 images: tuple):
         if len(images) != len(source):
             raise ValidationError("one image per generator required")
         for g, img in zip(source, images):
@@ -388,6 +389,8 @@ class GenMap:
                 raise ValidationError(
                     f"image of {g.name} is not homogeneous of degree {g.degree}")
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "images", images)
 
     def __setattr__(self, name, value):
@@ -396,21 +399,15 @@ class GenMap:
     def __eq__(self, other) -> bool:
         if other.__class__ is not GenMap:
             return NotImplemented
-        return self.source == other.source and self.images == other.images
+        return (self.source, self.target, self.conductor, self.images) == (
+            other.source, other.target, other.conductor, other.images)
 
     def __hash__(self) -> int:
-        return hash((self.source, self.images))
+        return hash((self.source, self.target, self.conductor, self.images))
 
     def __repr__(self) -> str:
-        return f"GenMap(source={self.source!r}, images={self.images!r})"
-
-    @property
-    def target(self) -> tuple:
-        return self.images[0].gens
-
-    @property
-    def conductor(self) -> int:
-        return self.images[0].conductor
+        return (f"GenMap(source={self.source!r}, target={self.target!r}, "
+                f"conductor={self.conductor!r}, images={self.images!r})")
 
     def apply(self, p: NcPoly) -> NcPoly:
         if p.gens != self.source:
@@ -440,16 +437,16 @@ class GenMap:
                 if not c.is_zero():
                     terms[(i,)] = c
             images.append(NcPoly(target, conductor, terms))
-        return GenMap(source, tuple(images))
+        return GenMap(source, target, conductor, tuple(images))
 
     @staticmethod
     def identity(gens: tuple, conductor: int) -> "GenMap":
-        return GenMap(gens, tuple(NcPoly.gen(gens, conductor, j)
-                                  for j in range(len(gens))))
+        return GenMap(gens, gens, conductor, tuple(
+            NcPoly.gen(gens, conductor, j) for j in range(len(gens))))
 
     @staticmethod
     def scaling(gens: tuple, conductor: int, scalars) -> "GenMap":
-        return GenMap(gens, tuple(
+        return GenMap(gens, gens, conductor, tuple(
             NcPoly.gen(gens, conductor, j).scale(s.embed(conductor))
             for j, s in enumerate(scalars)))
 

@@ -42,7 +42,7 @@ import itertools
 from collections import OrderedDict
 from math import gcd, lcm
 from operator import neg
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .cyclo import CycNum, _reduced
 from .errors import (AlphabetMismatch, ConductorMismatch, DegreeBoundExceeded,
@@ -85,7 +85,6 @@ class TruncGB:
         self.bound = bound
         self.elements = tuple(elements)
         self.stats = stats
-        self.lead_map = {g.leading_word(): g for g in self.elements}
         self._trie = trie
         self._words_by_degree: Optional[list] = None
         self._degrees = [g.degree for g in presentation.generators]
@@ -561,29 +560,14 @@ def is_regular_to_degree(a: NcPoly, presentation: Presentation,
 # presentation isomorphism verification
 # ---------------------------------------------------------------------------
 
-class IsoVerdict(NamedTuple):
-    status: str                      # SYNTACTIC | VERIFIED | FAILED
-    degree: int
-    syntactic: bool
-    relations_in_ideal: list
-    hilbert_lhs: tuple
-    hilbert_rhs: tuple
-    hilbert_equal: bool
-    scalars: Optional[list]
-    failure: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "FAILED"
-
-
 def verify_iso(lhs: Presentation, rhs: Presentation, genmap: GenMap,
-               bound: int) -> IsoVerdict:
+               bound: int) -> dict:
     """Certify the necessary conditions for `genmap` to define an isomorphism
     lhs -> rhs through `bound`: mapped relations lie in the target ideal and
     the Hilbert prefixes agree.  When the mapped relation set equals the
-    target relation set up to scalars the verdict is SYNTACTIC and the
-    per-relation scalars are reported."""
+    target relation set up to scalars the status is SYNTACTIC and the
+    per-relation scalars are reported.  Returns the record `iso-check`
+    prints; it passes unless the status is FAILED."""
     if bound < max(lhs.max_relation_degree(), rhs.max_relation_degree()):
         raise DegreeBoundExceeded(
             "degree bound is smaller than the relation degrees")
@@ -591,22 +575,19 @@ def verify_iso(lhs: Presentation, rhs: Presentation, genmap: GenMap,
         raise ValidationError("generator map does not connect the presentations")
     mapped = [genmap.apply(r) for r in lhs.relations]
 
-    syntactic = False
     scalars: Optional[list] = None
     if len(mapped) == len(rhs.relations) and all(not m.is_zero() for m in mapped):
         remaining = list(range(len(rhs.relations)))
-        pairing = []
+        scalars = []
         for m in mapped:
             canon = m.monic()
             hit = next((j for j in remaining if rhs.relations[j] == canon), None)
             if hit is None:
-                pairing = None
+                scalars = None
                 break
             remaining.remove(hit)
-            pairing.append(m.leading_coeff())
-        if pairing is not None:
-            syntactic = True
-            scalars = pairing
+            scalars.append(str(m.leading_coeff()))
+    syntactic = scalars is not None
 
     gb_rhs = truncated_gb(rhs, bound)
     relations_in_ideal = []
@@ -625,11 +606,11 @@ def verify_iso(lhs: Presentation, rhs: Presentation, genmap: GenMap,
     if not hilbert_equal and failure is None:
         failure = f"Hilbert prefixes differ: {hl} vs {hr}"
 
-    if failure is not None:
-        status = "FAILED"
-    elif syntactic:
-        status = "SYNTACTIC"
-    else:
-        status = "VERIFIED"
-    return IsoVerdict(status, bound, syntactic, relations_in_ideal,
-                      hl, hr, hilbert_equal, scalars, failure)
+    status = ("FAILED" if failure is not None
+              else "SYNTACTIC" if syntactic else "VERIFIED")
+    return {"status": status, "degree": bound, "syntactic": syntactic,
+            "relations_in_ideal": relations_in_ideal,
+            "hilbert_lhs": list(hl), "hilbert_rhs": list(hr),
+            "hilbert_equal": hilbert_equal,
+            "scalars": scalars or None,
+            "failure": failure, "pass": failure is None}

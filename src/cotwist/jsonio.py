@@ -29,12 +29,12 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .cyclo import common_conductor, parse_scalar, root_of_unity
 from .errors import FalsificationError, ParseError, ValidationError
-from .freealg import (MAX_LITERAL_DIGITS, GenMap, NcPoly, Presentation,
+from .freealg import (MAX_LITERAL_DIGITS, NcPoly, Presentation,
                       make_alphabet, make_presentation, parse_ncpoly)
 
 if TYPE_CHECKING:
     from .action import HomogBasis
-    from .gbasis import IsoVerdict, TruncGB
+    from .gbasis import TruncGB
     from .groups import AbGroup, Cocycle
     from .twist import GGrading, TwistSpec
 
@@ -274,10 +274,10 @@ def spec_bundle_from_dict(data: dict) -> SpecBundle:
     return SpecBundle(basis, TwistSpec(grading, duality, cocycle))
 
 
-def genmap_from_dict(data: dict, source: Presentation,
-                     target: Presentation) -> GenMap:
-    """The map with each image at lcm(the target's conductor, the conductor
-    its text names); the caller lifts them to one field."""
+def map_images_from_dict(data: dict, source: Presentation,
+                         target: Presentation) -> tuple:
+    """One image per source generator, each at lcm(the target's conductor,
+    the conductor its text names); the caller lifts them to one field."""
     images_block = _require(data, "images")
     if isinstance(images_block, dict):
         texts = [_require(images_block, g.name, "images") for g in source.generators]
@@ -286,9 +286,8 @@ def genmap_from_dict(data: dict, source: Presentation,
         texts = images_block
     if len(texts) != len(source.generators):
         raise ParseError("one image per source generator required")
-    return GenMap(source.generators, tuple(
-        parse_ncpoly(str(text), target.generators, target.conductor)
-        for text in texts))
+    return tuple(parse_ncpoly(str(text), target.generators, target.conductor)
+                 for text in texts)
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +331,11 @@ def basis_to_dict(basis: HomogBasis, group: AbGroup) -> dict:
 
 
 def gb_to_dict(gb: TruncGB) -> dict:
+    gens, conductor = gb.presentation.generators, gb.presentation.conductor
+    leads = sorted(g.leading_word() for g in gb.elements)
     return {
         "bound": gb.bound,
         "elements": [str(g) for g in gb.elements],
-        "leading_words": [str(NcPoly.from_word(gb.presentation.generators,
-                                               gb.presentation.conductor, w))
-                          for w in sorted(gb.lead_map)],
-    }
-
-
-def verdict_to_dict(v: IsoVerdict) -> dict:
-    return {
-        "status": v.status,
-        "degree": v.degree,
-        "syntactic": v.syntactic,
-        "relations_in_ideal": v.relations_in_ideal,
-        "hilbert_lhs": list(v.hilbert_lhs),
-        "hilbert_rhs": list(v.hilbert_rhs),
-        "hilbert_equal": v.hilbert_equal,
-        "scalars": [str(s) for s in v.scalars] if v.scalars else None,
-        "failure": v.failure,
+        "leading_words": [str(NcPoly.from_word(gens, conductor, w))
+                          for w in leads],
     }

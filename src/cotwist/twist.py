@@ -19,7 +19,7 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclo import root_of_unity
-from .errors import FalsificationError, ValidationError
+from .errors import ValidationError
 from .freealg import GenMap, NcPoly, Presentation, Word, make_presentation
 from .groups import (AbGroup, Cocycle, Duality, Element, GroupAut,
                      all_automorphisms, cocycle_inverse, cocycle_pullback,
@@ -170,20 +170,20 @@ def verify_regrade_compat(spec: TwistSpec, sigma: GroupAut) -> bool:
 
 
 def verify_duality_benign(grading: GGrading, phi: Duality, rho: Duality,
-                          mu: Cocycle) -> GroupAut:
+                          mu: Cocycle) -> Optional[GroupAut]:
     """Search Aut(G) for tau making the twist under (phi, mu) equal to the
-    twist under (rho, mu^(tau^-1)); existence is guaranteed, so an exhausted
-    search is a falsification.
+    twist under (rho, mu^(tau^-1)); existence is guaranteed, so None, an
+    exhausted search, is a falsification.
 
     `grading` is the one the action induces under phi.  Under rho the same
     homogeneous generators keep their eigenvalues, so a generator of degree
-    g gets the h with chi^rho_h = chi^phi_g, compared by `Duality.values`."""
+    g gets the h with chi^rho_h = chi^phi_g, compared by `Duality.values`;
+    a pattern that no character of rho has also gives None."""
     group = grading.group
     under_rho = {rho.values(h): h for h in group.elements()}
     relabeled = tuple(under_rho.get(phi.values(g)) for g in grading.g_degrees)
     if None in relabeled:
-        raise FalsificationError(
-            "eigenvalue pattern matches no character of the second duality")
+        return None
     grading_rho = GGrading(group, grading.presentation, relabeled)
     target = twist_presentation(TwistSpec(grading, phi, mu))
     candidates = sorted(all_automorphisms(group),
@@ -193,9 +193,7 @@ def verify_duality_benign(grading: GGrading, phi: Duality, rho: Duality,
         candidate = twist_presentation(TwistSpec(grading_rho, rho, pulled))
         if candidate.presentation == target.presentation:
             return tau
-    raise FalsificationError(
-        "no group automorphism reconciles the two dualities; the duality "
-        "choice failed to be benign on this input")
+    return None
 
 
 def coboundary_rescale_matches(spec: TwistSpec, modulus: int,

@@ -2,6 +2,7 @@
 (unlike `oracles`, which stays independent of them).
 
 - `fresh_gb`: a completion that does not come from the Groebner cache.
+- `lead_map`: a basis's elements by their leading words.
 - `matches` and `strategy_normal_form`: every leading-word match of a word,
   and a reduction that rewrites whichever match a strategy picks; the normal
   form modulo a reduced basis does not depend on the strategy, which the
@@ -30,6 +31,11 @@ def fresh_gb(presentation, bound):
     is dropped first, and the new basis takes its place."""
     gbasis._GB_CACHE.pop((presentation.canonical_key(), bound), None)
     return gbasis.truncated_gb(presentation, bound)
+
+
+def lead_map(gb):
+    """{leading word: element} of the basis `gb`, in element order."""
+    return {g.leading_word(): g for g in gb.elements}
 
 
 def matches(word, goto, out):

@@ -36,7 +36,7 @@ def test_criterion_1_twist_suite_reproduction():
     start = time.perf_counter()
     report = CHECKS["twist_suite"](6)
     elapsed = time.perf_counter() - start
-    ok = report["passed"]
+    ok = report["pass"]
     by_source = {p["source"]: p for p in report["pairs"]}
     ok = ok and all(p["verdict"] == "SYNTACTIC" for p in report["pairs"])
     ok = ok and by_source["A(1,-1)"]["scalars"] == ["1", "1", "1", "-1"]
@@ -74,11 +74,12 @@ def test_criterion_3_invariant_ring_construction():
     ok = ok and [p["name"] for p in section["presets"]] == ["A(1,-1)", "B(1)"]
     details = []
     for entry in section["presets"]:
-        ok = ok and entry["pass"] and entry["bound"] == 4
-        ok = ok and [row[0] for row in entry["dims"]] == [0, 1, 2, 3, 4]
-        ok = ok and all(inv == alg for _, inv, alg, _ in entry["dims"])
+        ok = ok and entry["pass"] and entry["degree"] == 4
+        ok = ok and [row["degree"] for row in entry["dims"]] == [0, 1, 2, 3, 4]
+        ok = ok and all(row["invariants"] == row["algebra"] == row["twisted"]
+                        for row in entry["dims"])
         details.append(f"{entry['name']}: dims "
-                       f"{[inv for _, inv, _, _ in entry['dims']]}")
+                       f"{[row['invariants'] for row in entry['dims']]}")
     report_line(3, ok,
                 "invariant-ring construction matches the twisted presentation "
                 f"at degree 4 ({'; '.join(details)})")

@@ -393,7 +393,7 @@ def test_theorem55_command(capsys):
     code, out, _ = run(capsys, ["theorem55"])
     assert code == 0
     data = json.loads(out)
-    assert data["passed"] is True
+    assert data["pass"] is True
     assert len(data["pairs"]) == 4
 
 
@@ -418,14 +418,13 @@ def test_unknown_preset_is_input_error(capsys, argv):
 def test_check_verdicts_set_the_exit_code(capsys, monkeypatch):
     for key in CHECKS:
         monkeypatch.setitem(CHECKS, key, lambda bound: {"pass": True})
-    monkeypatch.setitem(CHECKS, "twist_suite", lambda bound: {"passed": True})
     assert run(capsys, ["report"])[0] == 0
     assert run(capsys, ["theorem55"])[0] == 0
-    monkeypatch.setitem(CHECKS, "twist_suite", lambda bound: {"passed": False})
+    monkeypatch.setitem(CHECKS, "twist_suite", lambda bound: {"pass": False})
     code, out, _ = run(capsys, ["report"])
     assert code == 1 and json.loads(out)["passed"] is False
     code, out, _ = run(capsys, ["theorem55"])
-    assert code == 1 and json.loads(out) == {"passed": False}
+    assert code == 1 and json.loads(out) == {"pass": False}
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
@@ -582,6 +581,31 @@ def test_action_on_no_generators_grades_like_declared_degrees(capsys, tmp_path):
         else:
             assert outputs[0]["grading"] == outputs[1]["grading"] == {
                 "g_degrees": [], "group": [2], "named_degrees": {}}
+    code, out, err = run(capsys, ["iso-check", "--lhs", str(action),
+                                  "--rhs", str(declared)])
+    assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+
+
+# a G-invariant ideal whose relations are not G-homogeneous: x*x and x*y
+# have the degrees e and g1, and each relation mixes them
+SPEC_MIXED_RELATIONS = {
+    "generators": ["x", "y"], "relations": ["x*x + x*y", "x*x - x*y"],
+    "group": [2], "cocycle": {"builtin": "trivial"},
+    "action": [{"generator": "g1", "matrix": [["1", "0"], ["0", "-1"]]}]}
+
+
+def test_action_splits_relations_into_g_homogeneous_components(capsys, tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(SPEC_MIXED_RELATIONS))
+    code, out, err = run(capsys, ["validate", "--input", str(path)])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    # x^2 comes from both relations and is kept once
+    assert data["presentation"]["relations"] == ["x^2", "x*y"]
+    assert data["relation_degrees"] == ["e", "g1"]
+    for command in ("twist", "invariants"):
+        code, out, err = run(capsys, [command, "--input", str(path)])
+        assert (code, err) == (0, ""), command
 
 
 @pytest.mark.parametrize("argv,data,where", [
@@ -948,6 +972,11 @@ def _argv(draw):
 @example(json.dumps(SPEC_NO_GENERATORS), ["validate", "--input", "{file}"])
 @example(json.dumps(SPEC_NO_GENERATORS), ["twist", "--input", "{file}"])
 @example(json.dumps(SPEC_NO_GENERATORS), ["invariants", "--input", "{file}"])
+@example(json.dumps(SPEC_NO_GENERATORS),
+         ["iso-check", "--lhs", "{file}", "--rhs", "{file}"])
+@example(json.dumps(SPEC_MIXED_RELATIONS), ["validate", "--input", "{file}"])
+@example(json.dumps(SPEC_MIXED_RELATIONS), ["twist", "--input", "{file}"])
+@example(json.dumps(SPEC_MIXED_RELATIONS), ["invariants", "--input", "{file}"])
 @example(json.dumps(LONG_RELATION), ["hilbert", "--input", "{file}",
                                      "--degree", "3"])
 @example(json.dumps(LONG_TABLE_SPEC), ["validate", "--input", "{file}"])

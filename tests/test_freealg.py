@@ -80,8 +80,8 @@ def test_mul_associates_and_distributes():
 
 
 def swap_map():
-    return GenMap(X3, (NcPoly.gen(X3, 4, 1), NcPoly.gen(X3, 4, 0),
-                       NcPoly.gen(X3, 4, 2)))
+    return GenMap(X3, X3, 4, (NcPoly.gen(X3, 4, 1), NcPoly.gen(X3, 4, 0),
+                              NcPoly.gen(X3, 4, 2)))
 
 
 def test_genmap_swap_flips_commutator():
@@ -90,8 +90,8 @@ def test_genmap_swap_flips_commutator():
 
 
 def test_genmap_negation_even_power():
-    negate = GenMap(X3, (NcPoly.gen(X3, 4, 0), NcPoly.gen(X3, 4, 1),
-                         -NcPoly.gen(X3, 4, 2)))
+    negate = GenMap(X3, X3, 4, (NcPoly.gen(X3, 4, 0), NcPoly.gen(X3, 4, 1),
+                                -NcPoly.gen(X3, 4, 2)))
     p = poly("x3^2*x2")
     assert negate.apply(p) == p
 

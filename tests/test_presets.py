@@ -1,16 +1,18 @@
 import itertools
+import json
 import sys
 
 import pytest
 
 from cotwist import freealg, gbasis, presets, twist
 from cotwist.cyclo import root_of_unity
-from cotwist.errors import CotwistError, FalsificationError
+from cotwist.cli import main
+from cotwist.errors import CotwistError
 from cotwist.freealg import GenMap, make_presentation
 from cotwist.gbasis import hilbert_coeffs, verify_iso
 from cotwist.groups import AbGroup, coboundary, cocycle_product, trivial_cocycle
 from cotwist.presets import (CHECKS, PRESET_NAMES, TWIST_PAIRS, full_report,
-                             preset, verdict)
+                             preset)
 from cotwist.twist import TwistSpec, twist_presentation
 from support import a_family_xbasis, diagonal_matrices
 
@@ -103,7 +105,7 @@ def test_fourth_relations_differ_between_source_and_target():
 
 def test_twist_suite_passes_with_expected_scalars():
     report = CHECKS["twist_suite"](6)
-    assert report["passed"]
+    assert report["pass"]
     by_source = {pair["source"]: pair for pair in report["pairs"]}
     assert by_source["A(1,-1)"]["scalars"] == ["1", "1", "1", "-1"]
     assert by_source["B(1)"]["scalars"] == ["1", "1", "1", "1"]
@@ -122,7 +124,7 @@ def test_trivial_cocycle_negative_control():
     target = preset("D(1,1)").presentation
     verdict = verify_iso(twisted.presentation, target,
                          GenMap.identity(target.generators, 4), 6)
-    assert verdict.status == "FAILED"
+    assert verdict["status"] == "FAILED"
 
 
 def test_coboundary_modified_cocycle_passes_after_rescaling():
@@ -201,10 +203,10 @@ def test_preset_relations_survive_string_round_trip():
             assert pres.parse(str(rel)) == rel
 
 
-def _replacing(attr, **fields):
-    """The verifier `attr` with some fields of its record overridden."""
+def _failing(attr):
+    """The verifier `attr` with its record's `pass` verdict false."""
     real = getattr(presets, attr)
-    return lambda *args: real(*args)._replace(**fields)
+    return lambda *args: {**real(*args), "pass": False}
 
 
 def _answering_anew(attr):
@@ -214,28 +216,23 @@ def _answering_anew(attr):
     return lambda *args: tuple(real(*args)) + (next(counter),)
 
 
-def _raising(*args):
-    raise FalsificationError("no compatible duality change")
-
-
 # check -> (verifier it delegates to, in the presets namespace; a factory of
 # a falsifying stand-in)
 FALSIFIERS = {
-    "twist_suite": ("verify_iso", lambda: _replacing("verify_iso", status="FAILED")),
+    "twist_suite": ("verify_iso", lambda: _failing("verify_iso")),
     "hilbert_preservation": ("hilbert_coeffs",
                              lambda: _answering_anew("hilbert_coeffs")),
     "invariant_ring": ("verify_invariant_ring",
-                       lambda: _replacing("verify_invariant_ring",
-                                          multiplicative=False)),
+                       lambda: _failing("verify_invariant_ring")),
     "bimodule_components": ("verify_bimodule_component",
-                            lambda: _replacing("verify_bimodule_component",
-                                               scaling_multiplicative=False)),
+                            lambda: _failing("verify_bimodule_component")),
     # a radical of the whole group: a commutative kG_mu
     "twisted_group_algebra": ("commutator_radical",
                               lambda: lambda mu: mu.group.elements()),
     "schur": ("schur_order", lambda: lambda group: 1),
     "regrade_compat": ("verify_regrade_compat", lambda: lambda spec, sigma: False),
-    "duality_compat": ("verify_duality_benign", lambda: _raising),
+    # a search that finds no witness
+    "duality_compat": ("verify_duality_benign", lambda: lambda *args: None),
     # a "double" twist that twists once
     "double_twist": ("double_twist", lambda: twist_presentation),
     "coboundary_rescale": ("coboundary_rescale_matches",
@@ -246,21 +243,21 @@ FALSIFIERS = {
 
 
 @pytest.mark.parametrize("key", list(CHECKS))
-def test_every_check_fails_when_its_verifier_does(monkeypatch, key):
+def test_every_check_fails_when_its_verifier_does(monkeypatch, capsys, key):
     attr, make = FALSIFIERS[key]
-    assert verdict(CHECKS[key](4))
+    assert CHECKS[key](4)["pass"] is True
     monkeypatch.setattr(presets, attr, make())
-    if key == "duality_compat":
-        with pytest.raises(FalsificationError):
-            CHECKS[key](4)
-    else:
-        assert verdict(CHECKS[key](4)) is False
+    assert CHECKS[key](4)["pass"] is False
+    # a failed check is a record of the report, which still prints in full
+    assert main(["report", "--degree", "4"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == set(CHECKS) | {"passed"}
+    assert report[key]["pass"] is False and report["passed"] is False
 
 
 def test_section_without_verdict_fails_the_report(monkeypatch):
     for key in CHECKS:
         monkeypatch.setitem(CHECKS, key, lambda bound: {"pass": True})
-    monkeypatch.setitem(CHECKS, "twist_suite", lambda bound: {"passed": True})
     assert full_report(4)["passed"] is True
     monkeypatch.setitem(CHECKS, "schur", lambda bound: {"values": {}})
     report = full_report(4)
