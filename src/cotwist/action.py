@@ -169,7 +169,8 @@ def regrade_presentation(presentation: Presentation,
     into its G-homogeneous components and attach the induced G-grading.
     Each component lies in the ideal: it is a projection of the relation
     onto an isotypic part, an average of its images under the action, which
-    preserves the ideal.  Repeated relations are dropped."""
+    preserves the ideal.  A relation that is G-homogeneous already is kept
+    as given; a split relation adds only the components not yet listed."""
     conductor = presentation.conductor
     new_gens = make_alphabet(list(zip(basis.names, basis.degrees)))
     n = len(new_gens)
@@ -183,12 +184,17 @@ def regrade_presentation(presentation: Presentation,
     rewritten = make_presentation(conductor, new_gens, [
         substitution.apply(r) for r in presentation.relations])
     grading = GGrading(group, rewritten, basis.g_degrees)
-    components = []
+    relations = []
     for rel in rewritten.relations:
         parts: dict = {}
         for word, coeff in rel.terms.items():
             parts.setdefault(grading.word_degree(word), {})[word] = coeff
-        components += [NcPoly(new_gens, conductor, parts[g]).monic()
-                       for g in sorted(parts, key=group.index)]
+        if len(parts) == 1:
+            relations.append(rel)
+            continue
+        for g in sorted(parts, key=group.index):
+            component = NcPoly(new_gens, conductor, parts[g]).monic()
+            if component not in relations:
+                relations.append(component)
     return grading._replace(presentation=Presentation(
-        conductor, new_gens, tuple(dict.fromkeys(components))))
+        conductor, new_gens, tuple(relations)))

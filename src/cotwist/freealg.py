@@ -383,6 +383,10 @@ class GenMap:
         if len(images) != len(source):
             raise ValidationError("one image per generator required")
         for g, img in zip(source, images):
+            if img.gens != target or img.conductor != conductor:
+                raise ValidationError(
+                    f"image of {g.name} is not a polynomial over the target "
+                    f"alphabet at conductor {conductor}")
             if img.is_zero():
                 continue
             if img.homogeneous_degree() != g.degree:

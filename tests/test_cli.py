@@ -608,6 +608,23 @@ def test_action_splits_relations_into_g_homogeneous_components(capsys, tmp_path)
         assert (code, err) == (0, ""), command
 
 
+def test_action_keeps_repeated_homogeneous_relations(capsys, tmp_path):
+    # x*y is G-homogeneous as written: both loader paths keep it twice
+    base = {"generators": ["x", "y"], "relations": ["x*y", "x*y"],
+            "group": [2], "cocycle": {"builtin": "trivial"}}
+    outputs = []
+    for extra in ({"action": SPEC_MIXED_RELATIONS["action"]},
+                  {"g_degrees": [[0], [1]]}):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**base, **extra}))
+        code, out, err = run(capsys, ["validate", "--input", str(path)])
+        assert (code, err) == (0, "")
+        outputs.append(json.loads(out))
+    assert outputs[0]["presentation"] == outputs[1]["presentation"]
+    assert outputs[0]["presentation"]["relations"] == ["x*y", "x*y"]
+    assert outputs[0]["relation_degrees"] == outputs[1]["relation_degrees"]
+
+
 @pytest.mark.parametrize("argv,data,where", [
     (["gb", "--input"], {"generators": 5, "relations": []}, "generators"),
     (["gb", "--input"], {"generators": [{"degree": 1}], "relations": []},

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cotwist import twist
+from cotwist import crossed, twist
 from cotwist.crossed import (CrossedElement, build_crossed_model,
                              isotypic_component, verify_bimodule_component,
                              verify_invariant_ring)
@@ -295,3 +295,58 @@ def test_scaling_check_refuses_a_non_character():
     report = verify_bimodule_component(
         TwistSpec(spec.grading, spec.duality, broken), g, 3)
     assert not report["scaling_multiplicative"]
+    # the components still match, so the failed scaling alone fails the check
+    assert report["spans_match"]
+    assert all(iso == alg for _, iso, alg in report["dims"])
+    assert not report["pass"]
+
+
+def test_scaling_off_the_identity_fails_the_component_check(monkeypatch):
+    # conjugation by 1 (x) e rescaling by the character h -> (-1)^h[0]:
+    # every scaling stays a character and the spans stay equal, so only the
+    # identity test on e fails, and it alone must fail the check
+    real = crossed.component_scaling
+    monkeypatch.setattr(crossed, "component_scaling", lambda model, g, h: (
+        real(model, g, h) + h[0]) % model.spec.cocycle.modulus)
+    report = verify_bimodule_component(preset("A(1,-1)").spec, G1, 3)
+    assert report["scaling_multiplicative"] and report["spans_match"]
+    assert all(iso == alg for _, iso, alg in report["dims"])
+    assert not report["pass"]
+
+
+class _NegatedProducts:
+    """A truncated basis whose `times_word` answers -NF(u*w)."""
+
+    def __init__(self, gb):
+        self.gb = gb
+
+    def __getattr__(self, name):
+        return getattr(self.gb, name)
+
+    def times_word(self, terms, word):
+        return {w: -c for w, c in self.gb.times_word(terms, word).items()}
+
+
+INVARIANT_RING_CHECKS = ("relations_vanish", "embedding_injective",
+                         "multiplicative", "images_invariant")
+
+
+@pytest.mark.parametrize("field", ["multiplicative", "embedding_injective"])
+def test_one_failed_sub_check_fails_the_invariant_ring(monkeypatch, field):
+    spec = preset("A(1,-1)").spec
+    if field == "multiplicative":
+        # the twisted multiplication table, and nothing else, goes wrong
+        twisted = twist.twist_presentation(spec).presentation
+        real = crossed.truncated_gb
+        monkeypatch.setattr(crossed, "truncated_gb", lambda pres, bound: (
+            _NegatedProducts(real(pres, bound)) if pres == twisted
+            else real(pres, bound)))
+    else:
+        real = crossed.rank
+        monkeypatch.setattr(crossed, "rank", lambda rows: real(rows) - 1)
+    report = verify_invariant_ring(spec, 3)
+    expected = {**dict.fromkeys(INVARIANT_RING_CHECKS, True), field: False}
+    assert {key: report[key] for key in INVARIANT_RING_CHECKS} == expected
+    assert all(row["invariants"] == row["algebra"] == row["twisted"]
+               for row in report["dims"])
+    assert not report["pass"]

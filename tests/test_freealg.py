@@ -182,3 +182,12 @@ def test_reserved_generator_names_rejected():
         make_alphabet([("i", 1)])
     with pytest.raises(ValidationError):
         make_alphabet([("x", 1), ("x", 2)])
+
+
+def test_genmap_refuses_images_off_its_target():
+    y2 = make_alphabet([("y1", 1), ("y2", 1)])
+    with pytest.raises(ValidationError):
+        GenMap(X3[:2], y2, 4, (NcPoly.gen(X3[:2], 4, 0),
+                               NcPoly.gen(X3[:2], 4, 1)))
+    with pytest.raises(ValidationError):
+        GenMap(X3, X3, 8, swap_map().images)
